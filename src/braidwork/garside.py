@@ -13,6 +13,28 @@ Under this convention
   - the starting set of a factor B is {i : B[i-1] > B[i]},
   - the finishing set of A is the starting set of A^-1.
 
+The normal form is built left-greedily, as in Epstein et al., *Word
+Processing in Groups* (1992), ch. 9:
+
+  - Packing. The word is split into runs of same-sign letters. A positive
+    run is packed greedily into permutation braids: the next letter starts
+    a new factor exactly when it is in the finishing set of the current
+    one. A negative run is P^-1 for a positive word P; P is packed into
+    B_1 ... B_m, and each B^-1 is written Delta^-1 . (Delta B^-1), so a
+    literal Delta^-k leaves only a Delta power and no factor. The Delta
+    powers are then moved to the front, each factor they pass being
+    conjugated by Delta (`perm_flip`).
+  - Right multiplication. A normal form times one permutation braid is
+    normalised by a single backward comb: left-weight the last pair, then
+    the pair before it, stopping at the first pair left unchanged. A
+    leading Delta factor is moved into the Delta power and a trailing
+    identity factor dropped as they appear.
+  - The pair step (`_left_weight_pair`) moves generators from the front of
+    the right factor to the back of the left one until the pair is
+    left-weighted. It works on the right factor and the inverse of the left
+    one as lists, where a move is two adjacent swaps, and after a move at i
+    it re-examines only i-1..i+1, so it costs O(n + moves).
+
 Equality of braid words is decided by comparing normal forms.
 """
 
@@ -20,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from typing import Sequence
 
 from .words import BraidWord, reconcile
@@ -36,8 +59,8 @@ def perm_mul(p: Perm, q: Perm) -> Perm:
     return tuple(q[p[i]] for i in range(len(p)))
 
 
-@functools.lru_cache(maxsize=None)
-def perm_inv(p: Perm) -> Perm:
+def perm_inv(p: Sequence[int]) -> Perm:
+    """The inverse permutation."""
     inv = [0] * len(p)
     for i, x in enumerate(p):
         inv[x] = i
@@ -63,7 +86,6 @@ def perm_flip(p: Perm) -> Perm:
     return tuple(n - 1 - p[n - 1 - i] for i in range(n))
 
 
-@functools.lru_cache(maxsize=None)
 def starting_set(p: Perm) -> frozenset[int]:
     """Generators sigma_i that can begin a positive word for the factor p."""
     return frozenset(i for i in range(1, len(p)) if p[i - 1] > p[i])
@@ -75,18 +97,22 @@ def finishing_set(p: Perm) -> frozenset[int]:
 
 
 def factor_word(p: Perm) -> list[int]:
-    """A reduced positive word for the permutation braid p (letters 1-indexed)."""
+    """A reduced positive word for the permutation braid p (letters 1-indexed),
+    taking the least starting generator each time. Swapping at i can only
+    create a descent at i-1 or i+1, so the scan steps back one place."""
     n = len(p)
     letters: list[int] = []
     q = list(p)
-    while True:
-        for i in range(1, n):
-            if q[i - 1] > q[i]:
-                letters.append(i)
-                q[i - 1], q[i] = q[i], q[i - 1]
-                break
+    i = 1
+    while i < n:
+        if q[i - 1] > q[i]:
+            letters.append(i)
+            q[i - 1], q[i] = q[i], q[i - 1]
+            if i > 1:
+                i -= 1
         else:
-            return letters
+            i += 1
+    return letters
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,7 +136,7 @@ class GarsideNormalForm:
         n = self.strands
         letters: list[int] = []
         if self.infimum != 0:
-            from .words import delta, invert, power
+            from .words import delta, power
 
             letters.extend(power(delta(n), self.infimum).letters)
         for p in self.factors:
@@ -138,55 +164,42 @@ def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:
     """Transfer generators from the front of b to the back of a until the
     pair (a, b) is left-weighted. Returns (a', b', changed)."""
     n = len(a)
+    a_inv = list(perm_inv(a))
+    b_list = list(b)
     changed = False
-    while True:
-        movable = starting_set(b) - finishing_set(a)
-        if not movable:
-            return a, b, changed
-        i = min(movable)
-        s = perm_transposition(n, i)
-        a = perm_mul(a, s)
-        b = perm_mul(s, b)
-        changed = True
+    # sigma_i is movable when it starts b (b[i-1] > b[i]) and does not
+    # finish a (a_inv[i-1] < a_inv[i]). Moving it swaps both pairs, which
+    # can only make i-1 or i+1 movable, so step back one place after a move:
+    # every index below i stays unmovable, and the moves come out in the
+    # same order as always taking the least movable generator.
+    i = 1
+    while i < n:
+        if b_list[i - 1] > b_list[i] and a_inv[i - 1] < a_inv[i]:
+            b_list[i - 1], b_list[i] = b_list[i], b_list[i - 1]
+            a_inv[i - 1], a_inv[i] = a_inv[i], a_inv[i - 1]
+            changed = True
+            if i > 1:
+                i -= 1
+        else:
+            i += 1
+    if not changed:
+        return a, b, False
+    return perm_inv(a_inv), tuple(b_list), True
 
 
-def _normalise_factors(n: int, factors: list[Perm]) -> tuple[int, tuple[Perm, ...]]:
-    """Left-weight a factor sequence, stripping Delta factors to a leading
-    power and dropping trivial factors. Returns (delta_power, factors)."""
-    ident = perm_identity(n)
-    w0 = perm_longest(n)
-    factors = [p for p in factors if p != ident]
-    # Incremental pass: extend a normalised prefix one factor at a time,
-    # combing changes backwards.
-    for i in range(len(factors) - 1):
-        factors[i], factors[i + 1], moved = _left_weight_pair(
-            factors[i], factors[i + 1]
-        )
-        if moved:
-            for j in range(i - 1, -1, -1):
-                a, b, moved_back = _left_weight_pair(factors[j], factors[j + 1])
-                if not moved_back:
-                    break
-                factors[j], factors[j + 1] = a, b
-    # Fixpoint safety net: combing can in principle disturb later pairs.
-    while True:
-        changed = False
-        for i in range(len(factors) - 1):
-            factors[i], factors[i + 1], moved = _left_weight_pair(
-                factors[i], factors[i + 1]
-            )
-            changed = changed or moved
-        if not changed:
-            break
-    power = 0
-    lo = 0
-    hi = len(factors)
-    while lo < hi and factors[lo] == w0:
-        power += 1
-        lo += 1
-    while lo < hi and factors[hi - 1] == ident:
-        hi -= 1
-    return power, tuple(factors[lo:hi])
+def _pack(n: int, letters: Sequence[int]) -> list[list[int]]:
+    """Split a positive word greedily into permutation braids, each given by
+    its inverse permutation: a letter starts a new factor exactly when it is
+    in the finishing set of the current one."""
+    packed: list[list[int]] = []
+    inv = list(range(n))
+    for i in letters:
+        if inv[i - 1] > inv[i]:
+            packed.append(inv)
+            inv = list(range(n))
+        inv[i - 1], inv[i] = inv[i], inv[i - 1]
+    packed.append(inv)
+    return packed
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -195,26 +208,46 @@ def normal_form(a: BraidWord) -> GarsideNormalForm:
     n = a.strands
     if n == 1:
         return GarsideNormalForm(1, 0, ())
-    w0 = perm_longest(n)
+    # Read the runs of same-sign letters right to left, so that `power` is
+    # the Delta exponent to the right of each factor: f . Delta^E equals
+    # Delta^E . flip^E(f).
     factors: list[Perm] = []
-    dpows: list[int] = []
-    for letter in a.letters:
-        s = perm_transposition(n, abs(letter))
-        if letter > 0:
-            factors.append(s)
-            dpows.append(0)
+    power = 0
+    runs = [list(run) for _, run in itertools.groupby(a.letters, lambda x: x > 0)]
+    for run in reversed(runs):
+        if run[0] > 0:
+            for inv in reversed(_pack(n, run)):
+                p = perm_inv(inv)
+                factors.append(perm_flip(p) if power % 2 else p)
         else:
-            # sigma_i^-1 = Delta^-1 . (Delta sigma_i^-1), the latter a permutation braid
-            factors.append(perm_mul(w0, s))
-            dpows.append(-1)
-    # Push all Delta powers to the front: f . Delta^E = Delta^E . flip^E(f).
-    trailing = 0
-    for i in range(len(factors) - 1, -1, -1):
-        if trailing % 2:
-            factors[i] = perm_flip(factors[i])
-        trailing += dpows[i]
-    extra, normalised = _normalise_factors(n, factors)
-    return GarsideNormalForm(n, trailing + extra, normalised)
+            # The run is (B_1 ... B_m)^-1 = B_m^-1 ... B_1^-1 for the packed
+            # positive word B_1 ... B_m, and B^-1 = Delta^-1 . (Delta B^-1).
+            for inv in _pack(n, [-x for x in reversed(run)]):
+                p = tuple(reversed(inv))
+                factors.append(perm_flip(p) if power % 2 else p)
+                power -= 1
+    factors.reverse()
+    ident = perm_identity(n)
+    w0 = perm_longest(n)
+    result: list[Perm] = []
+    for p in factors:
+        if p == ident:
+            continue
+        # Right-multiply the normal form by p: one backward comb, which may
+        # stop at the first pair it leaves unchanged.
+        result.append(p)
+        for j in range(len(result) - 2, -1, -1):
+            result[j], result[j + 1], moved = _left_weight_pair(result[j], result[j + 1])
+            if not moved:
+                break
+        # Only the appended factor can end up trivial, and one simple factor
+        # raises the infimum by at most one, so at most one Delta appears.
+        if result[-1] == ident:
+            result.pop()
+        if result and result[0] == w0:
+            result.pop(0)
+            power += 1
+    return GarsideNormalForm(n, power, tuple(result))
 
 
 def is_left_weighted(nf: GarsideNormalForm) -> bool:

@@ -1,0 +1,127 @@
+"""
+Reference Garside normal form: the letter-per-factor algorithm that
+`braidwork.garside` used before it packed letters into simple factors.
+
+Every letter becomes its own permutation-braid factor, the sequence is
+combed one generator at a time, and a fixpoint pass re-checks every pair at
+the end. It is slow but simple, and the differential tests compare the
+packed implementation against it. `factor_word` is the rescanning version
+of the re-expansion, whose letters the public words are made of. Not part of
+the library.
+"""
+
+from __future__ import annotations
+
+import functools
+
+from braidwork.garside import (
+    GarsideNormalForm,
+    Perm,
+    finishing_set,
+    perm_flip,
+    perm_identity,
+    perm_longest,
+    perm_mul,
+    perm_transposition,
+    starting_set,
+)
+from braidwork.words import BraidWord
+
+
+def factor_word(p: Perm) -> list[int]:
+    """A reduced positive word for the permutation braid p (letters 1-indexed)."""
+    n = len(p)
+    letters: list[int] = []
+    q = list(p)
+    while True:
+        for i in range(1, n):
+            if q[i - 1] > q[i]:
+                letters.append(i)
+                q[i - 1], q[i] = q[i], q[i - 1]
+                break
+        else:
+            return letters
+
+
+@functools.lru_cache(maxsize=1 << 18)
+def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:
+    """Transfer generators from the front of b to the back of a until the
+    pair (a, b) is left-weighted. Returns (a', b', changed)."""
+    n = len(a)
+    changed = False
+    while True:
+        movable = starting_set(b) - finishing_set(a)
+        if not movable:
+            return a, b, changed
+        i = min(movable)
+        s = perm_transposition(n, i)
+        a = perm_mul(a, s)
+        b = perm_mul(s, b)
+        changed = True
+
+
+def _normalise_factors(n: int, factors: list[Perm]) -> tuple[int, tuple[Perm, ...]]:
+    """Left-weight a factor sequence, stripping Delta factors to a leading
+    power and dropping trivial factors. Returns (delta_power, factors)."""
+    ident = perm_identity(n)
+    w0 = perm_longest(n)
+    factors = [p for p in factors if p != ident]
+    # Incremental pass: extend a normalised prefix one factor at a time,
+    # combing changes backwards.
+    for i in range(len(factors) - 1):
+        factors[i], factors[i + 1], moved = _left_weight_pair(
+            factors[i], factors[i + 1]
+        )
+        if moved:
+            for j in range(i - 1, -1, -1):
+                a, b, moved_back = _left_weight_pair(factors[j], factors[j + 1])
+                if not moved_back:
+                    break
+                factors[j], factors[j + 1] = a, b
+    # Fixpoint safety net: combing can in principle disturb later pairs.
+    while True:
+        changed = False
+        for i in range(len(factors) - 1):
+            factors[i], factors[i + 1], moved = _left_weight_pair(
+                factors[i], factors[i + 1]
+            )
+            changed = changed or moved
+        if not changed:
+            break
+    power = 0
+    lo = 0
+    hi = len(factors)
+    while lo < hi and factors[lo] == w0:
+        power += 1
+        lo += 1
+    while lo < hi and factors[hi - 1] == ident:
+        hi -= 1
+    return power, tuple(factors[lo:hi])
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def normal_form(a: BraidWord) -> GarsideNormalForm:
+    """The left Garside normal form of a word."""
+    n = a.strands
+    if n == 1:
+        return GarsideNormalForm(1, 0, ())
+    w0 = perm_longest(n)
+    factors: list[Perm] = []
+    dpows: list[int] = []
+    for letter in a.letters:
+        s = perm_transposition(n, abs(letter))
+        if letter > 0:
+            factors.append(s)
+            dpows.append(0)
+        else:
+            # sigma_i^-1 = Delta^-1 . (Delta sigma_i^-1), the latter a permutation braid
+            factors.append(perm_mul(w0, s))
+            dpows.append(-1)
+    # Push all Delta powers to the front: f . Delta^E = Delta^E . flip^E(f).
+    trailing = 0
+    for i in range(len(factors) - 1, -1, -1):
+        if trailing % 2:
+            factors[i] = perm_flip(factors[i])
+        trailing += dpows[i]
+    extra, normalised = _normalise_factors(n, factors)
+    return GarsideNormalForm(n, trailing + extra, normalised)

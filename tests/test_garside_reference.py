@@ -1,0 +1,90 @@
+"""Differential tests: the packed normal form against the letter-per-factor
+reference in `garside_reference`."""
+
+import itertools
+
+import garside_reference as reference
+from hypothesis import given, settings, strategies as st
+
+from braidwork.garside import (
+    _left_weight_pair,
+    factor_word,
+    is_left_weighted,
+    normal_form,
+    rewrite,
+)
+from braidwork.words import BraidWord, compose_all, delta, invert, power
+
+
+def words(n: int, max_len: int):
+    nonzero = st.integers(min_value=1, max_value=n - 1).flatmap(
+        lambda i: st.sampled_from([i, -i])
+    )
+    return st.lists(nonzero, max_size=max_len).map(
+        lambda ls: BraidWord(n, tuple(ls))
+    )
+
+
+def sized_words(min_n: int, max_n: int, max_len: int):
+    return st.integers(min_value=min_n, max_value=max_n).flatmap(
+        lambda n: words(n, max_len)
+    )
+
+
+@st.composite
+def rewrite_shaped_words(draw):
+    """s^-1 . rewrite(Delta^-k w) . s: a conjugate of a canonical
+    re-expansion, the shape the length-based solvers feed back in."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    k = draw(st.integers(min_value=0, max_value=2))
+    w = draw(words(n, 30))
+    s = draw(words(n, 2))
+    return compose_all([invert(s), rewrite(compose_all([power(delta(n), -k), w])), s])
+
+
+def perms(n: int):
+    return st.permutations(range(n)).map(tuple)
+
+
+class TestNormalFormAgainstReference:
+    @given(sized_words(2, 12, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_random_words(self, w):
+        nf = normal_form(w)
+        assert nf == reference.normal_form(w)
+        assert is_left_weighted(nf)
+
+    @given(rewrite_shaped_words())
+    @settings(max_examples=80, deadline=None)
+    def test_rewrite_shaped_words(self, w):
+        assert normal_form(w) == reference.normal_form(w)
+
+    def test_delta_powers_only(self):
+        for n in (2, 3, 6):
+            for k in (-3, -1, 1, 2):
+                w = power(delta(n), k)
+                assert normal_form(w) == reference.normal_form(w)
+                assert normal_form(w).factors == ()
+
+
+class TestLeftWeightPairAgainstReference:
+    def test_all_pairs_up_to_five_strands(self):
+        for n in range(1, 6):
+            all_perms = list(itertools.permutations(range(n)))
+            for a in all_perms:
+                for b in all_perms:
+                    assert _left_weight_pair(a, b) == reference._left_weight_pair(a, b)
+
+    @given(st.integers(min_value=6, max_value=16).flatmap(
+        lambda n: st.tuples(perms(n), perms(n))
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_random_pairs(self, pair):
+        a, b = pair
+        assert _left_weight_pair(a, b) == reference._left_weight_pair(a, b)
+
+
+def test_factor_word_matches_reference_up_to_six_strands():
+    for n in range(1, 7):
+        for p in itertools.permutations(range(n)):
+            assert factor_word(p) == reference.factor_word(p)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidwork.garside import is_trivial, words_equal
+from braidwork.garside import is_trivial, rewrite, words_equal
 from braidwork.handle import (
     ReductionBudgetExceeded,
     handle_reduce,
@@ -59,6 +59,22 @@ class TestTrivialityOracle:
     @settings(max_examples=50)
     def test_commutator_with_inverse(self, w):
         assert is_trivial_handle_reduction(compose(w, invert(w)))
+
+    @given(
+        st.integers(min_value=2, max_value=12).flatmap(lambda n: words(n, 40))
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_normal_form_up_to_twelve_strands(self, w):
+        assert is_trivial_handle_reduction(w) == is_trivial(w)
+
+    @given(
+        st.integers(min_value=2, max_value=12).flatmap(lambda n: words(n, 40))
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_word_times_inverse_rewrite_is_trivial(self, u):
+        w = compose(u, invert(rewrite(u)))
+        assert is_trivial_handle_reduction(w)
+        assert is_trivial(w)
 
 
 class TestShiftPreimage:
