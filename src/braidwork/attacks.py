@@ -4,26 +4,33 @@ key recovery, a one-sided common-factor decision procedure, twisted
 conjugacy recovery, shifted-conjugacy authentication attacks, and
 partial-factor peeling.
 
-Every pipeline returns an AttackReport. Success is claimed only when all
-public consistency checks pass; the harness verdict (comparison against a
-supplied secret) is informational and never gates success. Solvers return
-solutions only up to centralizer factors, so each pipeline re-validates
-candidates against public relations before assembling a key.
+Every pipeline has the same skeleton: extract conjugacy-search instances
+from public data, solve them, lift the solution back to a secret
+candidate (`_lift` for the token maps), and check the candidate against
+the public relations. Solvers return solutions only up to centralizer
+factors, so a pipeline's public predicate is written once and serves both
+as the solver's `extra_check` and as the report's named checks. `_Run`
+collects the checks, recovered values and solver reports of one run and
+builds its AttackReport. Success is claimed only when all public checks
+pass; the harness verdict (comparison against a supplied secret) is
+informational and never gates success.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+from typing import Iterator
 
 from .extractors import (
     CspInstance,
     build_dehornoy_centralizer_instance,
     build_gtcp_instances,
     build_mscsp_dhdp,
+    build_stickel_instance,
     ce_difference_pair,
 )
-from .garside import is_trivial, rewrite, words_equal
+from .garside import is_trivial, nf_key, rewrite, words_equal
 from .handle import ReductionBudgetExceeded, shift_preimage
 from .protocols import PublicTranscript, SecretTranscript
 from .solvers import (
@@ -32,7 +39,6 @@ from .solvers import (
     solve_exhaustive,
     solve_length_descent,
     solve_power,
-    verify_solution,
 )
 from .subgroups import (
     SubgroupSpec,
@@ -41,6 +47,7 @@ from .subgroups import (
     interval_generators,
 )
 from .words import (
+    SHIFT_ENDO,
     BraidWord,
     Endomorphism,
     apply_endo,
@@ -91,12 +98,48 @@ class AttackReport:
         }
 
 
-def _solve(instance: CspInstance, config: SolverConfig, method: str) -> SolutionReport:
-    if method == "exhaustive":
-        return solve_exhaustive(instance, config)
-    if method == "descent":
-        return solve_length_descent(instance, config)
-    raise ValueError(f"unknown solver method {method!r}")
+class _Run:
+    """Checks, recovered values and solver reports of one pipeline run."""
+
+    def __init__(self, attack: str):
+        self.attack = attack
+        self.checks: list[NamedCheck] = []
+        self.recovered: list[tuple[str, BraidWord]] = []
+        self.reports: list[SolutionReport] = []
+
+    def solved(self, name: str, report: SolutionReport) -> bool:
+        self.reports.append(report)
+        return self.check(name, report.solved)
+
+    def check(self, name: str, ok: bool) -> bool:
+        self.checks.append(NamedCheck(name, ok))
+        return ok
+
+    def report(
+        self, candidate: BraidWord | None = None, truth: BraidWord | None = None
+    ) -> AttackReport:
+        # `is not None`: the identity word is a valid secret but falsy.
+        verdict = words_equal(candidate, truth) if truth is not None else None
+        return AttackReport(
+            self.attack,
+            tuple(self.recovered),
+            tuple(self.checks),
+            tuple(self.reports),
+            verdict,
+        )
+
+
+def _lift(f: Endomorphism, word: BraidWord) -> BraidWord | None:
+    """Pull a word back through an invertible token map; None when it is
+    not in the map's image or handle reduction runs over budget."""
+    if f.kind == "identity":
+        return word
+    if f.kind == "inner":
+        return compose_all([invert(f.conjugator), word, f.conjugator])
+    try:
+        return shift_preimage(word)
+    except (ValueError, ReductionBudgetExceeded):
+        return None
 
 
 def attack_decomposition(
@@ -120,82 +163,60 @@ def attack_decomposition(
     """
     if party not in ("a", "b"):
         raise ValueError(f"party must be 'a' or 'b', got {party!r}")
+    if method == "exhaustive":
+        solve = solve_exhaustive
+    elif method == "descent":
+        solve = solve_length_descent
+    else:
+        raise ValueError(f"unknown solver method {method!r}")
     cfg = transcript.config
     z = cfg.base if len(cfg.base) else identity(cfg.strands)
     if party == "a":
         left_target, right_target = "a", "b"
         own_token, peer_token = transcript.token_a, transcript.token_b
         peer_left, peer_right = cfg.left_b, cfg.right_b
-        true_key = oracle.kappa if oracle is not None else None
     else:
         left_target, right_target = "c", "d"
         own_token, peer_token = transcript.token_b, transcript.token_a
         peer_left, peer_right = cfg.left_a, cfg.right_a
-        true_key = oracle.kappa if oracle is not None else None
 
-    inst_left = build_mscsp_dhdp(transcript, left_target)
-    inst_right = build_mscsp_dhdp(transcript, right_target)
-    rep_left = _solve(inst_left, config, method)
-    reports = [rep_left]
+    def rebuilds_token(left: BraidWord, right: BraidWord) -> bool:
+        return words_equal(compose_all([left, z, right]), own_token)
 
-    checks: list[NamedCheck] = []
-    recovered: list[tuple[str, BraidWord]] = []
-    verdict: bool | None = None
-
-    if not rep_left.solved:
-        checks.append(NamedCheck("left-instance-solved", False))
-        return AttackReport(
-            "decomposition", tuple(recovered), tuple(checks), tuple(reports)
-        )
-    checks.append(NamedCheck("left-instance-solved", True))
+    run = _Run("decomposition")
+    rep_left = solve(build_mscsp_dhdp(transcript, left_target), config)
+    if not run.solved("left-instance-solved", rep_left):
+        return run.report()
     g_left = rep_left.solution
     left_cand = rewrite(compose(g_left, invert(z)))
 
     right_cand: BraidWord | None = None
     if method == "exhaustive":
-        rep_right = _solve(inst_right, config, method)
-        reports.append(rep_right)
+        rep_right = solve(build_mscsp_dhdp(transcript, right_target), config)
+        run.reports.append(rep_right)
         if rep_right.solved:
             # right solver returns the w.z^-1 coset for the inverted secret
             right_cand = rewrite(invert(compose(rep_right.solution, z)))
-            if not words_equal(
-                compose_all([left_cand, z, right_cand]), own_token
-            ):
+            if not rebuilds_token(left_cand, right_cand):
                 right_cand = None  # inconsistent with the left solution
     if right_cand is None:
         # unique right candidate rebuilding the token from the left one:
         # the left solution is left_cand.z, so right = solution^-1 . token
         right_cand = rewrite(compose(invert(g_left), own_token))
+    run.recovered += [("left-candidate", left_cand), ("right-candidate", right_cand)]
 
-    recovered.append(("left-candidate", left_cand))
-    recovered.append(("right-candidate", right_cand))
-
-    checks.append(
-        NamedCheck(
-            "token-reconstruction",
-            words_equal(compose_all([left_cand, z, right_cand]), own_token),
-        )
+    run.check("token-reconstruction", rebuilds_token(left_cand, right_cand))
+    run.check(
+        "left-commutes-with-peer-left",
+        all(elements_commute(left_cand, g) for g in peer_left.generators),
     )
-    checks.append(
-        NamedCheck(
-            "left-commutes-with-peer-left",
-            all(elements_commute(left_cand, g) for g in peer_left.generators),
-        )
+    run.check(
+        "right-commutes-with-peer-right",
+        all(elements_commute(right_cand, g) for g in peer_right.generators),
     )
-    checks.append(
-        NamedCheck(
-            "right-commutes-with-peer-right",
-            all(elements_commute(right_cand, g) for g in peer_right.generators),
-        )
-    )
-
     key_cand = rewrite(compose_all([left_cand, peer_token, right_cand]))
-    recovered.append(("key-candidate", key_cand))
-    if true_key is not None:
-        verdict = words_equal(key_cand, true_key)
-    return AttackReport(
-        "decomposition", tuple(recovered), tuple(checks), tuple(reports), verdict
-    )
+    run.recovered.append(("key-candidate", key_cand))
+    return run.report(key_cand, oracle.kappa if oracle is not None else None)
 
 
 def attack_stickel(
@@ -212,18 +233,12 @@ def attack_stickel(
     off b^s as the quotient, and assemble the shared key around the peer
     token.
     """
-    from .extractors import build_stickel_instance
-
-    inst = build_stickel_instance(a, b, token_a, alpha=1)
-    rep = solve_power(inst, exponent_bound)
-    checks: list[NamedCheck] = []
-    recovered: list[tuple[str, BraidWord]] = []
-    verdict: bool | None = None
-    if not rep.solved:
-        checks.append(NamedCheck("a-power-found", False))
-        return AttackReport("stickel", (), tuple(checks), (rep,))
-    checks.append(NamedCheck("a-power-found", True))
+    run = _Run("stickel")
+    rep = solve_power(build_stickel_instance(a, b, token_a, alpha=1), exponent_bound)
+    if not run.solved("a-power-found", rep):
+        return run.report()
     a_pow = rep.solution
+    run.recovered.append(("a-power-candidate", a_pow))
 
     # token = a^r.b^s, so the left quotient by the a-power is a b-power.
     quotient = compose(invert(a_pow), token_a)
@@ -232,27 +247,13 @@ def attack_stickel(
         if words_equal(quotient, power(b, e)):
             b_pow = power(b, e)
             break
-    checks.append(NamedCheck("b-power-found", b_pow is not None))
-    if b_pow is None:
-        recovered.append(("a-power-candidate", a_pow))
-        return AttackReport("stickel", tuple(recovered), tuple(checks), (rep,))
+    if not run.check("b-power-found", b_pow is not None):
+        return run.report()
 
-    checks.append(
-        NamedCheck(
-            "token-reconstruction", words_equal(compose(a_pow, b_pow), token_a)
-        )
-    )
+    run.check("token-reconstruction", words_equal(compose(a_pow, b_pow), token_a))
     key_cand = rewrite(compose_all([a_pow, token_b, b_pow]))
-    recovered.extend(
-        [
-            ("a-power-candidate", a_pow),
-            ("b-power-candidate", b_pow),
-            ("key-candidate", key_cand),
-        ]
-    )
-    if oracle is not None:
-        verdict = words_equal(key_cand, oracle.kappa)
-    return AttackReport("stickel", tuple(recovered), tuple(checks), (rep,), verdict)
+    run.recovered += [("b-power-candidate", b_pow), ("key-candidate", key_cand)]
+    return run.report(key_cand, oracle.kappa if oracle is not None else None)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -281,7 +282,6 @@ def decide_edl(
     tokens: tuple[tuple[BraidWord, BraidWord], ...],
     config: SolverConfig,
     subsets: tuple[tuple[int, ...], ...] | None = None,
-    method: str = "exhaustive",
 ) -> tuple[EdlDecision, ...]:
     """
     Decide, one-sidedly, whether tokens y_i = u.x_i.v share a factor pair
@@ -329,46 +329,25 @@ def decide_edl(
         def derive_v(u_cand: BraidWord) -> BraidWord:
             return compose_all([invert(x0), invert(u_cand), y0])
 
-        def u_consistent(u_cand: BraidWord) -> bool:
+        def verify(u_cand: BraidWord) -> Iterator[bool]:
             v_cand = derive_v(u_cand)
-            return all(
-                words_equal(
-                    tokens[i][1], compose_all([u_cand, tokens[i][0], v_cand])
-                )
+            return (
+                words_equal(tokens[i][1], compose_all([u_cand, tokens[i][0], v_cand]))
                 for i in subset
             )
 
-        if method == "exhaustive":
-            rep_u = solve_exhaustive(inst_u, config, extra_check=u_consistent)
-        else:
-            rep_u = _solve(inst_u, config, method)
-        rep_v = _solve(inst_v, config, method)
+        rep_u = solve_exhaustive(inst_u, config, extra_check=lambda u: all(verify(u)))
+        rep_v = solve_exhaustive(inst_v, config)
         reports = (rep_u, rep_v)
-        if not rep_u.solved or not u_consistent(rep_u.solution):
+        if not rep_u.solved:
             decisions.append(EdlDecision("NO-EVIDENCE", subset, None, reports))
             continue
         u_cand = rep_u.solution
-        v_cand = rewrite(derive_v(u_cand))
-        verified = tuple(
-            words_equal(
-                tokens[i][1], compose_all([u_cand, tokens[i][0], v_cand])
-            )
-            for i in subset
-        )
+        witnesses = (u_cand, rewrite(derive_v(u_cand)))
         decisions.append(
-            EdlDecision("YES", subset, (u_cand, v_cand), reports, verified)
+            EdlDecision("YES", subset, witnesses, reports, tuple(verify(u_cand)))
         )
     return tuple(decisions)
-
-
-def _invert_endo_on(f: Endomorphism, candidate: BraidWord) -> BraidWord:
-    """Pull a candidate back through an invertible token map."""
-    if f.kind == "identity":
-        return candidate
-    if f.kind == "shift":
-        return shift_preimage(candidate)
-    assert f.conjugator is not None
-    return compose_all([invert(f.conjugator), candidate, f.conjugator])
 
 
 def solve_gtcp(
@@ -377,7 +356,6 @@ def solve_gtcp(
     mode: str,
     secret_spec: SubgroupSpec,
     config: SolverConfig,
-    method: str = "exhaustive",
     centralizer_length: int = 1,
     sample_index: int = 0,
     oracle_r: BraidWord | None = None,
@@ -393,18 +371,12 @@ def solve_gtcp(
         samples, endos, mode, secret_spec,
         centralizer_length=centralizer_length, sample_index=sample_index,
     )
-
+    # The enumerated raw word lies in the image alphabet of the map that
+    # carries the secret for this mode (u for ce1/ce3, w for ce2/ce4).
     carrier_endo = u if mode in ("pairwise-ce1", "centralizer-ce3") else w
 
-    def reproduces_samples(candidate: BraidWord) -> bool:
-        raw = candidate
-        if inst.post_transform is not None:
-            raw = compose(candidate, inst.post_transform)
-        try:
-            r_c = _invert_endo_on(carrier_endo, rewrite(raw))
-        except (ValueError, ReductionBudgetExceeded):
-            return False
-        return all(
+    def reproduced(r_c: BraidWord) -> Iterator[bool]:
+        return (
             words_equal(
                 compose_all(
                     [apply_endo(u, r_c), apply_endo(v, p), apply_endo(w, invert(r_c))]
@@ -414,38 +386,24 @@ def solve_gtcp(
             for y, p in samples
         )
 
-    if method == "exhaustive":
-        rep = solve_exhaustive(inst, config, extra_check=reproduces_samples)
-    else:
-        rep = _solve(inst, config, method)
-    checks: list[NamedCheck] = []
-    recovered: list[tuple[str, BraidWord]] = []
-    verdict: bool | None = None
-    if not rep.solved:
-        checks.append(NamedCheck("instance-solved", False))
-        return AttackReport(f"gtcp-{mode}", (), tuple(checks), (rep,))
-    checks.append(NamedCheck("instance-solved", True))
+    def reproduces_samples(candidate: BraidWord) -> bool:
+        if inst.post_transform is not None:
+            candidate = compose(candidate, inst.post_transform)
+        r_c = _lift(carrier_endo, candidate)
+        return r_c is not None and all(reproduced(r_c))
 
-    # The enumerated raw word lies in the image alphabet of the map that
-    # carries the secret for this mode (u for ce1/ce3, w for ce2/ce4).
-    try:
-        r_cand = rewrite(_invert_endo_on(carrier_endo, rep.raw_word))
-    except (ValueError, ReductionBudgetExceeded):
-        checks.append(NamedCheck("map-inverted", False))
-        return AttackReport(f"gtcp-{mode}", (), tuple(checks), (rep,))
-    checks.append(NamedCheck("map-inverted", True))
-    recovered.append(("r-candidate", r_cand))
-
-    for i, (y, p) in enumerate(samples):
-        recomputed = compose_all(
-            [apply_endo(u, r_cand), apply_endo(v, p), apply_endo(w, invert(r_cand))]
-        )
-        checks.append(NamedCheck(f"sample-{i}-reproduced", words_equal(recomputed, y)))
-    if oracle_r is not None:
-        verdict = words_equal(r_cand, oracle_r)
-    return AttackReport(
-        f"gtcp-{mode}", tuple(recovered), tuple(checks), (rep,), verdict
-    )
+    run = _Run(f"gtcp-{mode}")
+    rep = solve_exhaustive(inst, config, extra_check=reproduces_samples)
+    if not run.solved("instance-solved", rep):
+        return run.report()
+    r_cand = _lift(carrier_endo, rep.raw_word)
+    if not run.check("map-inverted", r_cand is not None):
+        return run.report()
+    r_cand = rewrite(r_cand)
+    run.recovered.append(("r-candidate", r_cand))
+    for i, ok in enumerate(reproduced(r_cand)):
+        run.check(f"sample-{i}-reproduced", ok)
+    return run.report(r_cand, oracle_r)
 
 
 def attack_dehornoy_centralizer(
@@ -480,33 +438,20 @@ def attack_dehornoy_centralizer(
     solver_cfg = dataclasses.replace(
         config, alphabet=shifted_spec, transform=transform
     )
+    run = _Run("dehornoy-centralizer")
     rep = solve_exhaustive(inst, solver_cfg)
-
-    checks: list[NamedCheck] = []
-    recovered: list[tuple[str, BraidWord]] = []
-    verdict: bool | None = None
-    if not rep.solved:
-        checks.append(NamedCheck("instance-solved", False))
-        return AttackReport("dehornoy-centralizer", (), tuple(checks), (rep,))
-    checks.append(NamedCheck("instance-solved", True))
-    try:
-        r_cand = rewrite(shift_preimage(rep.raw_word))
-    except (ValueError, ReductionBudgetExceeded):
-        checks.append(NamedCheck("unshifted", False))
-        return AttackReport("dehornoy-centralizer", (), tuple(checks), (rep,))
-    checks.append(NamedCheck("unshifted", True))
-    recovered.append(("r-candidate", r_cand))
-    checks.append(
-        NamedCheck(
-            "commitment-reproduced",
-            words_equal(shifted_conjugate(r_cand, base), commitment),
-        )
+    if not run.solved("instance-solved", rep):
+        return run.report()
+    r_cand = _lift(SHIFT_ENDO, rep.raw_word)
+    if not run.check("unshifted", r_cand is not None):
+        return run.report()
+    r_cand = rewrite(r_cand)
+    run.recovered.append(("r-candidate", r_cand))
+    run.check(
+        "commitment-reproduced",
+        words_equal(shifted_conjugate(r_cand, base), commitment),
     )
-    if oracle_r is not None:
-        verdict = words_equal(r_cand, oracle_r)
-    return AttackReport(
-        "dehornoy-centralizer", tuple(recovered), tuple(checks), (rep,), verdict
-    )
+    return run.report(r_cand, oracle_r)
 
 
 def attack_dehornoy_pair(
@@ -530,54 +475,30 @@ def attack_dehornoy_pair(
     x_side = rewrite(ce_difference_pair(shift(base), shift(public_key), "left"))
     y_side = rewrite(ce_difference_pair(commitment, commitment_prime, "left"))
 
-    checks: list[NamedCheck] = []
-    recovered: list[tuple[str, BraidWord]] = []
-    verdict: bool | None = None
-    if is_trivial(x_side):
-        checks.append(NamedCheck("informative-instance", False))
-        return AttackReport("dehornoy-pair", (), tuple(checks), ())
-    checks.append(NamedCheck("informative-instance", True))
+    run = _Run("dehornoy-pair")
+    if not run.check("informative-instance", not is_trivial(x_side)):
+        return run.report()
     inst = CspInstance(
         ((x_side, y_side),), config.alphabet, meta=(("extractor", "dehornoy-pair"),)
     )
+    sigma_1_inv = invert(generator(response.strands, 1))
 
-    def unwrap(r_cand: BraidWord) -> BraidWord:
-        ds = compose_all(
-            [
-                invert(r_cand),
-                response,
-                shift(r_cand),
-                invert(generator(response.strands, 1)),
-            ]
+    def unwrap(r_cand: BraidWord) -> BraidWord | None:
+        ds = compose_all([invert(r_cand), response, shift(r_cand), sigma_1_inv])
+        return _lift(SHIFT_ENDO, ds)
+
+    def reproduces_key(s_cand: BraidWord | None) -> bool:
+        return s_cand is not None and words_equal(
+            shifted_conjugate(s_cand, base), public_key
         )
-        return shift_preimage(ds)
 
-    def consistent(r_cand: BraidWord) -> bool:
-        try:
-            s_cand = unwrap(r_cand)
-        except (ValueError, ReductionBudgetExceeded):
-            return False
-        return words_equal(shifted_conjugate(s_cand, base), public_key)
-
-    rep = solve_exhaustive(inst, config, extra_check=consistent)
-    if not rep.solved:
-        checks.append(NamedCheck("instance-solved", False))
-        return AttackReport("dehornoy-pair", (), tuple(checks), (rep,))
-    checks.append(NamedCheck("instance-solved", True))
-    r_cand = rep.solution
-    s_cand = rewrite(unwrap(r_cand))
-    recovered.extend([("r-candidate", r_cand), ("s-candidate", s_cand)])
-    checks.append(
-        NamedCheck(
-            "public-key-reproduced",
-            words_equal(shifted_conjugate(s_cand, base), public_key),
-        )
-    )
-    if oracle_s is not None:
-        verdict = words_equal(s_cand, oracle_s)
-    return AttackReport(
-        "dehornoy-pair", tuple(recovered), tuple(checks), (rep,), verdict
-    )
+    rep = solve_exhaustive(inst, config, extra_check=lambda r: reproduces_key(unwrap(r)))
+    if not run.solved("instance-solved", rep):
+        return run.report()
+    s_cand = rewrite(unwrap(rep.solution))
+    run.recovered += [("r-candidate", rep.solution), ("s-candidate", s_cand)]
+    run.check("public-key-reproduced", reproduces_key(s_cand))
+    return run.report(s_cand, oracle_s)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -670,8 +591,6 @@ def complete_base(
     the full base z_bar.residual. None when the budgets do not cover the
     complementary factor.
     """
-    from .garside import nf_key
-
     n = max(token.strands, head_alphabet.strands, tail_alphabet.strands)
     head_keys = {
         nf_key(w, n) for w in enumerate_products(head_alphabet.generators, head_max_length)

@@ -57,7 +57,10 @@ def _dump(path: pathlib.Path, record: dict) -> None:
 
 
 def _load(path: str) -> dict:
-    return json.loads(pathlib.Path(path).read_text())
+    record = json.loads(pathlib.Path(path).read_text())
+    if not isinstance(record, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return record
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,10 +101,8 @@ def _simulate_records(args: argparse.Namespace) -> tuple[dict, dict]:
         x, x_prime = dehornoy_commit(keys, nonce)
         response = dehornoy_respond(keys, nonce, challenge=1)
         public = {
+            **keys.public_record(),
             "scheme": "dehornoy",
-            "n": args.n,
-            "p": keys.base.to_record(),
-            "p_pub": keys.public_key.to_record(),
             "commitment": [x.to_record(), x_prime.to_record()],
             "challenge": 1,
             "response": response.to_record(),
@@ -314,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ProtocolError, ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ProtocolError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

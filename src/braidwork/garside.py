@@ -127,10 +127,6 @@ class GarsideNormalForm:
     def canonical_length(self) -> int:
         return len(self.factors)
 
-    @property
-    def supremum(self) -> int:
-        return self.infimum + len(self.factors)
-
     def to_word(self) -> BraidWord:
         """Re-expand to a braid word equal to the original element."""
         n = self.strands
@@ -284,14 +280,6 @@ def nf_key(a: BraidWord, strands: int | None = None) -> tuple:
         a = a.embed(strands)
     nf = normal_form(a)
     return (nf.strands, nf.infimum, nf.factors)
-
-
-def delta_power_estimate(a: BraidWord) -> tuple[int, int]:
-    """Infimum and supremum of the normal form: the tightest Delta-power
-    window containing the element. A crude but canonical way to compare
-    how much half-twist two braids carry."""
-    nf = normal_form(a)
-    return nf.infimum, nf.supremum
 
 
 def rewrite(a: BraidWord) -> BraidWord:

@@ -238,13 +238,6 @@ class ProtocolTranscript:
     secret: SecretTranscript
 
 
-def stickel_token(a: BraidWord, b: BraidWord, r: int, s: int) -> BraidWord:
-    """The token a^r b^s of the commuting-powers protocol."""
-    if r < 0 or s < 0:
-        raise ProtocolError("stickel exponents must be nonnegative")
-    return compose(power(a, r), power(b, s))
-
-
 def ka_run(config: KaConfig, seed: int) -> ProtocolTranscript:
     """One seeded protocol run; asserts both parties compute the same key."""
     report = validate_conditions(config)

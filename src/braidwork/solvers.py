@@ -32,6 +32,7 @@ from .words import (
 SOLVED = "solved"
 EXHAUSTED = "exhausted"
 BUDGET_EXCEEDED = "budget-exceeded"
+STALLED = "stalled"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,7 +41,6 @@ class SolverConfig:
 
     max_length: int
     alphabet: SubgroupSpec | None = None  # defaults to the instance's alphabet
-    use_inverses: bool = True
     transform: BraidWord | None = None  # fixed right factor; None = from instance
     budget: int = 200_000
     restarts: int = 10  # stochastic restarts for the descent solver
@@ -60,7 +60,7 @@ class SolverConfig:
 
 @dataclasses.dataclass(frozen=True)
 class SolutionReport:
-    status: str  # solved | exhausted | budget-exceeded
+    status: str  # solved | exhausted | budget-exceeded | stalled
     solution: BraidWord | None
     raw_word: BraidWord | None  # the enumerated word before the coset factor
     candidates_tested: int
@@ -116,7 +116,7 @@ def solve_exhaustive(
     xs = [x.embed(n) for x, _ in instance.pairs]
 
     tested = 0
-    for word in enumerate_products(alphabet.generators, config.max_length, config.use_inverses):
+    for word in enumerate_products(alphabet.generators, config.max_length):
         if tested >= config.budget:
             return SolutionReport(BUDGET_EXCEEDED, None, None, tested)
         tested += 1
@@ -134,11 +134,7 @@ def solve_exhaustive(
     return SolutionReport(EXHAUSTED, None, None, tested)
 
 
-def solve_power(
-    instance: CspInstance,
-    max_exponent: int,
-    include_negative: bool = True,
-) -> SolutionReport:
+def solve_power(instance: CspInstance, max_exponent: int) -> SolutionReport:
     """Try powers base^0, base^1, base^-1, ... of the alphabet's first
     generator as conjugators (the cyclic-subgroup case)."""
     if max_exponent < 0:
@@ -146,9 +142,7 @@ def solve_power(
     base = instance.alphabet.generators[0]
     exponents = [0]
     for e in range(1, max_exponent + 1):
-        exponents.append(e)
-        if include_negative:
-            exponents.append(-e)
+        exponents += [e, -e]
     tested = 0
     for e in exponents:
         tested += 1
@@ -186,7 +180,9 @@ def solve_length_descent(
     letter strictly decreases the sum, equal-cost moves to states not yet
     visited are taken, so plateaus are walked rather than aborted. Stalls
     restart with a seeded random prefix. Ties break on the first symbol in
-    enumeration order, so traces are reproducible.
+    enumeration order, so traces are reproducible. Status "stalled" means
+    every attempt ended with no helpful move; "budget-exceeded" means some
+    attempt ran out of steps first.
     """
     alphabet = config.resolve_alphabet(instance)
     transform = config.resolve_transform(instance)
@@ -196,9 +192,7 @@ def solve_length_descent(
 
     symbols: list[BraidWord] = []
     for g in alphabet.generators:
-        symbols.append(g.embed(n))
-        if config.use_inverses:
-            symbols.append(invert(g).embed(n))
+        symbols += [g.embed(n), invert(g).embed(n)]
 
     # Conjugating the x side by the coset factor lets the descent search the
     # subgroup part only: g = P.t solves the original pairs iff P conjugates
@@ -216,6 +210,7 @@ def solve_length_descent(
     rng = random.Random(config.seed)
     trace: list[str] = []
     tested = 0
+    stalls = 0
 
     for attempt in range(config.restarts + 1):
         if attempt == 0:
@@ -290,10 +285,12 @@ def solve_length_descent(
                     pending_ys = plateau_ys
             if pending is None:
                 trace.append(f"stall at cost {current} (attempt {attempt})")
+                stalls += 1
                 break
             visited.add(tuple(nf_key(y, n) for y in pending_ys))
             # y -> s^-1 y s means the solution gains s on the right: g = P s ...
             accumulated = compose(accumulated, pending)
             ys = pending_ys
 
-    return SolutionReport(BUDGET_EXCEEDED, None, None, tested, (), tuple(trace))
+    status = STALLED if stalls == config.restarts + 1 else BUDGET_EXCEEDED
+    return SolutionReport(status, None, None, tested, (), tuple(trace))

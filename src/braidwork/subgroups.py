@@ -50,6 +50,8 @@ class SubgroupSpec:
 
     @staticmethod
     def from_record(record: dict) -> SubgroupSpec:
+        if type(record["n"]) is not int:
+            raise ValueError("a subgroup record needs an integer n")
         return SubgroupSpec(
             record["name"],
             record["n"],

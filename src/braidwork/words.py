@@ -50,7 +50,12 @@ class BraidWord:
 
     @staticmethod
     def from_record(record: dict) -> BraidWord:
-        return BraidWord(record["n"], tuple(record["word"]))
+        n, letters = record["n"], record["word"]
+        if type(n) is not int or not isinstance(letters, list) or any(
+            type(x) is not int for x in letters
+        ):
+            raise ValueError("a braid word record needs an integer n and integer letters")
+        return BraidWord(n, tuple(letters))
 
 
 def identity(strands: int) -> BraidWord:
@@ -193,9 +198,7 @@ def random_word(
 
 
 def enumerate_products(
-    alphabet: Sequence[BraidWord],
-    max_length: int,
-    use_inverses: bool = True,
+    alphabet: Sequence[BraidWord], max_length: int
 ) -> Iterator[BraidWord]:
     """
     Canonical breadth-first enumeration of products of alphabet entries of
@@ -209,9 +212,7 @@ def enumerate_products(
     n = max(w.strands for w in alphabet)
     symbols: list[tuple[int, BraidWord]] = []
     for i, w in enumerate(alphabet):
-        symbols.append((i, w.embed(n)))
-        if use_inverses:
-            symbols.append((~i, invert(w).embed(n)))
+        symbols += [(i, w.embed(n)), (~i, invert(w).embed(n))]
 
     yield identity(n)
     level: list[tuple[int, BraidWord]] = [(tag, w) for tag, w in symbols]

@@ -85,9 +85,8 @@ class TestAttack:
         assert run_cli("attack", "--out", str(tmp_path)) == 2
 
     def test_nonexistent_input_is_config_error(self, tmp_path):
-        assert run_cli(
-            "attack", "--in", str(tmp_path / "missing.json"), "--out", str(tmp_path)
-        ) == 2
+        for path in (tmp_path / "missing.json", tmp_path):
+            assert run_cli("attack", "--in", str(path), "--out", str(tmp_path)) == 2
 
     def test_stickel_route(self, tmp_path):
         assert run_cli(
@@ -151,9 +150,14 @@ class TestSolve:
         assert run_cli("solve", "--out", str(tmp_path)) == 2
 
     def test_malformed_input(self, tmp_path):
+        fractional_letter = {
+            "pairs": [{"x": {"n": 4, "word": [1.5]}, "y": {"n": 4, "word": [1]}}],
+            "alphabet": {"name": "s1", "n": 4, "generators": [{"n": 4, "word": [1]}]},
+        }
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert run_cli("solve", "--in", str(path), "--out", str(tmp_path)) == 2
+        for text in ("{not json", "[1, 2]", json.dumps(fractional_letter)):
+            path.write_text(text)
+            assert run_cli("solve", "--in", str(path), "--out", str(tmp_path)) == 2
 
 
 class TestSelftest:

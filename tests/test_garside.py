@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from braidwork.garside import (
     GarsideNormalForm,
     canonical_length,
-    delta_power_estimate,
     factor_word,
     finishing_set,
     is_left_weighted,
@@ -22,7 +21,7 @@ from braidwork.garside import (
     starting_set,
     words_equal,
 )
-from braidwork.words import BraidWord, compose, delta, generator, identity, invert, power
+from braidwork.words import BraidWord, compose, delta, generator, identity, invert
 
 
 def words(n: int, max_len: int = 8):
@@ -101,10 +100,6 @@ class TestNormalForm:
     def test_negative_generator(self):
         nf = normal_form(generator(3, -1))
         assert nf.infimum == -1 and nf.canonical_length == 1
-
-    def test_delta_power_estimate(self):
-        assert delta_power_estimate(power(delta(3), 2)) == (2, 2)
-        assert delta_power_estimate(identity(3)) == (0, 0)
 
     @given(words(4))
     @settings(max_examples=60)

@@ -15,15 +15,12 @@ from braidwork.protocols import (
     dehornoy_verify,
     ka_run,
     make_preset,
-    stickel_token,
     validate_conditions,
 )
 from braidwork.words import (
-    BraidWord,
     compose,
     compose_all,
     generator,
-    identity,
     invert,
     power,
     random_word,
@@ -95,8 +92,8 @@ class TestKaRun:
         r, s, t, u = run.secret.exponents
         a, b = config.stickel_pair
         assert all(0 <= e <= 4 for e in (r, s, t, u))
-        assert words_equal(run.public.token_a, stickel_token(a, b, r, s))
-        assert words_equal(run.public.token_b, stickel_token(a, b, t, u))
+        assert words_equal(run.public.token_a, compose(power(a, r), power(b, s)))
+        assert words_equal(run.public.token_b, compose(power(a, t), power(b, u)))
 
     def test_deterministic(self):
         config = make_preset("klchkp", strands=6, secret_length=3)
@@ -116,17 +113,6 @@ class TestKaRun:
         record = run.public.to_record()
         assert set(record) == {"config", "K_A", "K_B"}
         assert PublicTranscript.from_record(record) == run.public
-
-
-class TestStickelToken:
-    def test_negative_exponent_rejected(self):
-        a, b = BraidWord(4, (1, 2)), BraidWord(4, (2, 3))
-        with pytest.raises(ProtocolError):
-            stickel_token(a, b, -1, 2)
-
-    def test_zero_exponents(self):
-        a, b = BraidWord(4, (1, 2)), BraidWord(4, (2, 3))
-        assert words_equal(stickel_token(a, b, 0, 0), identity(4))
 
 
 class TestDehornoyScheme:

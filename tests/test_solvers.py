@@ -7,6 +7,7 @@ from braidwork.solvers import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
     SOLVED,
+    STALLED,
     SolverConfig,
     solve_exhaustive,
     solve_length_descent,
@@ -182,7 +183,8 @@ class TestSolveLengthDescent:
         alphabet = SubgroupSpec("s1", 4, (generator(4, 1),))
         inst = CspInstance(((generator(4, 2), generator(4, 3)),), alphabet)
         report = solve_length_descent(inst, SolverConfig(max_length=1, restarts=2))
-        assert report.status == BUDGET_EXCEEDED
+        assert report.status == STALLED
+        assert sum(t.startswith("stall") for t in report.trace) == 3
         assert any(t.startswith("restart") for t in report.trace)
 
     def test_deterministic(self):
