@@ -42,6 +42,7 @@ from .words import (
     BraidWord,
     compose,
     compose_all,
+    expect_list,
     generator,
     invert,
     random_word,
@@ -130,8 +131,10 @@ def _attack_from_records(
 ) -> AttackReport:
     config = SolverConfig(max_length=args.max_len, budget=args.budget, seed=args.seed)
     if public.get("scheme") == "dehornoy":
-        x = BraidWord.from_record(public["commitment"][0])
-        x_prime = BraidWord.from_record(public["commitment"][1])
+        x, x_prime = (
+            BraidWord.from_record(w)
+            for w in expect_list(public["commitment"], "a commitment")
+        )
         base = BraidWord.from_record(public["p"])
         p_pub = BraidWord.from_record(public["p_pub"])
         response = BraidWord.from_record(public["response"])

@@ -28,6 +28,8 @@ from .words import (
     apply_endo,
     compose,
     compose_all,
+    expect_list,
+    expect_object,
     invert,
     power,
 )
@@ -75,15 +77,21 @@ class CspInstance:
 
     @staticmethod
     def from_record(record: dict) -> CspInstance:
+        expect_object(record, "an instance record")
         post = record.get("post_transform")
+        meta = expect_object(record.get("meta", {}), "an instance's meta")
+        pairs = [
+            expect_object(p, "an instance pair")
+            for p in expect_list(record["pairs"], "an instance's pairs")
+        ]
         return CspInstance(
             tuple(
                 (BraidWord.from_record(p["x"]), BraidWord.from_record(p["y"]))
-                for p in record["pairs"]
+                for p in pairs
             ),
             SubgroupSpec.from_record(record["alphabet"]),
             BraidWord.from_record(post) if post else None,
-            tuple(sorted(record.get("meta", {}).items())),
+            tuple(sorted(meta.items())),
         )
 
 

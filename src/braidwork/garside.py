@@ -24,11 +24,11 @@ Processing in Groups* (1992), ch. 9:
     literal Delta^-k leaves only a Delta power and no factor. The Delta
     powers are then moved to the front, each factor they pass being
     conjugated by Delta (`perm_flip`).
-  - Right multiplication. A normal form times one permutation braid is
-    normalised by a single backward comb: left-weight the last pair, then
-    the pair before it, stopping at the first pair left unchanged. A
-    leading Delta factor is moved into the Delta power and a trailing
-    identity factor dropped as they appear.
+  - Right multiplication (`_comb_right`). A normal form times one
+    permutation braid is normalised by a single backward comb: left-weight
+    the last pair, then the pair before it, stopping at the first pair left
+    unchanged. A leading Delta factor is moved into the Delta power and a
+    trailing identity factor dropped as they appear.
   - The pair step (`_left_weight_pair`) moves generators from the front of
     the right factor to the back of the left one until the pair is
     left-weighted. It works on the right factor and the inverse of the left
@@ -36,6 +36,29 @@ Processing in Groups* (1992), ch. 9:
     it re-examines only i-1..i+1, so it costs O(n + moves).
 
 Equality of braid words is decided by comparing normal forms.
+
+Arithmetic on normal forms (the element-level design of Cha, Ko, Lee, Han &
+Cheon, "An Efficient Implementation of Braid Groups", ASIACRYPT 2001) lets
+a search carry elements without re-expanding them into letters. Costs are
+in pair steps, for normal forms of canonical lengths l and m:
+
+  - `product(a, b)`: b's Delta power moves to the front (flipping a's l
+    factors when it is odd), then m right multiplications, O(m (l + m)).
+  - `inverse(a)`: closed form, no pair step; each factor becomes its
+    complement A^-1 Delta, flipped by parity, in reverse order, O(l n).
+  - `_comb_left`: left multiplication by one permutation braid, a forward
+    comb that carries a remainder down the factors and stops at the first
+    pair left unchanged, O(l).
+  - `conjugate(a, s)`: per letter of s, one right and one left
+    multiplication, O(l) pair steps. A sigma_i^-1 is Delta^-1 . (Delta
+    sigma_i^-1): on the left its Delta^-1 joins the Delta power, on the
+    right it flips the l factors unless sigma_i can be cancelled from the
+    last one.
+
+Values that leave the library (protocol tokens, extractor instances,
+recovered keys in reports) are still re-expanded with `rewrite`: their
+letters are part of the reports' bytes, and the canonical expansion hides
+the letters the value was built from.
 """
 
 from __future__ import annotations
@@ -127,6 +150,16 @@ class GarsideNormalForm:
     def canonical_length(self) -> int:
         return len(self.factors)
 
+    @property
+    def word_length(self) -> int:
+        """len(self.to_word()), without building it: Delta has n(n-1)/2
+        letters, and a factor as many as its permutation has inversions."""
+        n = self.strands
+        inversions = sum(
+            p[i] > p[j] for p in self.factors for i in range(n) for j in range(i + 1, n)
+        )
+        return abs(self.infimum) * n * (n - 1) // 2 + inversions
+
     def to_word(self) -> BraidWord:
         """Re-expand to a braid word equal to the original element."""
         n = self.strands
@@ -198,6 +231,57 @@ def _pack(n: int, letters: Sequence[int]) -> list[list[int]]:
     return packed
 
 
+def _comb_right(factors: list[Perm], p: Perm, ident: Perm, w0: Perm) -> int:
+    """Right-multiply left-weighted factors by the permutation braid p, in
+    place: one backward comb, which stops at the first pair it leaves
+    unchanged. Only the appended factor can end up trivial, and one simple
+    factor raises the infimum by at most one, so at most one Delta appears,
+    in front; it is removed, and the return value (1 or 0) is what the
+    caller adds to its Delta power. `ident` and `w0` are the identity and
+    the longest permutation."""
+    if p == ident:
+        return 0
+    factors.append(p)
+    j = len(factors) - 2
+    while j >= 0:
+        factors[j], factors[j + 1], moved = _left_weight_pair(factors[j], factors[j + 1])
+        if not moved:
+            break
+        j -= 1
+    if factors[-1] == ident:
+        factors.pop()
+    # The front factor changed only if the comb reached it.
+    if j < 0 and factors and factors[0] == w0:
+        factors.pop(0)
+        return 1
+    return 0
+
+
+def _comb_left(factors: list[Perm], p: Perm, ident: Perm, w0: Perm) -> int:
+    """Left-multiply left-weighted factors by the permutation braid p, in
+    place: one forward comb. Left-weighting (r, A_t) gives the next factor
+    and a remainder r for A_{t+1}; the comb stops at the first pair left
+    unchanged or when the remainder is trivial. As in `_comb_right`, at
+    most one Delta appears, in front; it is removed and counted."""
+    if p == ident:
+        return 0
+    r = p
+    for j, f in enumerate(factors):
+        b, r, moved = _left_weight_pair(r, f)
+        if not moved:
+            factors.insert(j, b)
+            break
+        factors[j] = b
+        if r == ident:
+            break
+    else:
+        factors.append(r)
+    if factors[0] == w0:
+        factors.pop(0)
+        return 1
+    return 0
+
+
 @functools.lru_cache(maxsize=1 << 14)
 def normal_form(a: BraidWord) -> GarsideNormalForm:
     """The left Garside normal form of a word."""
@@ -222,28 +306,79 @@ def normal_form(a: BraidWord) -> GarsideNormalForm:
                 p = tuple(reversed(inv))
                 factors.append(perm_flip(p) if power % 2 else p)
                 power -= 1
-    factors.reverse()
     ident = perm_identity(n)
     w0 = perm_longest(n)
     result: list[Perm] = []
-    for p in factors:
-        if p == ident:
-            continue
-        # Right-multiply the normal form by p: one backward comb, which may
-        # stop at the first pair it leaves unchanged.
-        result.append(p)
-        for j in range(len(result) - 2, -1, -1):
-            result[j], result[j + 1], moved = _left_weight_pair(result[j], result[j + 1])
-            if not moved:
-                break
-        # Only the appended factor can end up trivial, and one simple factor
-        # raises the infimum by at most one, so at most one Delta appears.
-        if result[-1] == ident:
-            result.pop()
-        if result and result[0] == w0:
-            result.pop(0)
-            power += 1
+    for p in reversed(factors):
+        power += _comb_right(result, p, ident, w0)
     return GarsideNormalForm(n, power, tuple(result))
+
+
+def product(a: GarsideNormalForm, b: GarsideNormalForm) -> GarsideNormalForm:
+    """The normal form of a . b: b's Delta power moves to the front, flipping
+    a's factors if it is odd, and b's factors are appended one comb each."""
+    n = a.strands
+    ident = perm_identity(n)
+    w0 = perm_longest(n)
+    factors = [perm_flip(p) for p in a.factors] if b.infimum % 2 else list(a.factors)
+    power = a.infimum + b.infimum
+    for p in b.factors:
+        power += _comb_right(factors, p, ident, w0)
+    return GarsideNormalForm(n, power, tuple(factors))
+
+
+def inverse(a: GarsideNormalForm) -> GarsideNormalForm:
+    """The normal form of a^-1, in closed form. With A^-1 = (A^-1 Delta) .
+    Delta^-1, the inverse of Delta^k A_1 ... A_l is Delta^(-k-l) times the
+    factors A_t^-1 Delta for t = l..1, each flipped k+t times; the result
+    is left-weighted as it stands."""
+    n = a.strands
+    k = a.infimum
+    factors = []
+    for t in range(len(a.factors), 0, -1):
+        inv = perm_inv(a.factors[t - 1])
+        # flip(A^-1 Delta) is Delta A^-1, the reversed inverse.
+        factors.append(inv[::-1] if (k + t) % 2 else tuple(n - 1 - x for x in inv))
+    return GarsideNormalForm(n, -k - len(a.factors), tuple(factors))
+
+
+def conjugate(a: GarsideNormalForm, s: BraidWord) -> GarsideNormalForm:
+    """The normal form of s^-1 . a . s, one letter of s at a time, each with
+    one comb on either side. A sigma_i^-1 is written Delta^-1 . (Delta
+    sigma_i^-1); its Delta^-1 passes a's factors only on the right, and not
+    at all when sigma_i ends the last factor and can be cancelled there."""
+    n = a.strands
+    ident = perm_identity(n)
+    w0 = perm_longest(n)
+    power = a.infimum
+    factors = list(a.factors)
+    for letter in s.letters:
+        i = abs(letter)
+        if letter > 0:
+            # sigma_i^-1 . a . sigma_i, and sigma_i^-1 . Delta^k is
+            # Delta^(k-1) . flip^k(Delta sigma_i^-1), where
+            # flip(Delta sigma_i^-1) = Delta sigma_(n-i)^-1.
+            power += _comb_right(factors, perm_transposition(n, i), ident, w0)
+            j = n - i if power % 2 else i
+            power -= 1
+            power += _comb_left(factors, perm_transposition(n, j)[::-1], ident, w0)
+            continue
+        # sigma_i . a . sigma_i^-1
+        if factors and factors[-1].index(i - 1) > factors[-1].index(i):
+            # sigma_i ends the last factor: cancelling it there keeps the
+            # factors left-weighted, since the starting set can only shrink.
+            last = tuple(i - 1 if x == i else i if x == i - 1 else x for x in factors[-1])
+            if last == ident:
+                factors.pop()
+            else:
+                factors[-1] = last
+        else:
+            factors = [perm_flip(p) for p in factors]
+            power -= 1
+            power += _comb_right(factors, perm_transposition(n, i)[::-1], ident, w0)
+        j = n - i if power % 2 else i
+        power += _comb_left(factors, perm_transposition(n, j), ident, w0)
+    return GarsideNormalForm(n, power, tuple(factors))
 
 
 def is_left_weighted(nf: GarsideNormalForm) -> bool:

@@ -36,6 +36,8 @@ from .words import (
     BraidWord,
     compose,
     compose_all,
+    expect_list,
+    expect_object,
     generator,
     identity,
     invert,
@@ -100,6 +102,7 @@ class KaConfig:
 
     @staticmethod
     def from_record(record: dict) -> KaConfig:
+        expect_object(record, "a protocol config record")
         pair = record.get("stickel_pair")
         return KaConfig(
             preset=record["preset"],
@@ -114,7 +117,9 @@ class KaConfig:
             positive_only=record["positive_only"],
             conjugate_secrets=record["conjugate_secrets"],
             stickel_pair=(
-                tuple(BraidWord.from_record(w) for w in pair) if pair else None
+                tuple(BraidWord.from_record(w) for w in expect_list(pair, "stickel_pair"))
+                if pair
+                else None
             ),
             exponent_bound=record["exponent_bound"],
         )
@@ -191,6 +196,7 @@ class PublicTranscript:
 
     @staticmethod
     def from_record(record: dict) -> PublicTranscript:
+        expect_object(record, "a public transcript record")
         return PublicTranscript(
             KaConfig.from_record(record["config"]),
             BraidWord.from_record(record["K_A"]),
@@ -221,6 +227,7 @@ class SecretTranscript:
 
     @staticmethod
     def from_record(record: dict) -> SecretTranscript:
+        expect_object(record, "a secret transcript record")
         exps = record.get("exponents")
         return SecretTranscript(
             BraidWord.from_record(record["a1"]),
@@ -228,7 +235,7 @@ class SecretTranscript:
             BraidWord.from_record(record["b1"]),
             BraidWord.from_record(record["b2"]),
             BraidWord.from_record(record["kappa"]),
-            tuple(exps) if exps else None,
+            tuple(expect_list(exps, "exponents")) if exps else None,
         )
 
 

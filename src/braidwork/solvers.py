@@ -17,7 +17,14 @@ import random
 from typing import Callable
 
 from .extractors import CspInstance
-from .garside import canonical_length, nf_key, normal_form, rewrite, words_equal
+from .garside import (
+    GarsideNormalForm,
+    conjugate,
+    inverse,
+    normal_form,
+    product,
+    words_equal,
+)
 from .subgroups import SubgroupSpec
 from .words import (
     BraidWord,
@@ -90,8 +97,18 @@ def verify_solution(instance: CspInstance, g: BraidWord) -> list[bool]:
     ]
 
 
-def _pair_keys(instance: CspInstance, strands: int) -> list[tuple]:
-    return [nf_key(y, strands) for _, y in instance.pairs]
+def _coset_sides(
+    instance: CspInstance, transform: BraidWord | None, n: int
+) -> list[GarsideNormalForm]:
+    """The normal forms of t x t^-1 for the instance's x sides: g = P.t
+    solves a pair iff P conjugates t x t^-1 to y."""
+    if transform is None:
+        return [normal_form(x.embed(n)) for x, _ in instance.pairs]
+    t_inv = invert(transform)
+    return [
+        normal_form(compose_all([transform, x, t_inv]).embed(n))
+        for x, _ in instance.pairs
+    ]
 
 
 def solve_exhaustive(
@@ -112,21 +129,19 @@ def solve_exhaustive(
     n = max(n, alphabet.strands)
     if transform is not None:
         n = max(n, transform.strands)
-    y_keys = _pair_keys(instance, n)
-    xs = [x.embed(n) for x, _ in instance.pairs]
+    xs = _coset_sides(instance, transform, n)
+    ys = [normal_form(y.embed(n)) for _, y in instance.pairs]
 
     tested = 0
     for word in enumerate_products(alphabet.generators, config.max_length):
         if tested >= config.budget:
             return SolutionReport(BUDGET_EXCEEDED, None, None, tested)
         tested += 1
-        g = compose(word, transform) if transform is not None else word.embed(n)
-        g = g.embed(n)
-        g_inv = invert(g)
-        if all(
-            nf_key(compose_all([g, x, g_inv]), n) == key
-            for x, key in zip(xs, y_keys)
-        ):
+        # word . (t x t^-1) . word^-1 is the conjugate by word^-1.
+        word_inv = invert(word)
+        if all(conjugate(x, word_inv) == y for x, y in zip(xs, ys)):
+            g = compose(word, transform) if transform is not None else word
+            g = g.embed(n)
             if extra_check is not None and not extra_check(g):
                 continue
             per_pair = tuple(verify_solution(instance, g))
@@ -154,19 +169,17 @@ def solve_power(instance: CspInstance, max_exponent: int) -> SolutionReport:
 
 
 def _conjugate_cost(
-    ys: list[BraidWord], xs: list[BraidWord], functional: str
+    ys: list[GarsideNormalForm], x_invs: list[GarsideNormalForm], functional: str
 ) -> tuple[int, int]:
     """Primary cost of the current conjugated tuple, with the canonical
     length of the per-pair quotients y.x^-1 as a target-aware tie-break
     (zero exactly at success, so flat-length plateaus still give a signal)."""
-    gap = sum(
-        canonical_length(compose(y, invert(x))) for y, x in zip(ys, xs)
-    )
+    gap = sum(len(product(y, x_inv).factors) for y, x_inv in zip(ys, x_invs))
     if functional == "difference":
         return (gap, gap)
     if functional == "letters":
-        return (sum(len(normal_form(y).to_word()) for y in ys), gap)
-    return (sum(canonical_length(y) for y in ys), gap)
+        return (sum(y.word_length for y in ys), gap)
+    return (sum(len(y.factors) for y in ys), gap)
 
 
 def solve_length_descent(
@@ -194,18 +207,9 @@ def solve_length_descent(
     for g in alphabet.generators:
         symbols += [g.embed(n), invert(g).embed(n)]
 
-    # Conjugating the x side by the coset factor lets the descent search the
-    # subgroup part only: g = P.t solves the original pairs iff P conjugates
-    # (t x t^-1) to y.
-    if transform is not None:
-        xs = [
-            rewrite(compose_all([transform, x, invert(transform)])).embed(n)
-            for x, _ in instance.pairs
-        ]
-    else:
-        xs = [x.embed(n) for x, _ in instance.pairs]
-    x_keys = [nf_key(x, n) for x in xs]
-    ys0 = [y.embed(n) for _, y in instance.pairs]
+    xs = _coset_sides(instance, transform, n)
+    x_invs = [inverse(x) for x in xs]
+    ys0 = [normal_form(y.embed(n)) for _, y in instance.pairs]
 
     rng = random.Random(config.seed)
     trace: list[str] = []
@@ -220,12 +224,11 @@ def solve_length_descent(
             prefix = compose_all([identity(n)] + [symbols[i] for i in prefix_syms])
             trace.append(f"restart {attempt} prefix {list(prefix.letters)}")
         accumulated = prefix
-        inv_prefix = invert(prefix)
-        ys = [rewrite(compose_all([inv_prefix, y, prefix])) for y in ys0]
-        visited = {tuple(nf_key(y, n) for y in ys)}
+        ys = [conjugate(y, prefix) for y in ys0]
+        visited = {tuple(ys)}
 
         for step in range(10 * (config.max_length + len(prefix)) + 10):
-            if [nf_key(y, n) for y in ys] == x_keys:
+            if ys == xs:
                 g = (
                     compose(accumulated, transform)
                     if transform is not None
@@ -236,7 +239,7 @@ def solve_length_descent(
                 return SolutionReport(
                     SOLVED, g, accumulated, tested, per_pair, tuple(trace)
                 )
-            current = _conjugate_cost(ys, xs, config.length_functional)
+            current = _conjugate_cost(ys, x_invs, config.length_functional)
             best_cost = current
             best_sym = None
             best_ys = None
@@ -244,9 +247,8 @@ def solve_length_descent(
             plateau_ys = None
             for sym in symbols:
                 tested += 1
-                sym_inv = invert(sym)
-                cand = [rewrite(compose_all([sym_inv, y, sym])) for y in ys]
-                cost = _conjugate_cost(cand, xs, config.length_functional)
+                cand = [conjugate(y, sym) for y in ys]
+                cost = _conjugate_cost(cand, x_invs, config.length_functional)
                 if cost < best_cost:
                     best_cost = cost
                     best_sym = sym
@@ -254,7 +256,7 @@ def solve_length_descent(
                 elif (
                     cost == current
                     and plateau_sym is None
-                    and tuple(nf_key(y, n) for y in cand) not in visited
+                    and tuple(cand) not in visited
                 ):
                     plateau_sym = sym
                     plateau_ys = cand
@@ -268,15 +270,11 @@ def solve_length_descent(
                 for s1 in symbols:
                     if pending is not None:
                         break
-                    mid = [
-                        rewrite(compose_all([invert(s1), y, s1])) for y in ys
-                    ]
+                    mid = [conjugate(y, s1) for y in ys]
                     for s2 in symbols:
                         tested += 1
-                        cand = [
-                            rewrite(compose_all([invert(s2), y, s2])) for y in mid
-                        ]
-                        if _conjugate_cost(cand, xs, config.length_functional) < current:
+                        cand = [conjugate(y, s2) for y in mid]
+                        if _conjugate_cost(cand, x_invs, config.length_functional) < current:
                             pending = compose(s1, s2)
                             pending_ys = cand
                             break
@@ -287,7 +285,7 @@ def solve_length_descent(
                 trace.append(f"stall at cost {current} (attempt {attempt})")
                 stalls += 1
                 break
-            visited.add(tuple(nf_key(y, n) for y in pending_ys))
+            visited.add(tuple(pending_ys))
             # y -> s^-1 y s means the solution gains s on the right: g = P s ...
             accumulated = compose(accumulated, pending)
             ys = pending_ys

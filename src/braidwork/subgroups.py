@@ -19,6 +19,8 @@ from .words import (
     compose,
     delta,
     enumerate_products,
+    expect_list,
+    expect_object,
     generator,
     power,
 )
@@ -50,12 +52,16 @@ class SubgroupSpec:
 
     @staticmethod
     def from_record(record: dict) -> SubgroupSpec:
+        expect_object(record, "a subgroup record")
         if type(record["n"]) is not int:
             raise ValueError("a subgroup record needs an integer n")
         return SubgroupSpec(
             record["name"],
             record["n"],
-            tuple(BraidWord.from_record(g) for g in record["generators"]),
+            tuple(
+                BraidWord.from_record(g)
+                for g in expect_list(record["generators"], "a subgroup's generators")
+            ),
         )
 
 

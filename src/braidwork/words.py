@@ -50,12 +50,29 @@ class BraidWord:
 
     @staticmethod
     def from_record(record: dict) -> BraidWord:
+        expect_object(record, "a braid word record")
         n, letters = record["n"], record["word"]
         if type(n) is not int or not isinstance(letters, list) or any(
             type(x) is not int for x in letters
         ):
             raise ValueError("a braid word record needs an integer n and integer letters")
         return BraidWord(n, tuple(letters))
+
+
+def expect_object(record, what: str) -> dict:
+    """`record` itself if it is a JSON object; a ValueError naming `what`
+    otherwise. Records are read from outside input, so the from_record
+    functions check each nested record's type before indexing it."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(record).__name__}")
+    return record
+
+
+def expect_list(value, what: str) -> list:
+    """`value` itself if it is a JSON array; a ValueError naming `what` otherwise."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
 
 
 def identity(strands: int) -> BraidWord:

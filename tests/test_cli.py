@@ -88,6 +88,12 @@ class TestAttack:
         for path in (tmp_path / "missing.json", tmp_path):
             assert run_cli("attack", "--in", str(path), "--out", str(tmp_path)) == 2
 
+    def test_non_object_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "public.json"
+        path.write_text(json.dumps({"config": 5, "K_A": {}, "K_B": {}}))
+        assert run_cli("attack", "--in", str(path), "--out", str(tmp_path)) == 2
+        assert "config record must be a JSON object" in capsys.readouterr().err
+
     def test_stickel_route(self, tmp_path):
         assert run_cli(
             "simulate", "--preset", "stickel", "--n", "8",
@@ -158,6 +164,22 @@ class TestSolve:
         for text in ("{not json", "[1, 2]", json.dumps(fractional_letter)):
             path.write_text(text)
             assert run_cli("solve", "--in", str(path), "--out", str(tmp_path)) == 2
+
+
+    ALPHABET = {"name": "s1", "n": 4, "generators": [{"n": 4, "word": [1]}]}
+
+    def test_non_object_pair(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"pairs": [1], "alphabet": self.ALPHABET}))
+        assert run_cli("solve", "--in", str(path), "--out", str(tmp_path)) == 2
+        assert "pair must be a JSON object" in capsys.readouterr().err
+
+    def test_non_object_word(self, tmp_path, capsys):
+        pair = {"x": [1, 2], "y": {"n": 4, "word": [1]}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"pairs": [pair], "alphabet": self.ALPHABET}))
+        assert run_cli("solve", "--in", str(path), "--out", str(tmp_path)) == 2
+        assert "braid word record must be a JSON object" in capsys.readouterr().err
 
 
 class TestSelftest:

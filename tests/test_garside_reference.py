@@ -1,5 +1,7 @@
-"""Differential tests: the packed normal form against the letter-per-factor
-reference in `garside_reference`."""
+"""Differential tests: the packed normal form, and the arithmetic on normal
+forms, against the letter-per-factor reference in `garside_reference`,
+against normal forms of the concatenated words, and against handle
+reduction."""
 
 import itertools
 
@@ -7,13 +9,18 @@ import garside_reference as reference
 from hypothesis import given, settings, strategies as st
 
 from braidwork.garside import (
+    GarsideNormalForm,
     _left_weight_pair,
+    conjugate,
     factor_word,
+    inverse,
     is_left_weighted,
     normal_form,
+    product,
     rewrite,
 )
-from braidwork.words import BraidWord, compose_all, delta, invert, power
+from braidwork.handle import is_trivial_handle_reduction
+from braidwork.words import BraidWord, compose, compose_all, delta, invert, power
 
 
 def words(n: int, max_len: int):
@@ -40,6 +47,19 @@ def rewrite_shaped_words(draw):
     w = draw(words(n, 30))
     s = draw(words(n, 2))
     return compose_all([invert(s), rewrite(compose_all([power(delta(n), -k), w])), s])
+
+
+def word_pairs(max_len: int):
+    return st.integers(min_value=2, max_value=12).flatmap(
+        lambda n: st.tuples(words(n, max_len), words(n, max_len))
+    )
+
+
+@st.composite
+def words_and_letters(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    i = draw(st.integers(min_value=1, max_value=n - 1))
+    return draw(words(n, 60)), draw(st.sampled_from([i, -i]))
 
 
 def perms(n: int):
@@ -88,3 +108,64 @@ def test_factor_word_matches_reference_up_to_six_strands():
     for n in range(1, 7):
         for p in itertools.permutations(range(n)):
             assert factor_word(p) == reference.factor_word(p)
+
+
+# Example counts follow the hypothesis profile (see conftest.py), so these
+# run harder in CI than locally.
+class TestArithmeticOnNormalForms:
+    @given(word_pairs(60))
+    @settings(deadline=None)
+    def test_product(self, pair):
+        a, b = pair
+        nf = product(normal_form(a), normal_form(b))
+        assert nf == normal_form(compose(a, b))
+        assert nf == reference.normal_form(compose(a, b))
+        assert is_left_weighted(nf)
+
+    @given(sized_words(2, 12, 60))
+    @settings(deadline=None)
+    def test_inverse(self, w):
+        nf = inverse(normal_form(w))
+        assert nf == normal_form(invert(w))
+        assert nf == reference.normal_form(invert(w))
+        assert is_left_weighted(nf)
+
+    @given(words_and_letters())
+    @settings(deadline=None)
+    def test_conjugate_by_letter(self, case):
+        w, letter = case
+        s = BraidWord(w.strands, (letter,))
+        expected = normal_form(compose_all([invert(s), w, s]))
+        nf = conjugate(normal_form(w), s)
+        assert nf == expected
+        assert nf == reference.normal_form(compose_all([invert(s), w, s]))
+        assert is_left_weighted(nf)
+
+    @given(st.integers(min_value=2, max_value=12).flatmap(
+        lambda n: st.tuples(words(n, 60), words(n, 6))
+    ))
+    @settings(deadline=None)
+    def test_conjugate_by_word(self, pair):
+        w, s = pair
+        nf = conjugate(normal_form(w), s)
+        assert nf == normal_form(compose_all([invert(s), w, s]))
+
+    @given(sized_words(2, 12, 60))
+    @settings(deadline=None)
+    def test_product_with_inverse_is_trivial(self, w):
+        a = normal_form(w)
+        assert product(a, inverse(a)) == GarsideNormalForm(w.strands, 0, ())
+        assert product(inverse(a), a) == GarsideNormalForm(w.strands, 0, ())
+
+    @given(word_pairs(30))
+    @settings(deadline=None)
+    def test_product_word_is_the_concatenation(self, pair):
+        a, b = pair
+        expansion = product(normal_form(a), normal_form(b)).to_word()
+        assert is_trivial_handle_reduction(compose(expansion, invert(compose(a, b))))
+
+    @given(sized_words(2, 12, 60))
+    @settings(deadline=None)
+    def test_word_length_is_that_of_the_expansion(self, w):
+        nf = normal_form(w)
+        assert nf.word_length == len(nf.to_word())
