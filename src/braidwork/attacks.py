@@ -23,12 +23,12 @@ import itertools
 from typing import Iterator
 
 from .extractors import (
-    CspInstance,
+    build_conjugation_instance,
     build_dehornoy_centralizer_instance,
+    build_difference_instance,
     build_gtcp_instances,
     build_mscsp_dhdp,
     build_stickel_instance,
-    ce_difference_pair,
 )
 from .garside import is_trivial, nf_key, rewrite, words_equal
 from .handle import ReductionBudgetExceeded, shift_preimage
@@ -286,7 +286,7 @@ def decide_edl(
     """
     Decide, one-sidedly, whether tokens y_i = u.x_i.v share a factor pair
     (u, v). Differences of two tokens cancel one factor, giving conjugacy
-    pairs (x_i.x_j^-1, y_i.y_j^-1) for u and (x_i^-1.x_j, y_i^-1.y_j) for
+    pairs (x_i.x_j^-1, y_i.y_j^-1) for u and (x_j^-1.x_i, y_j^-1.y_i) for
     v^-1. A YES carries witnesses checked on every index of the subset;
     anything else is NO-EVIDENCE, never a proof of emptiness.
     """
@@ -301,25 +301,13 @@ def decide_edl(
     for subset in subsets:
         if len(subset) < 2:
             raise ValueError(f"subset {subset} too small")
-        u_pairs = []
-        v_pairs = []
-        for i, j in itertools.combinations(subset, 2):
-            x_i, y_i = tokens[i]
-            x_j, y_j = tokens[j]
-            u_pairs.append(
-                (
-                    rewrite(ce_difference_pair(x_i, x_j, "left")),
-                    rewrite(ce_difference_pair(y_i, y_j, "left")),
-                )
-            )
-            v_pairs.append(
-                (
-                    rewrite(ce_difference_pair(x_i, x_j, "right")),
-                    rewrite(ce_difference_pair(y_i, y_j, "right")),
-                )
-            )
-        inst_u = CspInstance(tuple(u_pairs), config.alphabet, meta=(("extractor", "edl-u"),))
-        inst_v = CspInstance(tuple(v_pairs), config.alphabet, meta=(("extractor", "edl-v"),))
+        index_pairs = tuple(itertools.combinations(subset, 2))
+        inst_u = build_difference_instance(
+            tokens, index_pairs, "left", config.alphabet, (("extractor", "edl-u"),)
+        )
+        inst_v = build_difference_instance(
+            tokens, index_pairs, "right", config.alphabet, (("extractor", "edl-v"),)
+        )
 
         # A u-candidate pins the v-side: v = x0^-1.u^-1.y0. Verifying that
         # pair on the whole subset during the search keeps the answer sound
@@ -418,9 +406,9 @@ def attack_dehornoy_centralizer(
     """
     Recover the nonce r behind a shifted-conjugacy commitment x = r*p when
     r comes from a published subgroup R. Probes commuting with R conjugate
-    through x by d(p).sigma_1.d(r)^-1 only; searching the shifted R
-    generators against the fixed public factor sigma_1^-1.d(p)^-1 makes
-    the raw solution d(r), which unshifts to r.
+    through x by d(p).sigma_1.d(r)^-1 only; the instance searches the
+    shifted R generators against the fixed public factor d(p).sigma_1, so
+    the raw solution is d(r), which unshifts to r.
     """
     n = commitment.strands
     if probes is None:
@@ -429,17 +417,9 @@ def attack_dehornoy_centralizer(
         probes = tuple(p.embed(n) for p in report.elements if len(p) > 0)
     if not probes:
         raise ValueError("no probes available for the centralizer instance")
-    inst = build_dehornoy_centralizer_instance(commitment, probes)
-
-    shifted_spec = SubgroupSpec(
-        f"d({r_spec.name})", n, tuple(shift(g) for g in r_spec.generators)
-    )
-    transform = invert(compose(shift(base), generator(n, 1)))
-    solver_cfg = dataclasses.replace(
-        config, alphabet=shifted_spec, transform=transform
-    )
+    inst = build_dehornoy_centralizer_instance(commitment, probes, r_spec, base)
     run = _Run("dehornoy-centralizer")
-    rep = solve_exhaustive(inst, solver_cfg)
+    rep = solve_exhaustive(inst, config)
     if not run.solved("instance-solved", rep):
         return run.report()
     r_cand = _lift(SHIFT_ENDO, rep.raw_word)
@@ -472,15 +452,16 @@ def attack_dehornoy_pair(
     """
     if config.alphabet is None:
         raise ValueError("pair attack needs an explicit search alphabet")
-    x_side = rewrite(ce_difference_pair(shift(base), shift(public_key), "left"))
-    y_side = rewrite(ce_difference_pair(commitment, commitment_prime, "left"))
-
-    run = _Run("dehornoy-pair")
-    if not run.check("informative-instance", not is_trivial(x_side)):
-        return run.report()
-    inst = CspInstance(
-        ((x_side, y_side),), config.alphabet, meta=(("extractor", "dehornoy-pair"),)
+    inst = build_difference_instance(
+        ((shift(base), commitment), (shift(public_key), commitment_prime)),
+        ((0, 1),),
+        "left",
+        config.alphabet,
+        (("extractor", "dehornoy-pair"),),
     )
+    run = _Run("dehornoy-pair")
+    if not run.check("informative-instance", not is_trivial(inst.pairs[0][0])):
+        return run.report()
     sigma_1_inv = invert(generator(response.strands, 1))
 
     def unwrap(r_cand: BraidWord) -> BraidWord | None:
@@ -548,9 +529,10 @@ def partial_factor_attack(
     for probe in probes:
         current = token
         for level in range(depth):
-            out = rewrite(compose_all([current, probe, invert(current)]))
-            inst = CspInstance(
-                ((probe, out),),
+            inst = build_conjugation_instance(
+                current,
+                (probe,),
+                "left",
                 config.alphabet,
                 meta=(("extractor", "partial-factor"), ("depth", str(level))),
             )

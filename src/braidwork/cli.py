@@ -22,7 +22,7 @@ import sys
 
 from .attacks import AttackReport, attack_decomposition, attack_dehornoy_pair, attack_stickel
 from .extractors import CspInstance
-from .garside import normal_form, rewrite, words_equal
+from .garside import normal_form, words_equal
 from .handle import is_trivial_handle_reduction
 from .protocols import (
     KA_PRESETS,

@@ -8,11 +8,17 @@ the secret's partner factor cancel, leaving a conjugation by a coset
 element such as a1.z. Collecting several probes gives a simultaneous
 instance whose solution breaks the protocol.
 
+Every instance of the library is built here, by `build_conjugation_instance`
+(probes conjugated by one token) or `build_difference_instance`
+(differences of samples sharing a secret factor). Both re-expand each
+instance side they compute from normal form, modelling an attacker who only
+sees canonical public values; their callers choose tokens, probes, sides
+and alphabets.
+
 Instance convention: a solution g satisfies g x_i g^-1 = y_i for every
 pair. The optional post_transform t records how to turn the recovered
 coset element back into the secret (secret = g . t for the left-hand
-sides). Probe outputs are re-expanded from normal form before being put in
-an instance, modelling an attacker who only sees canonical public values.
+sides).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import dataclasses
 
 from .garside import rewrite, words_equal
 from .protocols import PublicTranscript
-from .subgroups import CentralizerReport, SubgroupSpec, centralizer_search
+from .subgroups import SubgroupSpec, centralizer_search, interval_generators
 from .words import (
     BraidWord,
     Endomorphism,
@@ -30,8 +36,10 @@ from .words import (
     compose_all,
     expect_list,
     expect_object,
+    generator,
     invert,
     power,
+    shift,
 )
 
 
@@ -95,25 +103,14 @@ class CspInstance:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class CeSample:
-    """One raw extractor evaluation: probe conjugated by a public token."""
-
-    probe: BraidWord
-    side: str  # "left": token.probe.token^-1 | "right": token^-1.probe.token
-    token: BraidWord
-    output: BraidWord
-
-
-def ce_conjugate_sample(token: BraidWord, probe: BraidWord, side: str) -> CeSample:
-    """Conjugate a probe by a token, exactly as composed (no simplification)."""
+def ce_conjugate_sample(token: BraidWord, probe: BraidWord, side: str) -> BraidWord:
+    """Conjugate a probe by a token, exactly as composed (no simplification):
+    left token.probe.token^-1, right token^-1.probe.token."""
     if side == "left":
-        output = compose_all([token, probe, invert(token)])
-    elif side == "right":
-        output = compose_all([invert(token), probe, token])
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return CeSample(probe, side, token, output)
+        return compose_all([token, probe, invert(token)])
+    if side == "right":
+        return compose_all([invert(token), probe, token])
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def ce_difference_pair(y_i: BraidWord, y_j: BraidWord, side: str) -> BraidWord:
@@ -123,6 +120,42 @@ def ce_difference_pair(y_i: BraidWord, y_j: BraidWord, side: str) -> BraidWord:
     if side == "right":
         return compose(invert(y_j), y_i)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def build_conjugation_instance(
+    token: BraidWord,
+    probes: tuple[BraidWord, ...],
+    side: str,
+    alphabet: SubgroupSpec,
+    post_transform: BraidWord | None = None,
+    meta: tuple[tuple[str, str], ...] = (),
+) -> CspInstance:
+    """One pair (probe, probe conjugated by the token on `side`) per probe,
+    the conjugate re-expanded from normal form."""
+    pairs = tuple(
+        (probe, rewrite(ce_conjugate_sample(token, probe, side))) for probe in probes
+    )
+    return CspInstance(pairs, alphabet, post_transform, meta)
+
+
+def build_difference_instance(
+    samples: tuple[tuple[BraidWord, BraidWord], ...],
+    index_pairs: tuple[tuple[int, int], ...],
+    side: str,
+    alphabet: SubgroupSpec,
+    meta: tuple[tuple[str, str], ...] = (),
+) -> CspInstance:
+    """One pair per (i, j) from samples (x_k, y_k) that share the factors
+    around x_k: left (x_i.x_j^-1, y_i.y_j^-1), right (x_j^-1.x_i, y_j^-1.y_i),
+    both sides re-expanded from normal form."""
+    pairs = tuple(
+        (
+            rewrite(ce_difference_pair(samples[i][0], samples[j][0], side)),
+            rewrite(ce_difference_pair(samples[i][1], samples[j][1], side)),
+        )
+        for i, j in index_pairs
+    )
+    return CspInstance(pairs, alphabet, None, meta)
 
 
 # Which token / probe source / conjugation side each extractor target uses.
@@ -182,10 +215,6 @@ def build_mscsp_dhdp(
     for probe in probes:
         _check_probe_membership(probe, probe_spec)
 
-    pairs = tuple(
-        (probe, rewrite(ce_conjugate_sample(token, probe, side).output))
-        for probe in probes
-    )
     alphabet = {
         "a": cfg.left_a,
         "c": cfg.left_b,
@@ -207,7 +236,7 @@ def build_mscsp_dhdp(
         ("coset", coset),
         ("preset", cfg.preset),
     )
-    return CspInstance(pairs, alphabet, post, meta)
+    return build_conjugation_instance(token, probes, side, alphabet, post, meta)
 
 
 def build_stickel_instance(
@@ -216,11 +245,9 @@ def build_stickel_instance(
     """Single-pair instance (b^alpha, c.b^alpha.c^-1) with solution family a^r."""
     if alpha < 1:
         raise ValueError("probe exponent must be at least 1")
-    probe = power(b, alpha)
-    out = rewrite(ce_conjugate_sample(token, probe, "left").output)
     alphabet = SubgroupSpec("<a>", a.strands, (a,))
     meta = (("extractor", "stickel"), ("alpha", str(alpha)))
-    return CspInstance(((probe, out),), alphabet, None, meta)
+    return build_conjugation_instance(token, (power(b, alpha),), "left", alphabet, meta=meta)
 
 
 def build_gtcp_instances(
@@ -247,69 +274,48 @@ def build_gtcp_instances(
     u, v, w = endos
     ys = [y for y, _ in samples]
     vps = [apply_endo(v, p) for _, p in samples]
-    n = max(max(y.strands for y in ys), max(vp.strands for vp in vps))
 
     if mode in ("pairwise-ce1", "pairwise-ce2"):
         if len(samples) < 2:
             raise ValueError("pairwise modes need at least two samples")
-        pairs = []
-        for i in range(len(samples)):
-            for j in range(i + 1, len(samples)):
-                if words_equal(vps[i], vps[j]):
-                    continue
-                if mode == "pairwise-ce1":
-                    pairs.append(
-                        (
-                            rewrite(ce_difference_pair(vps[i], vps[j], "left")),
-                            rewrite(ce_difference_pair(ys[i], ys[j], "left")),
-                        )
-                    )
-                else:
-                    pairs.append(
-                        (
-                            rewrite(ce_difference_pair(vps[i], vps[j], "right")),
-                            rewrite(ce_difference_pair(ys[i], ys[j], "right")),
-                        )
-                    )
-        if not pairs:
+        index_pairs = tuple(
+            (i, j)
+            for i in range(len(samples))
+            for j in range(i + 1, len(samples))
+            if not words_equal(vps[i], vps[j])
+        )
+        if not index_pairs:
             raise ValueError("all sample pairs have equal v(p); pairwise mode impossible")
-        endo = u if mode == "pairwise-ce1" else w
-        alphabet = _endo_image_spec(f"gtcp-{mode}", endo, secret_spec)
-        meta = (("extractor", mode), ("target", "u(r)" if mode == "pairwise-ce1" else "w(r^-1)^-1"))
-        return CspInstance(tuple(pairs), alphabet, None, meta)
+        ce1 = mode == "pairwise-ce1"
+        alphabet = _endo_image_spec(f"gtcp-{mode}", u if ce1 else w, secret_spec)
+        meta = (("extractor", mode), ("target", "u(r)" if ce1 else "w(r^-1)^-1"))
+        return build_difference_instance(
+            tuple(zip(vps, ys)), index_pairs, "left" if ce1 else "right", alphabet, meta
+        )
 
     if mode in ("centralizer-ce3", "centralizer-ce4"):
-        cancelled = w if mode == "centralizer-ce3" else u
-        cancelled_spec = _endo_image_spec("gtcp-cancelled", cancelled, secret_spec)
+        ce3 = mode == "centralizer-ce3"
+        cancelled_spec = _endo_image_spec("gtcp-cancelled", w if ce3 else u, secret_spec)
         # Probes must commute with the cancelled side's image of the secret.
-        ambient = SubgroupSpec(
-            "ambient",
-            n,
-            tuple(
-                BraidWord(n, (i,)) for i in range(1, n)
-            ),
+        n = max(max(y.strands for y in ys), max(vp.strands for vp in vps))
+        report = centralizer_search(
+            cancelled_spec, centralizer_length, interval_generators(n, 1, n - 1)
         )
-        report = centralizer_search(cancelled_spec, centralizer_length, ambient)
         probes = tuple(p for p in report.elements if len(p) > 0)
         if not probes:
             raise ValueError("empty centralizer report; cannot build instance")
-        y = ys[sample_index]
-        side = "left" if mode == "centralizer-ce3" else "right"
-        pairs = tuple(
-            (probe, rewrite(ce_conjugate_sample(y, probe, side).output))
-            for probe in probes
-        )
-        searched = u if mode == "centralizer-ce3" else w
-        alphabet = _endo_image_spec(f"gtcp-{mode}", searched, secret_spec)
+        alphabet = _endo_image_spec(f"gtcp-{mode}", u if ce3 else w, secret_spec)
         # secret-side factor = solution . post (cf. right-multiplying by z^-1)
         vp = vps[sample_index]
-        post = rewrite(invert(vp)) if mode == "centralizer-ce3" else rewrite(vp)
+        post = rewrite(invert(vp)) if ce3 else rewrite(vp)
         meta = (
             ("extractor", mode),
             ("sample_index", str(sample_index)),
-            ("target", "u(r).v(p_i)" if mode == "centralizer-ce3" else "w(r^-1)^-1.v(p_i)^-1"),
+            ("target", "u(r).v(p_i)" if ce3 else "w(r^-1)^-1.v(p_i)^-1"),
         )
-        return CspInstance(pairs, alphabet, post, meta)
+        return build_conjugation_instance(
+            ys[sample_index], probes, "left" if ce3 else "right", alphabet, post, meta
+        )
 
     raise ValueError(f"unknown GTCP mode {mode!r}")
 
@@ -323,25 +329,30 @@ def _endo_image_spec(name: str, f: Endomorphism, spec: SubgroupSpec) -> Subgroup
 def build_dehornoy_centralizer_instance(
     commitment: BraidWord,
     probes: tuple[BraidWord, ...],
+    r_spec: SubgroupSpec,
+    base: BraidWord,
 ) -> CspInstance:
     """
-    Instance from a shifted-conjugacy commitment x = r*p and probes commuting
-    with r: pairs (N, x^-1.N.x), solved by the inverse of O = d(p).sigma_1.d(r)^-1.
-    Central probes (Delta^2 powers) conjugate trivially and are flagged in meta.
+    Instance from a shifted-conjugacy commitment x = r*p, with r drawn from
+    the subgroup R, and probes commuting with R: pairs (N, x^-1.N.x), solved
+    by the inverse of O = d(p).sigma_1.d(r)^-1, that is by d(r).(d(p).sigma_1)^-1.
+    The alphabet is d(R) and the post_transform d(p).sigma_1, so the
+    enumerated word is d(r). Central probes (Delta^2 powers) conjugate
+    trivially and are flagged in meta.
     """
     if not probes:
         raise ValueError("at least one probe is required")
     n = commitment.strands
-    pairs = tuple(
-        (probe, rewrite(ce_conjugate_sample(commitment, probe, "right").output))
-        for probe in probes
+    alphabet = SubgroupSpec(
+        f"d({r_spec.name})", n, tuple(shift(g) for g in r_spec.generators)
     )
+    post = compose(shift(base), generator(n, 1))
+    inst = build_conjugation_instance(commitment, probes, "right", alphabet, post)
     degenerate = [
-        str(i) for i, (probe, out) in enumerate(pairs) if words_equal(probe, out)
+        str(i) for i, (probe, out) in enumerate(inst.pairs) if words_equal(probe, out)
     ]
-    alphabet = SubgroupSpec("probes", n, probes)
     meta = (
         ("extractor", "dehornoy-centralizer"),
         ("degenerate_pairs", ",".join(degenerate)),
     )
-    return CspInstance(pairs, alphabet, None, meta)
+    return dataclasses.replace(inst, meta=meta)

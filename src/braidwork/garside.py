@@ -172,21 +172,6 @@ class GarsideNormalForm:
             letters.extend(factor_word(p))
         return BraidWord(n, tuple(letters))
 
-    def to_record(self) -> dict:
-        return {
-            "n": self.strands,
-            "inf": self.infimum,
-            "factors": [[x + 1 for x in p] for p in self.factors],
-        }
-
-    @staticmethod
-    def from_record(record: dict) -> GarsideNormalForm:
-        return GarsideNormalForm(
-            record["n"],
-            record["inf"],
-            tuple(tuple(x - 1 for x in p) for p in record["factors"]),
-        )
-
 
 @functools.lru_cache(maxsize=1 << 18)
 def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:

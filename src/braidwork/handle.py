@@ -11,8 +11,9 @@ index and therefore represents a nontrivial braid; a word is trivial iff
 reduction ends with the empty word.
 
 A configurable step budget guards against pathological blowup; exceeding
-it raises ReductionBudgetExceeded and the caller falls back to normal
-forms.
+it raises ReductionBudgetExceeded. No caller falls back to normal forms:
+the attacks' lift through the shift returns None, so the attack's check
+fails, and the benchmark's oracle counts the word as nontrivial.
 """
 
 from __future__ import annotations

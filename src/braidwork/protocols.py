@@ -35,9 +35,9 @@ from .subgroups import (
 from .words import (
     BraidWord,
     compose,
-    compose_all,
     expect_list,
     expect_object,
+    expect_type,
     generator,
     identity,
     invert,
@@ -105,23 +105,25 @@ class KaConfig:
         expect_object(record, "a protocol config record")
         pair = record.get("stickel_pair")
         return KaConfig(
-            preset=record["preset"],
-            strands=record["n"],
+            preset=expect_type(record["preset"], str, "preset"),
+            strands=expect_type(record["n"], int, "n"),
             left_a=SubgroupSpec.from_record(record["left_a"]),
             right_a=SubgroupSpec.from_record(record["right_a"]),
             left_b=SubgroupSpec.from_record(record["left_b"]),
             right_b=SubgroupSpec.from_record(record["right_b"]),
             base=BraidWord.from_record(record["z"]),
-            condition_mode=record["condition_mode"],
-            secret_length=record["secret_length"],
-            positive_only=record["positive_only"],
-            conjugate_secrets=record["conjugate_secrets"],
+            condition_mode=expect_type(record["condition_mode"], str, "condition_mode"),
+            secret_length=expect_type(record["secret_length"], int, "secret_length"),
+            positive_only=expect_type(record["positive_only"], bool, "positive_only"),
+            conjugate_secrets=expect_type(
+                record["conjugate_secrets"], bool, "conjugate_secrets"
+            ),
             stickel_pair=(
                 tuple(BraidWord.from_record(w) for w in expect_list(pair, "stickel_pair"))
                 if pair
                 else None
             ),
-            exponent_bound=record["exponent_bound"],
+            exponent_bound=expect_type(record["exponent_bound"], int, "exponent_bound"),
         )
 
 

@@ -5,9 +5,9 @@ search, greedy length descent, and exponent search.
 All solvers share the convention of CspInstance: a solution g satisfies
 g x_i g^-1 = y_i for every pair. Candidates are formed as `word . t` where
 the word ranges over a canonical deterministic enumeration of the
-configured alphabet and t is a fixed coset factor (by default the inverse
-of the instance's post_transform, so the enumerated word is the secret
-itself). Reports are deterministic functions of (instance, config).
+configured alphabet and t is a fixed coset factor, the inverse of the
+instance's post_transform (so the enumerated word is the secret itself).
+Reports are deterministic functions of (instance, config).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class SolverConfig:
 
     max_length: int
     alphabet: SubgroupSpec | None = None  # defaults to the instance's alphabet
-    transform: BraidWord | None = None  # fixed right factor; None = from instance
     budget: int = 200_000
     restarts: int = 10  # stochastic restarts for the descent solver
     seed: int = 0
@@ -58,8 +57,6 @@ class SolverConfig:
         return self.alphabet if self.alphabet is not None else instance.alphabet
 
     def resolve_transform(self, instance: CspInstance) -> BraidWord | None:
-        if self.transform is not None:
-            return self.transform
         if instance.post_transform is not None:
             return invert(instance.post_transform)
         return None

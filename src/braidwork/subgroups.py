@@ -21,6 +21,7 @@ from .words import (
     enumerate_products,
     expect_list,
     expect_object,
+    expect_type,
     generator,
     power,
 )
@@ -56,7 +57,7 @@ class SubgroupSpec:
         if type(record["n"]) is not int:
             raise ValueError("a subgroup record needs an integer n")
         return SubgroupSpec(
-            record["name"],
+            expect_type(record["name"], str, "a subgroup name"),
             record["n"],
             tuple(
                 BraidWord.from_record(g)
@@ -105,7 +106,6 @@ class CentralizerReport:
     """Elements found to commute with every generator of the target, with a
     method tag ("rule" or "search") per element."""
 
-    target: SubgroupSpec
     elements: tuple[BraidWord, ...]
     methods: tuple[str, ...]
 
@@ -162,7 +162,6 @@ def centralizer_search(
     if limit is not None:
         found = found[:limit]
     return CentralizerReport(
-        target,
         tuple(w for w, _ in found),
         tuple(m for _, m in found),
     )

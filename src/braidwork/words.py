@@ -75,6 +75,14 @@ def expect_list(value, what: str) -> list:
     return value
 
 
+def expect_type(value, kind: type, what: str):
+    """`value` itself if its type is exactly `kind` (so a bool is not an
+    int); a ValueError naming `what` otherwise."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def identity(strands: int) -> BraidWord:
     return BraidWord(strands, ())
 

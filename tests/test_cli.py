@@ -94,6 +94,24 @@ class TestAttack:
         assert run_cli("attack", "--in", str(path), "--out", str(tmp_path)) == 2
         assert "config record must be a JSON object" in capsys.readouterr().err
 
+    def tampered_config(self, tmp_path, edit):
+        self.simulate(tmp_path)
+        path = tmp_path / "public.json"
+        public = json.loads(path.read_text())
+        edit(public["config"])
+        path.write_text(json.dumps(public))
+        return run_cli("attack", "--max-len", "3", "--in", str(path), "--out", str(tmp_path))
+
+    def test_non_integer_secret_length_is_config_error(self, tmp_path, capsys):
+        code = self.tampered_config(tmp_path, lambda c: c.update(secret_length="x"))
+        assert code == 2
+        assert "secret_length" in capsys.readouterr().err
+
+    def test_non_string_subgroup_name_is_config_error(self, tmp_path, capsys):
+        code = self.tampered_config(tmp_path, lambda c: c["left_a"].update(name=5))
+        assert code == 2
+        assert "subgroup name" in capsys.readouterr().err
+
     def test_stickel_route(self, tmp_path):
         assert run_cli(
             "simulate", "--preset", "stickel", "--n", "8",

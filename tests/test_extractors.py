@@ -2,7 +2,9 @@ import pytest
 
 from braidwork.extractors import (
     CspInstance,
+    build_conjugation_instance,
     build_dehornoy_centralizer_instance,
+    build_difference_instance,
     build_gtcp_instances,
     build_mscsp_dhdp,
     build_stickel_instance,
@@ -39,12 +41,12 @@ class TestCeSamples:
     def test_left_sample(self):
         token, probe = BraidWord(4, (1, 2)), generator(4, 3)
         sample = ce_conjugate_sample(token, probe, "left")
-        assert words_equal(sample.output, compose_all([token, probe, invert(token)]))
+        assert words_equal(sample, compose_all([token, probe, invert(token)]))
 
     def test_right_sample(self):
         token, probe = BraidWord(4, (1, 2)), generator(4, 3)
         sample = ce_conjugate_sample(token, probe, "right")
-        assert words_equal(sample.output, compose_all([invert(token), probe, token]))
+        assert words_equal(sample, compose_all([invert(token), probe, token]))
 
     def test_bad_side(self):
         with pytest.raises(ValueError):
@@ -54,6 +56,36 @@ class TestCeSamples:
         y1, y2 = BraidWord(3, (1,)), BraidWord(3, (2,))
         assert ce_difference_pair(y1, y2, "left") == compose(y1, invert(y2))
         assert ce_difference_pair(y1, y2, "right") == compose(invert(y2), y1)
+
+
+class TestBuilders:
+    alphabet = interval_generators(6, 1, 2)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_conjugation_pairs_are_canonical_conjugates(self, side):
+        token = BraidWord(6, (1, -2, 1))
+        probes = (generator(6, 4), BraidWord(6, (4, 5)))
+        inst = build_conjugation_instance(token, probes, side, self.alphabet)
+        g = token if side == "left" else invert(token)
+        assert [x for x, _ in inst.pairs] == list(probes)
+        for x, y in inst.pairs:
+            assert y == rewrite(y)
+            assert conjugates(g, x, y)
+
+    def test_difference_pairs_cancel_the_shared_factors(self):
+        u, v = BraidWord(6, (1, 2)), BraidWord(6, (-2,))
+        xs = (generator(6, 4), BraidWord(6, (4, 5)), generator(6, 5))
+        samples = tuple((x, compose_all([u, x, v])) for x in xs)
+        index_pairs = ((0, 1), (1, 2))
+        left = build_difference_instance(samples, index_pairs, "left", self.alphabet)
+        right = build_difference_instance(samples, index_pairs, "right", self.alphabet)
+        assert len(left.pairs) == len(right.pairs) == 2
+        for x, y in left.pairs:
+            assert conjugates(u, x, y)
+        for x, y in right.pairs:
+            assert conjugates(invert(v), x, y)
+        for x, y in left.pairs + right.pairs:
+            assert (x, y) == (rewrite(x), rewrite(y))
 
 
 class TestCspInstance:
@@ -248,7 +280,9 @@ class TestDehornoyCentralizerExtractor:
         # x^-1 N x = O^-1 N O for every N commuting with r.
         o = compose_all([shift(keys.base), generator(4, 1), invert(shift(r))])
         probes = (power(delta(4), 2), rewrite(compose(r.embed(4), power(delta(4), 2))))
-        inst = build_dehornoy_centralizer_instance(x.embed(4), probes)
+        inst = build_dehornoy_centralizer_instance(
+            x.embed(4), probes, interval_generators(3, 1, 2), keys.base
+        )
         g = invert(o)
         for px, py in inst.pairs:
             assert conjugates(g, px, py)
@@ -256,9 +290,13 @@ class TestDehornoyCentralizerExtractor:
     def test_degenerate_probes_flagged(self):
         x = BraidWord(4, (1, 2))
         probes = (power(delta(4), 2), generator(4, 3))
-        inst = build_dehornoy_centralizer_instance(x, probes)
+        inst = build_dehornoy_centralizer_instance(
+            x, probes, interval_generators(3, 1, 2), BraidWord(3, (2,))
+        )
         assert "0" in inst.meta_dict()["degenerate_pairs"].split(",")
 
     def test_requires_probes(self):
         with pytest.raises(ValueError):
-            build_dehornoy_centralizer_instance(BraidWord(3, (1,)), ())
+            build_dehornoy_centralizer_instance(
+                BraidWord(3, (1,)), (), interval_generators(2, 1, 1), identity(2)
+            )

@@ -98,7 +98,8 @@ def descent_reports():
     )
     yield solve_length_descent(post_inst, SolverConfig(max_length=3))
     yield solve_length_descent(
-        post_inst, SolverConfig(max_length=3, transform=invert(t), seed=2)
+        dataclasses.replace(post_inst, post_transform=t),
+        SolverConfig(max_length=3, seed=2),
     )
     # No coset factor; and an instance that stalls in every attempt.
     yield solve_length_descent(
