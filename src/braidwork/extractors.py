@@ -70,9 +70,6 @@ class CspInstance:
             n = max(n, self.post_transform.strands)
         return n
 
-    def meta_dict(self) -> dict[str, str]:
-        return dict(self.meta)
-
     def to_record(self) -> dict:
         return {
             "pairs": [{"x": x.to_record(), "y": y.to_record()} for x, y in self.pairs],
@@ -178,13 +175,15 @@ def _spec_letter_indices(spec: SubgroupSpec) -> set[int]:
 
 def _check_probe_membership(probe: BraidWord, spec: SubgroupSpec) -> None:
     """Probes must come from the prescribed commutant subgroup. Checked at the
-    generator level: every letter index must appear in the spec's generators."""
+    letter level only: every letter index must appear in the spec's
+    generators, which does not decide membership in the subgroup."""
     allowed = _spec_letter_indices(spec)
     used = {abs(x) for x in probe.letters}
     if not used <= allowed:
         raise ValueError(
-            f"probe uses generators {sorted(used - allowed)} outside the "
-            f"commutant spec {spec.name!r}"
+            f"probe uses generators {sorted(used - allowed)} that no generator "
+            f"of the commutant spec {spec.name!r} uses (a letter check only, "
+            f"not a membership test)"
         )
 
 
@@ -298,10 +297,10 @@ def build_gtcp_instances(
         cancelled_spec = _endo_image_spec("gtcp-cancelled", w if ce3 else u, secret_spec)
         # Probes must commute with the cancelled side's image of the secret.
         n = max(max(y.strands for y in ys), max(vp.strands for vp in vps))
-        report = centralizer_search(
+        elements = centralizer_search(
             cancelled_spec, centralizer_length, interval_generators(n, 1, n - 1)
         )
-        probes = tuple(p for p in report.elements if len(p) > 0)
+        probes = tuple(p for p in elements if len(p) > 0)
         if not probes:
             raise ValueError("empty centralizer report; cannot build instance")
         alphabet = _endo_image_spec(f"gtcp-{mode}", u if ce3 else w, secret_spec)

@@ -144,10 +144,6 @@ class ConditionReport:
         """Whether every '=1' condition (needed for key agreement) holds."""
         return all(c.passed for c in self.checks if c.requires_commuting)
 
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
 
 def validate_conditions(config: KaConfig) -> ConditionReport:
     """Check the commutation conditions of the configured mode, with witnesses."""
@@ -231,13 +227,19 @@ class SecretTranscript:
     def from_record(record: dict) -> SecretTranscript:
         expect_object(record, "a secret transcript record")
         exps = record.get("exponents")
+        if exps is not None:
+            exps = tuple(
+                expect_type(e, int, "an exponent") for e in expect_list(exps, "exponents")
+            )
+            if len(exps) != 4:
+                raise ValueError("exponents must be null or four ints (r, s, t, u)")
         return SecretTranscript(
             BraidWord.from_record(record["a1"]),
             BraidWord.from_record(record["a2"]),
             BraidWord.from_record(record["b1"]),
             BraidWord.from_record(record["b2"]),
             BraidWord.from_record(record["kappa"]),
-            tuple(expect_list(exps, "exponents")) if exps else None,
+            exps,
         )
 
 
@@ -396,8 +398,10 @@ def _centralizer_spec(
     """Peer subgroup from a budgeted centralizer search of a committed element,
     keeping only short nontrivial elements so runs stay desk-scale."""
     target = SubgroupSpec("committed", committed.strands, (committed,))
-    report = centralizer_search(target, max_length=1, alphabet=alphabet)
-    short = [w for w in report.elements if 1 <= len(w) <= 2]
+    short = [
+        w for w in centralizer_search(target, max_length=1, alphabet=alphabet)
+        if 1 <= len(w) <= 2
+    ]
     if not short:
         raise ProtocolError(f"centralizer search found no usable generators for {name}")
     return SubgroupSpec(name, committed.strands, tuple(short))

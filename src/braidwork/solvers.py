@@ -53,14 +53,6 @@ class SolverConfig:
     seed: int = 0
     length_functional: str = "canonical"  # "canonical" | "letters" | "difference"
 
-    def resolve_alphabet(self, instance: CspInstance) -> SubgroupSpec:
-        return self.alphabet if self.alphabet is not None else instance.alphabet
-
-    def resolve_transform(self, instance: CspInstance) -> BraidWord | None:
-        if instance.post_transform is not None:
-            return invert(instance.post_transform)
-        return None
-
 
 @dataclasses.dataclass(frozen=True)
 class SolutionReport:
@@ -94,18 +86,21 @@ def verify_solution(instance: CspInstance, g: BraidWord) -> list[bool]:
     ]
 
 
-def _coset_sides(
-    instance: CspInstance, transform: BraidWord | None, n: int
-) -> list[GarsideNormalForm]:
-    """The normal forms of t x t^-1 for the instance's x sides: g = P.t
-    solves a pair iff P conjugates t x t^-1 to y."""
-    if transform is None:
-        return [normal_form(x.embed(n)) for x, _ in instance.pairs]
-    t_inv = invert(transform)
-    return [
-        normal_form(compose_all([transform, x, t_inv]).embed(n))
-        for x, _ in instance.pairs
-    ]
+def _setup(
+    instance: CspInstance, config: SolverConfig
+) -> tuple[int, SubgroupSpec, BraidWord, list[GarsideNormalForm], list[GarsideNormalForm]]:
+    """The strand count n, the alphabet, the coset factor t on n strands (the
+    inverse of the instance's post_transform, or the identity) and the normal
+    forms of t x t^-1 and y per pair: g = P.t solves a pair iff P conjugates
+    t x t^-1 to y."""
+    alphabet = config.alphabet if config.alphabet is not None else instance.alphabet
+    n = max(instance.strands, alphabet.strands)
+    post = instance.post_transform
+    post = identity(n) if post is None else post.embed(n)
+    t = invert(post)
+    xs = [normal_form(compose_all([t, x, post])) for x, _ in instance.pairs]
+    ys = [normal_form(y.embed(n)) for _, y in instance.pairs]
+    return n, alphabet, t, xs, ys
 
 
 def solve_exhaustive(
@@ -120,15 +115,7 @@ def solve_exhaustive(
     space up to the length bound was searched; "budget-exceeded" means the
     candidate budget ran out first.
     """
-    alphabet = config.resolve_alphabet(instance)
-    transform = config.resolve_transform(instance)
-    n = instance.strands
-    n = max(n, alphabet.strands)
-    if transform is not None:
-        n = max(n, transform.strands)
-    xs = _coset_sides(instance, transform, n)
-    ys = [normal_form(y.embed(n)) for _, y in instance.pairs]
-
+    n, alphabet, t, xs, ys = _setup(instance, config)
     tested = 0
     for word in enumerate_products(alphabet.generators, config.max_length):
         if tested >= config.budget:
@@ -137,8 +124,7 @@ def solve_exhaustive(
         # word . (t x t^-1) . word^-1 is the conjugate by word^-1.
         word_inv = invert(word)
         if all(conjugate(x, word_inv) == y for x, y in zip(xs, ys)):
-            g = compose(word, transform) if transform is not None else word
-            g = g.embed(n)
+            g = compose(word, t)
             if extra_check is not None and not extra_check(g):
                 continue
             per_pair = tuple(verify_solution(instance, g))
@@ -194,19 +180,11 @@ def solve_length_descent(
     every attempt ended with no helpful move; "budget-exceeded" means some
     attempt ran out of steps first.
     """
-    alphabet = config.resolve_alphabet(instance)
-    transform = config.resolve_transform(instance)
-    n = max(instance.strands, alphabet.strands)
-    if transform is not None:
-        n = max(n, transform.strands)
-
+    n, alphabet, t, xs, ys0 = _setup(instance, config)
     symbols: list[BraidWord] = []
     for g in alphabet.generators:
         symbols += [g.embed(n), invert(g).embed(n)]
-
-    xs = _coset_sides(instance, transform, n)
     x_invs = [inverse(x) for x in xs]
-    ys0 = [normal_form(y.embed(n)) for _, y in instance.pairs]
 
     rng = random.Random(config.seed)
     trace: list[str] = []
@@ -226,11 +204,7 @@ def solve_length_descent(
 
         for step in range(10 * (config.max_length + len(prefix)) + 10):
             if ys == xs:
-                g = (
-                    compose(accumulated, transform)
-                    if transform is not None
-                    else accumulated
-                )
+                g = compose(accumulated, t)
                 per_pair = tuple(verify_solution(instance, g))
                 trace.append(f"success after {step} steps (attempt {attempt})")
                 return SolutionReport(

@@ -6,7 +6,8 @@ A SubgroupSpec is just a named, ordered list of generator words; the order
 matters because enumeration (and hence every solver and search built on
 top) is deterministic in it. Centralizer search combines rule-based seeds
 (the central element Delta^2, generators of disjoint support) with an
-exhaustive sweep over short alphabet words, filtered by exact commutation.
+exhaustive sweep over short alphabet words, filtered by exact commutation,
+and returns the elements it found.
 """
 
 from __future__ import annotations
@@ -101,24 +102,9 @@ def _letter_support(w: BraidWord) -> set[int]:
     return {abs(x) for x in w.letters}
 
 
-@dataclasses.dataclass(frozen=True)
-class CentralizerReport:
-    """Elements found to commute with every generator of the target, with a
-    method tag ("rule" or "search") per element."""
-
-    elements: tuple[BraidWord, ...]
-    methods: tuple[str, ...]
-
-    def __post_init__(self):
-        assert len(self.elements) == len(self.methods)
-
-
 def centralizer_search(
-    target: SubgroupSpec,
-    max_length: int,
-    alphabet: SubgroupSpec,
-    limit: int | None = None,
-) -> CentralizerReport:
+    target: SubgroupSpec, max_length: int, alphabet: SubgroupSpec
+) -> tuple[BraidWord, ...]:
     """
     Rule-based seeds plus exhaustive search for elements commuting with
     every target generator.
@@ -137,31 +123,17 @@ def centralizer_search(
     for t in targets:
         support |= _letter_support(t)
 
-    found: list[tuple[BraidWord, str]] = []
-    seen: set[tuple] = set()
+    found: dict[tuple, BraidWord] = {}  # by normal form; the first word stays
 
-    def add(w: BraidWord, method: str) -> None:
-        key = nf_key(w, n)
-        if key in seen:
-            return
-        seen.add(key)
-        found.append((w, method))
+    def add(w: BraidWord) -> None:
+        found.setdefault(nf_key(w, n), w)
 
     if n >= 2:
-        add(power(delta(n), 2), "rule")
+        add(power(delta(n), 2))
     for i in range(1, n):
         if all(abs(i - s) >= 2 for s in support):
-            add(generator(n, i), "rule")
-
+            add(generator(n, i))
     for w in enumerate_products(alphabet.generators, max_length):
-        if limit is not None and len(found) >= limit:
-            break
         if all(elements_commute(w, t) for t in targets):
-            add(w, "search")
-
-    if limit is not None:
-        found = found[:limit]
-    return CentralizerReport(
-        tuple(w for w, _ in found),
-        tuple(m for _, m in found),
-    )
+            add(w)
+    return tuple(found.values())

@@ -230,24 +230,26 @@ def enumerate_products(
     length 0..max_length: ordered by length, then lexicographically by
     symbol position (each generator followed by its inverse). Immediately
     cancelling symbol pairs are skipped; every group element expressible
-    within the length bound still appears.
+    within the length bound still appears. Each length is walked depth
+    first, so the state is one prefix per depth, not a whole length level.
     """
     if not alphabet:
         raise ValueError("alphabet must be nonempty")
     n = max(w.strands for w in alphabet)
-    symbols: list[tuple[int, BraidWord]] = []
-    for i, w in enumerate(alphabet):
-        symbols += [(i, w.embed(n)), (~i, invert(w).embed(n))]
+    # Symbol 2i is the i-th entry and 2i+1 its inverse, so k ^ 1 cancels k.
+    symbols: list[tuple[int, ...]] = []
+    for w in alphabet:
+        symbols += [w.letters, invert(w).letters]
+
+    def walk(prefix: tuple[int, ...], last: int, depth: int) -> Iterator[BraidWord]:
+        for k, letters in enumerate(symbols):
+            if k ^ 1 == last:
+                continue
+            if depth == 1:
+                yield BraidWord(n, prefix + letters)
+            else:
+                yield from walk(prefix + letters, k, depth - 1)
 
     yield identity(n)
-    level: list[tuple[int, BraidWord]] = [(tag, w) for tag, w in symbols]
-    for _ in range(max_length):
-        for tag, w in level:
-            yield w
-        nxt: list[tuple[int, BraidWord]] = []
-        for tag, w in level:
-            for stag, sw in symbols:
-                if stag == ~tag:  # immediate cancellation
-                    continue
-                nxt.append((stag, compose(w, sw)))
-        level = nxt
+    for length in range(1, max_length + 1):
+        yield from walk((), -1, length)

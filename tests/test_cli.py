@@ -112,6 +112,20 @@ class TestAttack:
         assert code == 2
         assert "subgroup name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exponents", [["x"], [1, 2, 3, 4, 5], [1, 2, 3, True], 7])
+    def test_bad_oracle_exponents_are_config_error(self, tmp_path, capsys, exponents):
+        self.simulate(tmp_path)
+        path = tmp_path / "secret.json"
+        secret = json.loads(path.read_text())
+        secret["exponents"] = exponents
+        path.write_text(json.dumps(secret))
+        code = run_cli(
+            "attack", "--max-len", "3", "--in", str(tmp_path / "public.json"),
+            "--oracle", str(path), "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "exponent" in capsys.readouterr().err
+
     def test_stickel_route(self, tmp_path):
         assert run_cli(
             "simulate", "--preset", "stickel", "--n", "8",

@@ -293,7 +293,7 @@ class TestDehornoyCentralizerExtractor:
         inst = build_dehornoy_centralizer_instance(
             x, probes, interval_generators(3, 1, 2), BraidWord(3, (2,))
         )
-        assert "0" in inst.meta_dict()["degenerate_pairs"].split(",")
+        assert "0" in dict(inst.meta)["degenerate_pairs"].split(",")
 
     def test_requires_probes(self):
         with pytest.raises(ValueError):

@@ -34,7 +34,7 @@ class TestPresets:
         config = make_preset(name, strands=8, secret_length=4, seed=0)
         report = validate_conditions(config)
         assert report.required_pass
-        assert report.all_pass
+        assert all(c.passed for c in report.checks)
 
     def test_unknown_preset(self):
         with pytest.raises(ProtocolError):

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -196,6 +199,20 @@ class TestEnumerateProducts:
     def test_skips_immediate_cancellation(self):
         words = list(enumerate_products([generator(2, 1)], 2))
         assert BraidWord(2, (1, -1)) not in words
+
+    def test_first_word_of_a_length_builds_no_level(self):
+        # B_40 has 78 symbols, so its length-3 level holds 78*77*77 = 462,462
+        # words; the first of them must come without building the rest.
+        gens = [generator(40, i) for i in range(1, 40)]
+        tracemalloc.start()
+        try:
+            words = enumerate_products(gens, 3)
+            word = next(itertools.islice(words, 1 + 78 + 78 * 77, None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert word == BraidWord(40, (1, 1, 1))
+        assert peak < 2_000_000
 
     def test_covers_short_elements(self):
         from braidwork.garside import nf_key
