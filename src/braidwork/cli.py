@@ -14,6 +14,7 @@ codes: 0 success, 1 attack or solve incomplete, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import random
@@ -43,6 +44,7 @@ from .words import (
     compose,
     compose_all,
     expect_list,
+    expect_strands,
     generator,
     invert,
     random_word,
@@ -129,7 +131,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _attack_from_records(
     public: dict, secret: dict | None, args: argparse.Namespace
 ) -> AttackReport:
-    config = SolverConfig(max_length=args.max_len, budget=args.budget, seed=args.seed)
+    config = SolverConfig(max_length=args.max_len, budget=args.budget)
     if public.get("scheme") == "dehornoy":
         x, x_prime = (
             BraidWord.from_record(w)
@@ -139,21 +141,10 @@ def _attack_from_records(
         p_pub = BraidWord.from_record(public["p_pub"])
         response = BraidWord.from_record(public["response"])
         n = base.strands
-        alphabet = interval_generators(n, 1, n - 1)
-        oracle_s = BraidWord.from_record(secret["s"]) if secret else None
         return attack_dehornoy_pair(
-            x,
-            x_prime,
-            base,
-            p_pub,
-            response,
-            SolverConfig(
-                max_length=args.max_len,
-                budget=args.budget,
-                seed=args.seed,
-                alphabet=alphabet,
-            ),
-            oracle_s=oracle_s,
+            x, x_prime, base, p_pub, response,
+            dataclasses.replace(config, alphabet=interval_generators(n, 1, n - 1)),
+            oracle_s=BraidWord.from_record(secret["s"]) if secret else None,
         )
     transcript = PublicTranscript.from_record(public)
     oracle = SecretTranscript.from_record(secret) if secret else None
@@ -190,7 +181,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print("solve requires --in instance.json", file=sys.stderr)
         return 2
     instance = CspInstance.from_record(_load(args.in_path))
-    config = SolverConfig(max_length=args.max_len, budget=args.budget, seed=args.seed)
+    config = SolverConfig(max_length=args.max_len, budget=args.budget)
     report = solve_exhaustive(instance, config)
     out = pathlib.Path(args.out)
     path = out / "solution.json" if out.is_dir() or not out.suffix else out
@@ -317,6 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": cmd_sweep,
     }
     try:
+        expect_strands(args.n)
         return handlers[args.command](args)
     except (ProtocolError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """
 Desk-scale solvers for conjugacy-search instances: exhaustive coset
-search, greedy length descent, and exponent search.
+search, greedy length descent, and exponent search, which is the
+exhaustive candidate loop over one generator.
 
 All solvers share the convention of CspInstance: a solution g satisfies
 g x_i g^-1 = y_i for every pair. Candidates are formed as `word . t` where
@@ -33,7 +34,6 @@ from .words import (
     enumerate_products,
     identity,
     invert,
-    power,
 )
 
 SOLVED = "solved"
@@ -115,6 +115,29 @@ def solve_exhaustive(
     space up to the length bound was searched; "budget-exceeded" means the
     candidate budget ran out first.
     """
+    return _candidate_loop(instance, config, extra_check)
+
+
+def solve_power(instance: CspInstance, max_exponent: int) -> SolutionReport:
+    """Try powers base^0, base^1, base^-1, ... of the alphabet's first
+    generator as conjugators (the cyclic-subgroup case): the exhaustive
+    candidate loop over that one generator, whose enumeration is exactly
+    these 2*max_exponent+1 powers, so its budget is never the bound."""
+    if max_exponent < 0:
+        raise ValueError("max exponent must be nonnegative")
+    alphabet = instance.alphabet
+    cyclic = SubgroupSpec(alphabet.name, alphabet.strands, alphabet.generators[:1])
+    config = SolverConfig(max_exponent, cyclic, budget=2 * max_exponent + 1)
+    return _candidate_loop(instance, config)
+
+
+def _candidate_loop(
+    instance: CspInstance,
+    config: SolverConfig,
+    extra_check: Callable[[BraidWord], bool] | None = None,
+) -> SolutionReport:
+    """The search behind solve_exhaustive and solve_power, kept apart so
+    neither traced solver entry calls the other."""
     n, alphabet, t, xs, ys = _setup(instance, config)
     tested = 0
     for word in enumerate_products(alphabet.generators, config.max_length):
@@ -129,25 +152,6 @@ def solve_exhaustive(
                 continue
             per_pair = tuple(verify_solution(instance, g))
             return SolutionReport(SOLVED, g, word, tested, per_pair)
-    return SolutionReport(EXHAUSTED, None, None, tested)
-
-
-def solve_power(instance: CspInstance, max_exponent: int) -> SolutionReport:
-    """Try powers base^0, base^1, base^-1, ... of the alphabet's first
-    generator as conjugators (the cyclic-subgroup case)."""
-    if max_exponent < 0:
-        raise ValueError("max exponent must be nonnegative")
-    base = instance.alphabet.generators[0]
-    exponents = [0]
-    for e in range(1, max_exponent + 1):
-        exponents += [e, -e]
-    tested = 0
-    for e in exponents:
-        tested += 1
-        g = power(base, e)
-        checks = verify_solution(instance, g)
-        if all(checks):
-            return SolutionReport(SOLVED, g, g, tested, tuple(checks))
     return SolutionReport(EXHAUSTED, None, None, tested)
 
 

@@ -22,6 +22,7 @@ from .words import (
     enumerate_products,
     expect_list,
     expect_object,
+    expect_strands,
     expect_type,
     generator,
     power,
@@ -59,7 +60,7 @@ class SubgroupSpec:
             raise ValueError("a subgroup record needs an integer n")
         return SubgroupSpec(
             expect_type(record["name"], str, "a subgroup name"),
-            record["n"],
+            expect_strands(record["n"]),
             tuple(
                 BraidWord.from_record(g)
                 for g in expect_list(record["generators"], "a subgroup's generators")

@@ -17,6 +17,10 @@ import dataclasses
 import random
 from typing import Iterable, Iterator, Sequence
 
+# Largest strand count accepted from records and the CLI, above every n the
+# tests, README and benchmark use: arithmetic and search cost grows with n.
+MAX_STRANDS = 64
+
 
 @dataclasses.dataclass(frozen=True)
 class BraidWord:
@@ -56,7 +60,7 @@ class BraidWord:
             type(x) is not int for x in letters
         ):
             raise ValueError("a braid word record needs an integer n and integer letters")
-        return BraidWord(n, tuple(letters))
+        return BraidWord(expect_strands(n), tuple(letters))
 
 
 def expect_object(record, what: str) -> dict:
@@ -81,6 +85,13 @@ def expect_type(value, kind: type, what: str):
     if type(value) is not kind:
         raise ValueError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def expect_strands(n: int) -> int:
+    """`n` itself if it is at most MAX_STRANDS; a ValueError otherwise."""
+    if n > MAX_STRANDS:
+        raise ValueError(f"strand count {n} is above the cap of {MAX_STRANDS}")
+    return n
 
 
 def identity(strands: int) -> BraidWord:

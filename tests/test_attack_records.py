@@ -8,7 +8,9 @@ for itself are captured at the solver call and pinned by their pairs and
 meta. The extractor, partial-factor and dehornoy-instance digests date from
 before instance construction moved behind the extractor builders; the
 others were re-pinned when the EDL v-side solve, two checks that could not
-fail and the empty timings field were deleted, and `test_answers_unchanged`
+fail and the empty timings field were deleted, and the stickel and
+decomposition digests again when the decomposition right-side solve and
+the token-reconstruction checks were deleted. `test_answers_unchanged`
 shows that nothing else in those records moved.
 """
 
@@ -353,16 +355,27 @@ def test_decomposition_records_unchanged():
     assert digest(decomposition_records()) == DECOMPOSITION_DIGEST
 
 
+def test_exhaustive_decomposition_solves_one_instance(solved_instances):
+    run = ka_run(make_preset("klchkp", strands=6, secret_length=2), seed=0)
+    report = attack_decomposition(run.public, SolverConfig(max_length=3))
+    assert report.success
+    assert [i["meta"]["extractor"] for i in solved_instances] == ["dhdp-a"]
+    assert len(report.solver_reports) == 1
+
+
 def test_extractor_records_unchanged():
     assert digest(extractor_records()) == EXTRACTOR_DIGEST
 
 
 # Answers: every record with the keys, checks and reports that cannot change
-# an answer left out (the EDL v-side solve and its instance, the gtcp
-# map-inverted and dehornoy-centralizer unshifted checks, the always-empty
-# timings). Taken before they were deleted, so it shows that deleting them
-# changed no verdict, recovered value, remaining check or u-side report.
-UNANSWERED_CHECKS = ("map-inverted", "unshifted")
+# an answer left out (the EDL v-side solve and its instance, the
+# decomposition right-side solve and its instance, the gtcp map-inverted
+# and dehornoy-centralizer unshifted checks, the stickel and decomposition
+# token-reconstruction checks, the always-empty timings). Taken before they were deleted, so it shows that
+# deleting them changed no verdict, recovered value, remaining check or
+# first report.
+UNANSWERED_CHECKS = ("map-inverted", "unshifted", "token-reconstruction")
+UNANSWERED_INSTANCES = ("edl-v", "dhdp-b", "dhdp-d")
 ANSWER_SETS = {
     "edl": edl_records,
     "gtcp": gtcp_records,
@@ -378,9 +391,10 @@ def answer(record):
     if not isinstance(record, dict) or "solver_reports" not in record:
         return record
     kept = {k: v for k, v in record.items() if k != "timings_ms"}
-    if "verdict" in record:  # an EDL decision: its u-side report only
+    if "verdict" in record or record.get("attack") == "decomposition":
+        # an EDL decision's u-side report, a decomposition's left-side one
         kept["solver_reports"] = record["solver_reports"][:1]
-    else:
+    if "verdict" not in record:
         kept["checks"] = [c for c in record["checks"] if c["name"] not in UNANSWERED_CHECKS]
     return kept
 
@@ -388,7 +402,10 @@ def answer(record):
 @pytest.mark.parametrize("name", ANSWER_SETS)
 def test_answers_unchanged(name, solved_instances):
     answers = [answer(r) for r in ANSWER_SETS[name]()]
-    instances = [i for i in solved_instances if i["meta"].get("extractor") != "edl-v"]
+    instances = [
+        i for i in solved_instances
+        if i["meta"].get("extractor") not in UNANSWERED_INSTANCES
+    ]
     assert digest(answers + instances) == ANSWER_DIGESTS[name]
 
 
@@ -399,15 +416,15 @@ DEHORNOY_DIGEST = "ce1b21451ab835dcc2d2cf42d96b05697f2e411294776c1091d9e3dea3073
 DEHORNOY_INSTANCES_DIGEST = "7239b74be7e531ffe60437af978e88efbe27bce720876ac31acfe1c000b2a336"
 PARTIAL_FACTOR_DIGEST = "228100b4b4159a0380042a0bcf78e448c90ee75c0bd2437f5b16b5abfa04d6e8"
 PARTIAL_FACTOR_INSTANCES_DIGEST = "77b9143845d00ca7debae637ac83d6581c4fb968daa8c4da570e9920d63f4cf2"
-STICKEL_DIGEST = "aab9615277fc349007c05b2cb03df1103a48b5e6d322af1d86ff5d9e753afa32"
-DECOMPOSITION_DIGEST = "9a22cbfd230db70ed2a24c315f0cd8cd2aafaf86370d37024a739be398fbf895"
+STICKEL_DIGEST = "753a3de09c7dfda24268e3689df3e06965926757388f8c2a30a8976c6df90ee7"
+DECOMPOSITION_DIGEST = "bbec5ee4a9fb123c81019e0b5666494857cdadfa91ce7f3e904d8d86ace2068e"
 EXTRACTOR_DIGEST = "5673fa90107bb483cf81bb263251e8d77cee3e327cede0cc1f7a88883dd9f936"
 ANSWER_DIGESTS = {
     "edl": "289c5d6159ff90e23d40f57e98e345ca945f153ea3ad01b0960a64d00e28ebe6",
     "gtcp": "402662ebfeba2eb385aab6c8733f66bb18ea0ca75bd17365a9acedfd745369df",
     "dehornoy": "51e5a5e61ec8a2c65b7c6f5a615187feed4dad699c93ebced7b8388d9474c974",
     "partial-factor": "72dfc63c04074c302078b21d802d582b131c74cb1e73617183a01a1b484cee0a",
-    "stickel": "ddabf6d1e6cae8de0e4a5a8d761cf9a278c7b6030ef07018ee4ef5d336c98245",
-    "decomposition": "5e1e4afdf8042a4fca8750af7f12a0dc7411d006b7bb0575ab3a51fdbfd6076a",
+    "stickel": "71593bb897d08e1ddf2077e5fcc944f11ba38b2d0d8b581da07d8bb55f4b9e79",
+    "decomposition": "5d82ade01002ecc3b16129e250970a853cfbe7a8ad70f6880562778070dab4b2",
     "extractor": "5673fa90107bb483cf81bb263251e8d77cee3e327cede0cc1f7a88883dd9f936",
 }

@@ -214,6 +214,46 @@ class TestSolve:
         assert "braid word record must be a JSON object" in capsys.readouterr().err
 
 
+class TestStrandCap:
+    """Outside input names at most 64 strands; one more is a configuration
+    error, whatever the search bound."""
+
+    N = 65
+
+    def test_instance_record(self, tmp_path, capsys):
+        word = {"n": self.N, "word": [1]}
+        alphabet = {"name": "s1", "n": self.N, "generators": [word]}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"pairs": [{"x": word, "y": word}], "alphabet": alphabet}))
+        code = run_cli(
+            "solve", "--max-len", "0", "--in", str(path), "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert "64" in capsys.readouterr().err
+
+    def test_config_record(self, tmp_path, capsys):
+        assert run_cli(
+            "simulate", "--n", "6", "--secret-len", "2", "--out", str(tmp_path)
+        ) == 0
+        path = tmp_path / "public.json"
+        public = json.loads(path.read_text())
+        public["config"]["n"] = self.N
+        path.write_text(json.dumps(public))
+        code = run_cli(
+            "attack", "--max-len", "0", "--in", str(path), "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert "64" in capsys.readouterr().err
+
+    def test_n_flag(self, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--n", str(self.N), "--secret-len", "1", "--max-len", "0",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "64" in capsys.readouterr().err
+
+
 class TestSelftest:
     def test_all_pass(self, capsys):
         assert run_cli("selftest") == 0

@@ -10,10 +10,15 @@ import dataclasses
 import hashlib
 import json
 
-from braidwork.extractors import CspInstance, build_mscsp_dhdp
+from braidwork.extractors import CspInstance, build_mscsp_dhdp, build_stickel_instance
 from braidwork.garside import rewrite
 from braidwork.protocols import ka_run, make_preset
-from braidwork.solvers import SolverConfig, solve_exhaustive, solve_length_descent
+from braidwork.solvers import (
+    SolverConfig,
+    solve_exhaustive,
+    solve_length_descent,
+    solve_power,
+)
 from braidwork.subgroups import SubgroupSpec, interval_generators
 from braidwork.words import (
     BraidWord,
@@ -21,6 +26,7 @@ from braidwork.words import (
     compose_all,
     generator,
     invert,
+    power,
     random_word,
 )
 
@@ -174,6 +180,32 @@ def exhaustive_reports():
             )
 
 
+def power_reports():
+    # The stickel attack's instances at every bound from 0 to 8.
+    for n in (4, 6, 8):
+        config = make_preset("stickel", strands=n, exponent_bound=5)
+        a, b = config.stickel_pair
+        for seed in range(6):
+            token = ka_run(config, seed=seed).public.token_a
+            for alpha in (1, 2):
+                instance = build_stickel_instance(a, b, token, alpha)
+                for bound in range(9):
+                    yield solve_power(instance, bound)
+    # The instances of test_solvers.py, and a two-generator alphabet whose
+    # second generator is never tried.
+    a, b = BraidWord(5, (1, 2)), BraidWord(5, (3, 4))
+    cyclic = SubgroupSpec("<a>", 5, (a,))
+    for exponent, bound in ((3, 5), (3, 2), (-2, 3)):
+        yield solve_power(conjugation_instance(power(a, exponent), (b,), cyclic), bound)
+    yield solve_power(CspInstance(((generator(5, 4), generator(5, 4)),), cyclic), 3)
+    yield solve_power(
+        conjugation_instance(
+            generator(5, 2), (generator(5, 1),), interval_generators(5, 1, 3)
+        ),
+        2,
+    )
+
+
 def test_descent_reports_unchanged():
     assert digest(descent_reports()) == DESCENT_DIGEST
 
@@ -182,5 +214,10 @@ def test_exhaustive_reports_unchanged():
     assert digest(exhaustive_reports()) == EXHAUSTIVE_DIGEST
 
 
+def test_power_reports_unchanged():
+    assert digest(power_reports()) == POWER_DIGEST
+
+
 DESCENT_DIGEST = "365576b3bc2afc582bc1a65109580f045d01b9b6efd0c897537611b25d8e3b46"
 EXHAUSTIVE_DIGEST = "64ee3b81eeacefda460c4eb395cf832582242fa7fcc4185694fcb17d5f804e2f"
+POWER_DIGEST = "1b7a4ccd24a4711c7f554133c4b11b1cbcfcabaa943d9230739f5b09de374d4e"
