@@ -44,6 +44,7 @@ from .words import (
     compose,
     compose_all,
     expect_list,
+    expect_secret_length,
     expect_strands,
     generator,
     invert,
@@ -309,6 +310,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         expect_strands(args.n)
+        expect_secret_length(args.secret_len)
+        for flag, value in (("--max-len", args.max_len), ("--budget", args.budget)):
+            if value < 0:
+                raise ValueError(f"{flag} must be nonnegative, got {value}")
         return handlers[args.command](args)
     except (ProtocolError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,7 @@ from .words import (
     compose,
     expect_list,
     expect_object,
+    expect_secret_length,
     expect_strands,
     expect_type,
     generator,
@@ -114,7 +115,9 @@ class KaConfig:
             right_b=SubgroupSpec.from_record(record["right_b"]),
             base=BraidWord.from_record(record["z"]),
             condition_mode=expect_type(record["condition_mode"], str, "condition_mode"),
-            secret_length=expect_type(record["secret_length"], int, "secret_length"),
+            secret_length=expect_secret_length(
+                expect_type(record["secret_length"], int, "secret_length")
+            ),
             positive_only=expect_type(record["positive_only"], bool, "positive_only"),
             conjugate_secrets=expect_type(
                 record["conjugate_secrets"], bool, "conjugate_secrets"

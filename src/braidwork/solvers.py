@@ -1,7 +1,7 @@
 """
 Desk-scale solvers for conjugacy-search instances: exhaustive coset
 search, greedy length descent, and exponent search, which is the
-exhaustive candidate loop over one generator.
+exhaustive search over one generator.
 
 All solvers share the convention of CspInstance: a solution g satisfies
 g x_i g^-1 = y_i for every pair. Candidates are formed as `word . t` where
@@ -9,6 +9,36 @@ the word ranges over a canonical deterministic enumeration of the
 configured alphabet and t is a fixed coset factor, the inverse of the
 instance's post_transform (so the enumerated word is the secret itself).
 Reports are deterministic functions of (instance, config).
+
+The canonical enumeration (`words.enumerate_products`) orders words by
+length, then lexicographically by symbol (each generator followed by its
+inverse), and skips neighbouring symbols that cancel. The exhaustive search
+returns the first word in that order that solves every pair, but meets in
+the middle rather than conjugating by every word:
+
+- Split a word of length d as w = a.b, with |a| = ceil(d/2) and
+  |b| = floor(d/2). Then w x w^-1 = y for every pair exactly when
+  b x b^-1 = a^-1 y a for every pair.
+- A table maps the normal forms of b x b^-1 over the pairs to the b's of
+  one length, in canonical order. The table for |b| = h is built when
+  length 2h is first searched, from the one for h - 1 by growing each b on
+  the left, at one conjugation by a symbol per entry; it serves lengths
+  2h and 2h + 1 and is dropped for the next.
+- The a's are walked depth first in canonical order, carrying a^-1 y a at
+  one conjugation by a symbol per node. Each a is followed by its matching
+  b's in order, less those that cancel at the junction, so the matches
+  come in canonical order and the extra check sees them as it would in a
+  plain enumeration.
+- A word's rank in the enumeration, which its report gives as the number
+  of candidates tested, has a closed form: 1 + sum over j < d of
+  m(m-1)^(j-1) words are shorter (m symbols), and its lexicographic place
+  among the words of its length counts m choices for the first symbol and
+  m - 1 for each later one. A match ranked past the budget, or a whole
+  space larger than it, ends as "budget-exceeded"; "exhausted" reports the
+  size of the whole space.
+- Before building any table the search works out the longest length its
+  budget reaches and the size of that length's table, and refuses a table
+  above MAX_TABLE_ENTRIES with a ValueError.
 """
 
 from __future__ import annotations
@@ -31,7 +61,6 @@ from .words import (
     BraidWord,
     compose,
     compose_all,
-    enumerate_products,
     identity,
     invert,
 )
@@ -40,6 +69,14 @@ SOLVED = "solved"
 EXHAUSTED = "exhausted"
 BUDGET_EXCEEDED = "budget-exceeded"
 STALLED = "stalled"
+
+# The most words of one length a table may hold. The exhaustive search
+# works out, before it builds any table, the longest length its budget
+# reaches and the table that length needs, and refuses a larger one. With
+# three pairs on 8 strands an entry takes about 1.2 kB (64-bit CPython
+# 3.11), so a full table about 80 MB; the default budget of 200,000 never
+# needs a table of more than a few thousand words.
+MAX_TABLE_ENTRIES = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,11 +146,16 @@ def solve_exhaustive(
     extra_check: Callable[[BraidWord], bool] | None = None,
 ) -> SolutionReport:
     """
-    Enumerate candidate words in canonical breadth-first order, apply the
-    coset factor, and return the first candidate verifying every pair (and
-    the optional extra predicate). Status "exhausted" means the whole
-    space up to the length bound was searched; "budget-exceeded" means the
-    candidate budget ran out first.
+    The first candidate word, in canonical breadth-first order, that with
+    the coset factor verifies every pair (and the optional extra
+    predicate), found by meeting in the middle: each word is split into a
+    head and a tail of half its length, tails are looked up in a table
+    built for one length at a time, and the rank of the word gives
+    `candidates_tested`, as the module docstring sets out. Status
+    "exhausted" means the whole space up to the length bound was
+    searched; "budget-exceeded" means the candidate budget ran out first.
+    Raises ValueError when the longest length the budget reaches needs a
+    table of more than MAX_TABLE_ENTRIES words.
     """
     return _candidate_loop(instance, config, extra_check)
 
@@ -137,22 +179,107 @@ def _candidate_loop(
     extra_check: Callable[[BraidWord], bool] | None = None,
 ) -> SolutionReport:
     """The search behind solve_exhaustive and solve_power, kept apart so
-    neither traced solver entry calls the other."""
+    neither traced solver entry calls the other: a meet in the middle over
+    the canonical enumeration, as the module docstring describes."""
     n, alphabet, t, xs, ys = _setup(instance, config)
-    tested = 0
-    for word in enumerate_products(alphabet.generators, config.max_length):
-        if tested >= config.budget:
-            return SolutionReport(BUDGET_EXCEEDED, None, None, tested)
-        tested += 1
-        # word . (t x t^-1) . word^-1 is the conjugate by word^-1.
-        word_inv = invert(word)
-        if all(conjugate(x, word_inv) == y for x, y in zip(xs, ys)):
-            g = compose(word, t)
-            if extra_check is not None and not extra_check(g):
-                continue
-            per_pair = tuple(verify_solution(instance, g))
-            return SolutionReport(SOLVED, g, word, tested, per_pair)
-    return SolutionReport(EXHAUSTED, None, None, tested)
+    # Symbol 2i is the i-th generator and 2i+1 its inverse, so k ^ 1 cancels k.
+    symbols: list[BraidWord] = []
+    for g in alphabet.generators:
+        symbols += [g, invert(g)]
+    m = len(symbols)
+    budget = max(config.budget, 0)
+    max_length = max(config.max_length, 0)
+
+    # The deepest length whose first word the budget reaches.
+    deepest, reached = -1, 0
+    while deepest < max_length and reached < budget:
+        deepest += 1
+        reached += _words_of_length(m, deepest)
+    entries = _words_of_length(m, max(deepest, 0) // 2)
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"a search to length {deepest} needs a table of {entries} words, above "
+            f"the cap of {MAX_TABLE_ENTRIES}: lower the length bound or the budget"
+        )
+
+    # The b's of the current table's length in canonical order, each with
+    # the normal forms of b x b^-1, and the table from those forms to the b's.
+    level = [((), tuple(xs))]
+    table = {tuple(xs): [()]}
+    before = 0  # the number of words shorter than the current length
+    for length in range(deepest + 1):
+        if length // 2 > len(level[0][0]):
+            level = _grow_left(level, symbols)
+            table = {}
+            for b, key in level:
+                table.setdefault(key, []).append(b)
+        for a, key in _walk(symbols, (), tuple(ys), length - length // 2):
+            for b in table.get(key, ()):
+                if a and b and a[-1] ^ 1 == b[0]:
+                    continue
+                rank = before + _lex_rank(a + b, m) + 1
+                if rank > budget:
+                    return SolutionReport(BUDGET_EXCEEDED, None, None, budget)
+                letters = tuple(x for k in a + b for x in symbols[k].letters)
+                word = BraidWord(alphabet.strands, letters)
+                g = compose(word, t)
+                if extra_check is not None and not extra_check(g):
+                    continue
+                per_pair = tuple(verify_solution(instance, g))
+                return SolutionReport(SOLVED, g, word, rank, per_pair)
+        before += _words_of_length(m, length)
+    if deepest < max_length or before > budget:
+        return SolutionReport(BUDGET_EXCEEDED, None, None, budget)
+    return SolutionReport(EXHAUSTED, None, None, before)
+
+
+def _words_of_length(m: int, length: int) -> int:
+    """The number of symbol sequences of that length over m symbols with
+    no cancelling neighbours."""
+    return m * (m - 1) ** (length - 1) if length else 1
+
+
+def _lex_rank(seq: tuple[int, ...], m: int) -> int:
+    """The place, from 0, of a symbol sequence with no cancelling
+    neighbours among those of its length in canonical order: every symbol
+    after the first has m - 1 choices, as it may not cancel the one before."""
+    rank = seq[0] if seq else 0
+    for prev, k in zip(seq, seq[1:]):
+        rank = rank * (m - 1) + k - (prev ^ 1 < k)
+    return rank
+
+
+def _grow_left(
+    level: list[tuple[tuple[int, ...], tuple[GarsideNormalForm, ...]]],
+    symbols: list[BraidWord],
+) -> list[tuple[tuple[int, ...], tuple[GarsideNormalForm, ...]]]:
+    """The b's one symbol longer, in canonical order: each s.b that does
+    not cancel, with s (b x b^-1) s^-1 as one conjugation by s^-1 per pair."""
+    return [
+        ((k,) + b, tuple(conjugate(z, symbols[k ^ 1]) for z in zs))
+        for k in range(len(symbols))
+        for b, zs in level
+        if not b or b[0] != k ^ 1
+    ]
+
+
+def _walk(
+    symbols: list[BraidWord],
+    prefix: tuple[int, ...],
+    zs: tuple[GarsideNormalForm, ...],
+    length: int,
+):
+    """Depth first in canonical order, every a of `length` more symbols
+    after `prefix` with no cancelling neighbours, and the normal forms of
+    a^-1 y a: one conjugation by a symbol per pair and node."""
+    if not length:
+        yield prefix, zs
+        return
+    cancels = prefix[-1] ^ 1 if prefix else -1
+    for k, s in enumerate(symbols):
+        if k != cancels:
+            step = tuple(conjugate(z, s) for z in zs)
+            yield from _walk(symbols, prefix + (k,), step, length - 1)
 
 
 def _conjugate_cost(

@@ -20,6 +20,10 @@ from typing import Iterable, Iterator, Sequence
 # Largest strand count accepted from records and the CLI, above every n the
 # tests, README and benchmark use: arithmetic and search cost grows with n.
 MAX_STRANDS = 64
+# Largest secret length accepted from records and the CLI, far above the
+# default of 8 and every length the tests, README and benchmark use: the
+# cost of a protocol run grows faster than linearly with it.
+MAX_SECRET_LENGTH = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,6 +96,13 @@ def expect_strands(n: int) -> int:
     if n > MAX_STRANDS:
         raise ValueError(f"strand count {n} is above the cap of {MAX_STRANDS}")
     return n
+
+
+def expect_secret_length(length: int) -> int:
+    """`length` itself if it is at most MAX_SECRET_LENGTH; a ValueError otherwise."""
+    if length > MAX_SECRET_LENGTH:
+        raise ValueError(f"secret length {length} is above the cap of {MAX_SECRET_LENGTH}")
+    return length
 
 
 def identity(strands: int) -> BraidWord:

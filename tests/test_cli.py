@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -252,6 +253,68 @@ class TestStrandCap:
         )
         assert code == 2
         assert "64" in capsys.readouterr().err
+
+
+class TestSearchSize:
+    """A search whose budget reaches a length needing a table above the
+    solver's cap, or a negative bound, is a configuration error found
+    before any work."""
+
+    def instance_path(self, tmp_path):
+        word = {"n": 4, "word": [1]}
+        generators = [{"n": 4, "word": [i]} for i in (1, 2, 3)]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({
+            "pairs": [{"x": word, "y": {"n": 4, "word": [2]}}],
+            "alphabet": {"name": "s1..s3", "n": 4, "generators": generators},
+        }))
+        return path
+
+    def test_hostile_search_exits_at_once(self, tmp_path, capsys):
+        path = self.instance_path(tmp_path)
+        tracemalloc.start()
+        try:
+            code = run_cli(
+                "solve", "--max-len", "40", "--budget", str(10**15),
+                "--in", str(path), "--out", str(tmp_path),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "cap" in capsys.readouterr().err
+        assert peak < 2 * 2**20
+        assert not (tmp_path / "solution.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--max-len", "--budget"])
+    def test_negative_bound(self, tmp_path, capsys, flag):
+        path = self.instance_path(tmp_path)
+        code = run_cli("solve", flag, "-1", "--in", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+
+class TestSecretLengthCap:
+    """Secret lengths above 256, from the flag or a config record, are
+    configuration errors."""
+
+    def test_flag(self, tmp_path, capsys):
+        code = run_cli("simulate", "--secret-len", "257", "--out", str(tmp_path))
+        assert code == 2
+        assert "256" in capsys.readouterr().err
+        assert not (tmp_path / "public.json").exists()
+
+    def test_config_record(self, tmp_path, capsys):
+        assert run_cli(
+            "simulate", "--n", "6", "--secret-len", "2", "--out", str(tmp_path)
+        ) == 0
+        path = tmp_path / "public.json"
+        public = json.loads(path.read_text())
+        public["config"]["secret_length"] = 257
+        path.write_text(json.dumps(public))
+        code = run_cli("attack", "--max-len", "0", "--in", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "256" in capsys.readouterr().err
 
 
 class TestSelftest:
