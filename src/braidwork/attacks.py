@@ -481,10 +481,10 @@ class PartialFactorResult:
         return {
             "probe": self.probe.to_record(),
             "solver_report": self.solver_report.to_record(),
-            "residual": self.residual.to_record() if self.residual else None,
+            "residual": self.residual.to_record() if self.residual is not None else None,
             "depth": self.depth,
             "remaining_token": (
-                self.remaining_token.to_record() if self.remaining_token else None
+                self.remaining_token.to_record() if self.remaining_token is not None else None
             ),
             "certificate_product": self.certificate_product,
             "certificate_commute": self.certificate_commute,

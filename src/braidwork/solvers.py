@@ -107,8 +107,8 @@ class SolutionReport:
     def to_record(self) -> dict:
         return {
             "status": self.status,
-            "solution": self.solution.to_record() if self.solution else None,
-            "raw_word": self.raw_word.to_record() if self.raw_word else None,
+            "solution": self.solution.to_record() if self.solution is not None else None,
+            "raw_word": self.raw_word.to_record() if self.raw_word is not None else None,
             "candidates_tested": self.candidates_tested,
             "per_pair": list(self.per_pair),
             "trace": list(self.trace),

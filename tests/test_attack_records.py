@@ -10,8 +10,10 @@ before instance construction moved behind the extractor builders; the
 others were re-pinned when the EDL v-side solve, two checks that could not
 fail and the empty timings field were deleted, and the stickel and
 decomposition digests again when the decomposition right-side solve and
-the token-reconstruction checks were deleted. `test_answers_unchanged`
-shows that nothing else in those records moved.
+the token-reconstruction checks were deleted. Every attack-record digest
+was re-pinned once more when `to_record` stopped writing an identity
+solution, raw word or residual as null. `test_answers_unchanged` shows that
+nothing else in those records moved.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ import json
 import random
 
 import pytest
+from test_solver_records import identity_as_null
 
 import braidwork.attacks as attacks
 from braidwork.attacks import (
@@ -371,9 +374,11 @@ def test_extractor_records_unchanged():
 # an answer left out (the EDL v-side solve and its instance, the
 # decomposition right-side solve and its instance, the gtcp map-inverted
 # and dehornoy-centralizer unshifted checks, the stickel and decomposition
-# token-reconstruction checks, the always-empty timings). Taken before they were deleted, so it shows that
-# deleting them changed no verdict, recovered value, remaining check or
-# first report.
+# token-reconstruction checks, the always-empty timings), and with identity
+# words written as null where to_record used to write them so. Taken before
+# those were deleted and before identity words were kept, so it shows that
+# neither changed a verdict, recovered value, remaining check or first
+# report.
 UNANSWERED_CHECKS = ("map-inverted", "unshifted", "token-reconstruction")
 UNANSWERED_INSTANCES = ("edl-v", "dhdp-b", "dhdp-d")
 ANSWER_SETS = {
@@ -388,6 +393,7 @@ ANSWER_SETS = {
 
 
 def answer(record):
+    record = identity_as_null(record)
     if not isinstance(record, dict) or "solver_reports" not in record:
         return record
     kept = {k: v for k, v in record.items() if k != "timings_ms"}
@@ -409,15 +415,15 @@ def test_answers_unchanged(name, solved_instances):
     assert digest(answers + instances) == ANSWER_DIGESTS[name]
 
 
-EDL_DIGEST = "7cbe48176198c53565648d3dc28e0df8f9032b256fcdd1857de1fc2e11e16573"
+EDL_DIGEST = "0e562245bebbcd32997b8dcbbf5358c449013b6ce11c23abb88e67f49f22427c"
 EDL_INSTANCES_DIGEST = "4292281555d6d89d46e60d6e1164864c8da1a15b6aa7ceaa94f95d53a73cce6d"
-GTCP_DIGEST = "77029a1a1794fc865664ce5fc747b81712c3a98da4ea6854b5b022f0635565a0"
-DEHORNOY_DIGEST = "ce1b21451ab835dcc2d2cf42d96b05697f2e411294776c1091d9e3dea30739ef"
+GTCP_DIGEST = "d895ae3b17aeb498daa12d16a49acca96abeae3749e4cb5c0ae09c145700b3d7"
+DEHORNOY_DIGEST = "0d7fbc836eeaf0e03d9fb954f41f365bd7aaecb75fa8e8c17d5549918ad1722d"
 DEHORNOY_INSTANCES_DIGEST = "7239b74be7e531ffe60437af978e88efbe27bce720876ac31acfe1c000b2a336"
-PARTIAL_FACTOR_DIGEST = "228100b4b4159a0380042a0bcf78e448c90ee75c0bd2437f5b16b5abfa04d6e8"
+PARTIAL_FACTOR_DIGEST = "eb732e6d2ea28d9c6b38215b8d178e194187cd549c38f7371bbedfc1b3053950"
 PARTIAL_FACTOR_INSTANCES_DIGEST = "77b9143845d00ca7debae637ac83d6581c4fb968daa8c4da570e9920d63f4cf2"
-STICKEL_DIGEST = "753a3de09c7dfda24268e3689df3e06965926757388f8c2a30a8976c6df90ee7"
-DECOMPOSITION_DIGEST = "bbec5ee4a9fb123c81019e0b5666494857cdadfa91ce7f3e904d8d86ace2068e"
+STICKEL_DIGEST = "fdeec6ae4fe4995c3e398c1195dc54b60beee03ca20195a89990f55ad1e80509"
+DECOMPOSITION_DIGEST = "af5fcc21d8d1aa70a06f9cea44fd29a310c5abc27765d9cd83cc61b50de1fca4"
 EXTRACTOR_DIGEST = "5673fa90107bb483cf81bb263251e8d77cee3e327cede0cc1f7a88883dd9f936"
 ANSWER_DIGESTS = {
     "edl": "289c5d6159ff90e23d40f57e98e345ca945f153ea3ad01b0960a64d00e28ebe6",

@@ -395,6 +395,8 @@ class TestPartialFactor:
         )
         assert all(r.certificate_product for r in results)
         assert is_trivial(results[-1].residual)
+        # A trivial residual is recorded as a word, not left out.
+        assert results[-1].to_record()["residual"] == results[-1].residual.to_record()
 
     def test_unsolved_probe_reported(self):
         token = BraidWord(6, (1, 2))

@@ -218,3 +218,12 @@ class TestReports:
             "trace",
         }
         assert record["status"] == SOLVED
+
+    def test_identity_solution_is_recorded(self):
+        # The identity word is the first candidate; its record is a word,
+        # not null.
+        alphabet = interval_generators(4, 1, 3)
+        inst = CspInstance(((generator(4, 1), generator(4, 1)),), alphabet)
+        record = solve_exhaustive(inst, SolverConfig(max_length=1)).to_record()
+        assert record["candidates_tested"] == 1
+        assert record["solution"] == record["raw_word"] == {"n": 4, "word": []}
