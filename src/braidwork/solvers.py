@@ -187,6 +187,8 @@ def _candidate_loop(
     for g in alphabet.generators:
         symbols += [g, invert(g)]
     m = len(symbols)
+    # As in the plain enumeration, a negative budget tests no word and a
+    # negative length bound still tests the identity.
     budget = max(config.budget, 0)
     max_length = max(config.max_length, 0)
 
