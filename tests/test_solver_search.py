@@ -121,26 +121,26 @@ def test_closed_form_rank_is_the_enumeration_position(m):
     assert counts == [_words_of_length(m, j) for j in range(5)]
 
 
-def three_generator_instance() -> CspInstance:
-    alphabet = SubgroupSpec(
-        "s1..s3", 4, tuple(BraidWord(4, (i,)) for i in (1, 2, 3))
-    )
-    return CspInstance(((BraidWord(4, (1,)), BraidWord(4, (2,))),), alphabet)
+def test_extra_check_sees_every_word_in_canonical_order():
+    # sigma_5 commutes with the alphabet, so every word solves the pair,
+    # and an extra check that turns every word down is asked about each.
+    alphabet = SubgroupSpec("s1,s2s1", 6, (BraidWord(6, (1,)), BraidWord(6, (2, 1))))
+    instance = CspInstance(((BraidWord(6, (5,)), BraidWord(6, (5,))),), alphabet)
+    seen = []
+    report = solve_exhaustive(instance, SolverConfig(4), lambda g: seen.append(g) and False)
+    assert seen == list(enumerate_products(alphabet.generators, 4))
+    assert (report.status, report.candidates_tested) == ("exhausted", len(seen))
 
 
-class TestTableCap:
-    def test_refuses_a_table_above_the_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            solve_exhaustive(three_generator_instance(), SolverConfig(40, budget=10**15))
-
-    def test_the_budget_sets_the_deepest_table(self, monkeypatch):
-        # Six symbols: lengths 0, 1, 2 hold 1, 6 and 30 words, so the
-        # budget reaches length 3 (table of length 1, six words) only
-        # above 37, and length 4 (table of thirty) only above 187.
-        monkeypatch.setattr(solvers, "MAX_TABLE_ENTRIES", 6)
-        instance = three_generator_instance()
-        for budget in (37, 38, 187):
-            solve_exhaustive(instance, SolverConfig(4, budget=budget))
-        with pytest.raises(ValueError, match="cap"):
-            solve_exhaustive(instance, SolverConfig(4, budget=188))
-        solve_exhaustive(instance, SolverConfig(3, budget=10**15))
+def test_the_budget_sets_the_deepest_table(monkeypatch):
+    # Six symbols: lengths 0, 1, 2 hold 1, 6 and 30 words, so the
+    # budget reaches length 3 (table of length 1, six words) only
+    # above 37, and length 4 (table of thirty) only above 187.
+    monkeypatch.setattr(solvers, "MAX_TABLE_ENTRIES", 6)
+    alphabet = SubgroupSpec("s1..s3", 4, tuple(BraidWord(4, (i,)) for i in (1, 2, 3)))
+    instance = CspInstance(((BraidWord(4, (1,)), BraidWord(4, (2,))),), alphabet)
+    for budget in (37, 38, 187):
+        solve_exhaustive(instance, SolverConfig(4, budget=budget))
+    with pytest.raises(ValueError, match="cap"):
+        solve_exhaustive(instance, SolverConfig(4, budget=188))
+    solve_exhaustive(instance, SolverConfig(3, budget=10**15))
