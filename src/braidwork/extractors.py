@@ -10,9 +10,11 @@ instance whose solution breaks the protocol.
 
 Every instance of the library is built here, by `build_conjugation_instance`
 (probes conjugated by one token) or `build_difference_instance`
-(differences of samples sharing a secret factor). Both re-expand each
-instance side they compute from normal form, modelling an attacker who only
-sees canonical public values; their callers choose tokens, probes, sides
+(differences of samples sharing a secret factor). Each instance side they
+compute is a canonical value, modelling an attacker who only sees canonical
+public values: the conjugation builder computes it by arithmetic on normal
+forms and exposes it with `to_word`, the difference builder re-expands the
+composed word with `rewrite`. Their callers choose tokens, probes, sides
 and alphabets.
 
 Instance convention: a solution g satisfies g x_i g^-1 = y_i for every
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .garside import rewrite, words_equal
+from .garside import GarsideNormalForm, inverse, normal_form, product, rewrite, words_equal
 from .protocols import PublicTranscript
 from .subgroups import SubgroupSpec, centralizer_search, interval_generators
 from .words import (
@@ -128,11 +130,23 @@ def build_conjugation_instance(
     meta: tuple[tuple[str, str], ...] = (),
 ) -> CspInstance:
     """One pair (probe, probe conjugated by the token on `side`) per probe,
-    the conjugate re-expanded from normal form."""
-    pairs = tuple(
-        (probe, rewrite(ce_conjugate_sample(token, probe, side))) for probe in probes
-    )
-    return CspInstance(pairs, alphabet, post_transform, meta)
+    as `ce_conjugate_sample` composes it, built by normal-form arithmetic:
+    the token is normalised once and inverted in closed form, each conjugate
+    is L.NF(probe).R with (L, R) = (T, T^-1) on the left and (T^-1, T) on
+    the right, and leaves the library through `to_word`. Each pair lives on
+    the larger of the token's and the probe's strand counts."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    around: dict[int, tuple[GarsideNormalForm, GarsideNormalForm]] = {}
+    for n in {max(token.strands, probe.strands) for probe in probes}:
+        t = normal_form(token.embed(n))
+        around[n] = (t, inverse(t)) if side == "left" else (inverse(t), t)
+    pairs = []
+    for probe in probes:
+        left, right = around[max(token.strands, probe.strands)]
+        middle = normal_form(probe.embed(left.strands))
+        pairs.append((probe, product(product(left, middle), right).to_word()))
+    return CspInstance(tuple(pairs), alphabet, post_transform, meta)
 
 
 def build_difference_instance(

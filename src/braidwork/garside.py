@@ -56,9 +56,13 @@ in pair steps, for normal forms of canonical lengths l and m:
     last one.
 
 Values that leave the library (protocol tokens, extractor instances,
-recovered keys in reports) are still re-expanded with `rewrite`: their
-letters are part of the reports' bytes, and the canonical expansion hides
-the letters the value was built from.
+recovered keys in reports) are exposed as canonical words: their letters
+are part of the reports' bytes, and the canonical expansion hides the
+letters the value was built from. A value computed by the arithmetic above,
+such as each conjugate of `extractors.build_conjugation_instance`, leaves
+through `GarsideNormalForm.to_word`; a value composed as a word leaves
+through `rewrite`, which normalises it first. The normal form is unique,
+so both give the same letters.
 """
 
 from __future__ import annotations
@@ -105,8 +109,8 @@ def perm_longest(n: int) -> Perm:
 
 def perm_flip(p: Perm) -> Perm:
     """Conjugation by the longest element: Delta^-1 . p . Delta at braid level."""
-    n = len(p)
-    return tuple(n - 1 - p[n - 1 - i] for i in range(n))
+    m = len(p) - 1
+    return tuple([m - x for x in reversed(p)])
 
 
 def starting_set(p: Perm) -> frozenset[int]:
@@ -178,6 +182,7 @@ def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:
     """Transfer generators from the front of b to the back of a until the
     pair (a, b) is left-weighted. Returns (a', b', changed)."""
     n = len(a)
+    a_list = list(a)
     a_inv = list(perm_inv(a))
     b_list = list(b)
     changed = False
@@ -185,12 +190,15 @@ def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:
     # finish a (a_inv[i-1] < a_inv[i]). Moving it swaps both pairs, which
     # can only make i-1 or i+1 movable, so step back one place after a move:
     # every index below i stays unmovable, and the moves come out in the
-    # same order as always taking the least movable generator.
+    # same order as always taking the least movable generator. In a itself
+    # the move swaps the values i-1 and i, which sit at a_inv[i-1], a_inv[i].
     i = 1
     while i < n:
         if b_list[i - 1] > b_list[i] and a_inv[i - 1] < a_inv[i]:
             b_list[i - 1], b_list[i] = b_list[i], b_list[i - 1]
-            a_inv[i - 1], a_inv[i] = a_inv[i], a_inv[i - 1]
+            p, q = a_inv[i - 1], a_inv[i]
+            a_list[p], a_list[q] = i, i - 1
+            a_inv[i - 1], a_inv[i] = q, p
             changed = True
             if i > 1:
                 i -= 1
@@ -198,7 +206,7 @@ def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:
             i += 1
     if not changed:
         return a, b, False
-    return perm_inv(a_inv), tuple(b_list), True
+    return tuple(a_list), tuple(b_list), True
 
 
 def _pack(n: int, letters: Sequence[int]) -> list[list[int]]:

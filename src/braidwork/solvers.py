@@ -129,15 +129,19 @@ def _setup(
     """The strand count n, the alphabet, the coset factor t on n strands (the
     inverse of the instance's post_transform, or the identity) and the normal
     forms of t x t^-1 and y per pair: g = P.t solves a pair iff P conjugates
-    t x t^-1 to y."""
+    t x t^-1 to y. With a coset factor, t x t^-1 is a product of normal
+    forms, with t's inverted in closed form; without one it is x's."""
     alphabet = config.alphabet if config.alphabet is not None else instance.alphabet
     n = max(instance.strands, alphabet.strands)
-    post = instance.post_transform
-    post = identity(n) if post is None else post.embed(n)
-    t = invert(post)
-    xs = [normal_form(compose_all([t, x, post])) for x, _ in instance.pairs]
+    xs = [normal_form(x.embed(n)) for x, _ in instance.pairs]
     ys = [normal_form(y.embed(n)) for _, y in instance.pairs]
-    return n, alphabet, t, xs, ys
+    if instance.post_transform is None:
+        return n, alphabet, identity(n), xs, ys
+    post = instance.post_transform.embed(n)
+    post_nf = normal_form(post)
+    t_nf = inverse(post_nf)
+    xs = [product(product(t_nf, x), post_nf) for x in xs]
+    return n, alphabet, invert(post), xs, ys
 
 
 def solve_exhaustive(
@@ -349,9 +353,11 @@ def solve_length_descent(
             best_ys = None
             plateau_sym = None
             plateau_ys = None
+            conjugates = []
             for sym in symbols:
                 tested += 1
                 cand = [conjugate(y, sym) for y in ys]
+                conjugates.append(cand)
                 cost = _conjugate_cost(cand, x_invs, config.length_functional)
                 if cost < best_cost:
                     best_cost = cost
@@ -370,14 +376,18 @@ def solve_length_descent(
                 pending_ys = best_ys
             else:
                 # Depth-2 lookahead: a single move may have to go uphill
-                # before the cost can drop again.
-                for s1 in symbols:
+                # before the cost can drop again. The first moves are the
+                # conjugates above; a second move that undoes the first
+                # (symbol k1 ^ 1) comes back to the current cost, so it is
+                # counted but not computed.
+                for k1, s1 in enumerate(symbols):
                     if pending is not None:
                         break
-                    mid = [conjugate(y, s1) for y in ys]
-                    for s2 in symbols:
+                    for k2, s2 in enumerate(symbols):
                         tested += 1
-                        cand = [conjugate(y, s2) for y in mid]
+                        if k2 == k1 ^ 1:
+                            continue
+                        cand = [conjugate(y, s2) for y in conjugates[k1]]
                         if _conjugate_cost(cand, x_invs, config.length_functional) < current:
                             pending = compose(s1, s2)
                             pending_ys = cand

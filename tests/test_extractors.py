@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidwork.extractors import (
     CspInstance,
@@ -72,6 +73,10 @@ class TestBuilders:
             assert y == rewrite(y)
             assert conjugates(g, x, y)
 
+    def test_conjugation_side_is_checked_first(self):
+        with pytest.raises(ValueError, match="side"):
+            build_conjugation_instance(identity(3), (), "up", self.alphabet)
+
     def test_difference_pairs_cancel_the_shared_factors(self):
         u, v = BraidWord(6, (1, 2)), BraidWord(6, (-2,))
         xs = (generator(6, 4), BraidWord(6, (4, 5)), generator(6, 5))
@@ -86,6 +91,33 @@ class TestBuilders:
             assert conjugates(invert(v), x, y)
         for x, y in left.pairs + right.pairs:
             assert (x, y) == (rewrite(x), rewrite(y))
+
+
+def words_on(strands: int, max_size: int):
+    nonzero = st.integers(min_value=1, max_value=strands - 1).flatmap(
+        lambda i: st.sampled_from([i, -i])
+    )
+    return st.lists(nonzero, max_size=max_size).map(lambda w: BraidWord(strands, tuple(w)))
+
+
+# Example counts follow the hypothesis profile (see conftest.py).
+@given(
+    st.integers(min_value=2, max_value=7).flatmap(lambda n: words_on(n, 40)),
+    st.lists(st.integers(min_value=2, max_value=7).flatmap(lambda n: words_on(n, 8)), max_size=4),
+    st.sampled_from(["left", "right"]),
+)
+@settings(deadline=None)
+def test_conjugation_instance_is_the_rewritten_sample(token, probes, side):
+    # Tokens and probes on different strand counts: each pair lives on the
+    # larger one, as the composed sample does.
+    alphabet = interval_generators(2, 1, 1)
+    if not probes:
+        with pytest.raises(ValueError):
+            build_conjugation_instance(token, (), side, alphabet)
+        return
+    inst = build_conjugation_instance(token, tuple(probes), side, alphabet)
+    expected = tuple((p, rewrite(ce_conjugate_sample(token, p, side))) for p in probes)
+    assert inst.pairs == expected
 
 
 class TestCspInstance:

@@ -1,6 +1,8 @@
-"""Differential tests: the meet-in-the-middle exhaustive search against the
-enumerating loop in `solver_reference`, and its closed-form ranks against
-positions in `enumerate_products`."""
+"""Differential tests against `solver_reference`: the meet-in-the-middle
+exhaustive search against the enumerating loop, its closed-form ranks
+against positions in `enumerate_products`, the descent against the one that
+recomputed its lookahead, and the solvers' setup by normal-form arithmetic
+against the setup that normalised each word."""
 
 import pytest
 import solver_reference as reference
@@ -13,8 +15,10 @@ from braidwork.solvers import (
     SolverConfig,
     _candidate_loop,
     _lex_rank,
+    _setup,
     _words_of_length,
     solve_exhaustive,
+    solve_length_descent,
 )
 from braidwork.subgroups import SubgroupSpec
 from braidwork.words import BraidWord, compose, compose_all, enumerate_products, invert
@@ -144,3 +148,53 @@ def test_the_budget_sets_the_deepest_table(monkeypatch):
     with pytest.raises(ValueError, match="cap"):
         solve_exhaustive(instance, SolverConfig(4, budget=188))
     solve_exhaustive(instance, SolverConfig(3, budget=10**15))
+
+
+@st.composite
+def descents(draw):
+    """An instance with a planted conjugator, possibly with a coset factor
+    and an alphabet on fewer strands than the pairs, or with drawn
+    right-hand sides, and a descent config. Drawn sides leave the descent
+    at local minima, where its lookahead runs."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    alphabet_strands = draw(st.integers(min_value=2, max_value=n))
+    generators = draw(st.lists(letters(alphabet_strands, 1, 2), min_size=1, max_size=3))
+    alphabet = SubgroupSpec(
+        "drawn", alphabet_strands, tuple(BraidWord(alphabet_strands, g) for g in generators)
+    )
+    secret = draw(st.lists(st.sampled_from(alphabet.generators), max_size=6))
+    g = compose_all([BraidWord(n)] + [w.embed(n) for w in secret])
+    post = None
+    if draw(st.booleans()):
+        t = BraidWord(n, draw(letters(n, 0, 3)))
+        g, post = compose(g, t), invert(t)
+    probes = draw(st.lists(letters(n, 0, 4), min_size=1, max_size=3))
+    xs = [BraidWord(n, p) for p in probes]
+    if draw(st.booleans()):
+        ys = [compose_all([g, x, invert(g)]) for x in xs]
+    else:
+        ys = [BraidWord(n, draw(letters(n, 0, 6))) for _ in xs]
+    pairs = tuple((x, rewrite(y)) for x, y in zip(xs, ys))
+    config = SolverConfig(
+        draw(st.integers(min_value=0, max_value=5)),
+        restarts=draw(st.integers(min_value=0, max_value=3)),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        length_functional=draw(st.sampled_from(["canonical", "letters", "difference"])),
+    )
+    return CspInstance(pairs, alphabet, post), config
+
+
+@given(descents())
+@settings(deadline=None)
+def test_descent_matches_the_reference(case):
+    instance, config = case
+    got = solve_length_descent(instance, config)
+    assert got == reference.solve_length_descent(instance, config)
+    assert got.to_record() == reference.solve_length_descent(instance, config).to_record()
+
+
+@given(descents())
+@settings(deadline=None)
+def test_setup_by_arithmetic_matches_the_word_setup(case):
+    instance, config = case
+    assert _setup(instance, config) == reference._setup(instance, config)

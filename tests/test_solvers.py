@@ -179,6 +179,16 @@ class TestSolveLengthDescent:
         assert report.solved
         assert all(verify_solution(inst, report.solution))
 
+    def test_lookahead_repeats_a_symbol(self):
+        # Neither s3s4 nor its inverse lowers the cost, and the first
+        # two-move step that does is s3s4 twice; the lookahead counts each
+        # pair of moves it tries, the undoing ones too, and stops there.
+        alphabet = SubgroupSpec("s3s4", 5, (BraidWord(5, (3, 4)),))
+        inst = conjugation_instance(BraidWord(5, (3, 4, 3, 4)), (generator(5, 2),), alphabet)
+        report = solve_length_descent(inst, SolverConfig(max_length=0))
+        assert report.solution == BraidWord(5, (3, 4, 3, 4))
+        assert report.candidates_tested == 3
+
     def test_trace_records_restarts(self):
         alphabet = SubgroupSpec("s1", 4, (generator(4, 1),))
         inst = CspInstance(((generator(4, 2), generator(4, 3)),), alphabet)
