@@ -77,7 +77,9 @@ class CspInstance:
             "pairs": [{"x": x.to_record(), "y": y.to_record()} for x, y in self.pairs],
             "alphabet": self.alphabet.to_record(),
             "post_transform": (
-                self.post_transform.to_record() if self.post_transform else None
+                self.post_transform.to_record()
+                if self.post_transform is not None
+                else None
             ),
             "meta": dict(self.meta),
         }
@@ -97,7 +99,7 @@ class CspInstance:
                 for p in pairs
             ),
             SubgroupSpec.from_record(record["alphabet"]),
-            BraidWord.from_record(post) if post else None,
+            BraidWord.from_record(post) if post is not None else None,
             tuple(sorted(meta.items())),
         )
 

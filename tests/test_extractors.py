@@ -134,6 +134,25 @@ class TestCspInstance:
         )
         assert CspInstance.from_record(inst.to_record()) == inst
 
+    def test_identity_post_transform_roundtrip(self):
+        inst = CspInstance(
+            ((generator(3, 1), generator(3, 2)),),
+            interval_generators(3, 1, 2),
+            post_transform=identity(5),
+        )
+        record = inst.to_record()
+        assert record["post_transform"] == {"n": 5, "word": []}
+        assert CspInstance.from_record(record) == inst
+
+    @pytest.mark.parametrize("post", [{}, [], 0])
+    def test_malformed_post_transform_is_rejected(self, post):
+        record = CspInstance(
+            ((generator(3, 1), generator(3, 2)),), interval_generators(3, 1, 2)
+        ).to_record()
+        record["post_transform"] = post
+        with pytest.raises((KeyError, ValueError)):
+            CspInstance.from_record(record)
+
     def test_strands_is_ambient_max(self):
         inst = CspInstance(
             ((generator(5, 4), generator(5, 4)),), interval_generators(3, 1, 2)
