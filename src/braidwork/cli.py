@@ -40,6 +40,7 @@ from .protocols import (
 from .solvers import SolverConfig, solve_exhaustive
 from .subgroups import interval_generators
 from .words import (
+    MAX_SECRET_LENGTH,
     BraidWord,
     compose,
     compose_all,
@@ -314,6 +315,8 @@ def main(argv: list[str] | None = None) -> int:
         for flag, value in (("--max-len", args.max_len), ("--budget", args.budget)):
             if value < 0:
                 raise ValueError(f"{flag} must be nonnegative, got {value}")
+        if args.max_len > MAX_SECRET_LENGTH:
+            raise ValueError(f"--max-len {args.max_len} is above the cap of {MAX_SECRET_LENGTH}")
         return handlers[args.command](args)
     except (ProtocolError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,6 +58,7 @@ from .garside import (
 )
 from .subgroups import SubgroupSpec
 from .words import (
+    MAX_SECRET_LENGTH,
     BraidWord,
     compose,
     compose_all,
@@ -185,6 +186,10 @@ def _candidate_loop(
     """The search behind solve_exhaustive and solve_power, kept apart so
     neither traced solver entry calls the other: a meet in the middle over
     the canonical enumeration, as the module docstring describes."""
+    if config.max_length > MAX_SECRET_LENGTH:
+        raise ValueError(
+            f"length bound {config.max_length} is above the cap of {MAX_SECRET_LENGTH}"
+        )
     n, alphabet, t, xs, ys = _setup(instance, config)
     # Symbol 2i is the i-th generator and 2i+1 its inverse, so k ^ 1 cancels k.
     symbols: list[BraidWord] = []

@@ -257,8 +257,8 @@ class TestStrandCap:
 
 class TestSearchSize:
     """A search whose budget reaches a length needing a table above the
-    solver's cap, or a negative bound, is a configuration error found
-    before any work."""
+    solver's cap, a length bound above the secret-length cap, or a
+    negative bound, is a configuration error found before any work."""
 
     def instance_path(self, tmp_path):
         word = {"n": 4, "word": [1]}
@@ -285,6 +285,26 @@ class TestSearchSize:
         assert "cap" in capsys.readouterr().err
         assert peak < 2 * 2**20
         assert not (tmp_path / "solution.json").exists()
+
+    def test_length_bound_above_the_cap(self, tmp_path, capsys):
+        path = self.instance_path(tmp_path)
+        code = run_cli("solve", "--max-len", "257", "--in", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "--max-len 257 is above the cap of 256" in capsys.readouterr().err
+        assert not (tmp_path / "solution.json").exists()
+
+    def test_exponent_bound_above_the_cap(self, tmp_path, capsys):
+        assert run_cli(
+            "simulate", "--preset", "stickel", "--n", "8", "--out", str(tmp_path)
+        ) == 0
+        path = tmp_path / "public.json"
+        public = json.loads(path.read_text())
+        public["config"]["exponent_bound"] = 257
+        path.write_text(json.dumps(public))
+        code = run_cli("attack", "--in", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "length bound 257 is above the cap of 256" in capsys.readouterr().err
+        assert not (tmp_path / "attack_report.json").exists()
 
     @pytest.mark.parametrize("flag", ["--max-len", "--budget"])
     def test_negative_bound(self, tmp_path, capsys, flag):

@@ -16,6 +16,7 @@ from braidwork.solvers import (
 )
 from braidwork.subgroups import SubgroupSpec, interval_generators
 from braidwork.words import (
+    MAX_SECRET_LENGTH,
     BraidWord,
     compose,
     compose_all,
@@ -147,6 +148,19 @@ class TestSolvePower:
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
             solve_power(self.pow_instance(1), max_exponent=-1)
+
+    def test_bound_is_capped_at_the_secret_length_cap(self):
+        # One generator never needs a large table, so the length cap is
+        # what bounds the search: at the cap it tests every power. No power
+        # of sigma_1 conjugates sigma_2 to sigma_3, as their permutations show.
+        alphabet = SubgroupSpec("<s1>", 4, (generator(4, 1),))
+        inst = CspInstance(((generator(4, 2), generator(4, 3)),), alphabet)
+        report = solve_power(inst, max_exponent=MAX_SECRET_LENGTH)
+        assert (report.status, report.candidates_tested) == (EXHAUSTED, 2 * MAX_SECRET_LENGTH + 1)
+        with pytest.raises(ValueError, match="cap"):
+            solve_power(self.pow_instance(1), max_exponent=MAX_SECRET_LENGTH + 1)
+        with pytest.raises(ValueError, match="cap"):
+            solve_exhaustive(self.pow_instance(1), SolverConfig(MAX_SECRET_LENGTH + 1))
 
 
 class TestSolveLengthDescent:
