@@ -143,11 +143,6 @@ class ConditionCheck:
 class ConditionReport:
     checks: tuple[ConditionCheck, ...]
 
-    @property
-    def required_pass(self) -> bool:
-        """Whether every '=1' condition (needed for key agreement) holds."""
-        return all(c.passed for c in self.checks if c.requires_commuting)
-
 
 def _commuting_checks(config: KaConfig) -> list[ConditionCheck]:
     """The two '=1' conditions that key agreement needs."""

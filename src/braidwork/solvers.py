@@ -21,9 +21,11 @@ the middle rather than conjugating by every word:
   b x b^-1 = a^-1 y a for every pair.
 - A table maps the normal forms of b x b^-1 over the pairs to the b's of
   one length, in canonical order. The table for |b| = h is built when
-  length 2h is first searched, from the one for h - 1 by growing each b on
-  the left, at one conjugation by a symbol per entry; it serves lengths
-  2h and 2h + 1 and is dropped for the next.
+  length 2h is first searched, by the same depth-first walk as the a's:
+  it walks each c of length h from x, carrying c^-1 x c at one conjugation
+  by a symbol per node, and files b = c^-1 under it, which is b x b^-1.
+  Each key's b's are then sorted into canonical order. The table serves
+  lengths 2h and 2h + 1 and is dropped for the next.
 - The a's are walked depth first in canonical order, carrying a^-1 y a at
   one conjugation by a symbol per node. Each a is followed by its matching
   b's in order, less those that cancel at the junction, so the matches
@@ -44,8 +46,9 @@ the middle rather than conjugating by every word:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
-from typing import Callable
+from typing import Callable, Sequence
 
 from .extractors import CspInstance
 from .garside import (
@@ -90,6 +93,12 @@ class SolverConfig:
     restarts: int = 10  # stochastic restarts for the descent solver
     seed: int = 0
     length_functional: str = "canonical"  # "canonical" | "letters" | "difference"
+
+    def __post_init__(self):
+        if self.length_functional not in ("canonical", "letters", "difference"):
+            raise ValueError(f"unknown length functional {self.length_functional!r}")
+        if self.restarts < 0:
+            raise ValueError(f"restarts must be nonnegative, got {self.restarts}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,10 +200,7 @@ def _candidate_loop(
             f"length bound {config.max_length} is above the cap of {MAX_SECRET_LENGTH}"
         )
     n, alphabet, t, xs, ys = _setup(instance, config)
-    # Symbol 2i is the i-th generator and 2i+1 its inverse, so k ^ 1 cancels k.
-    symbols: list[BraidWord] = []
-    for g in alphabet.generators:
-        symbols += [g, invert(g)]
+    symbols = _symbols(alphabet)
     m = len(symbols)
     # As in the plain enumeration, a negative budget tests no word and a
     # negative length bound still tests the identity.
@@ -213,17 +219,16 @@ def _candidate_loop(
             f"the cap of {MAX_TABLE_ENTRIES}: lower the length bound or the budget"
         )
 
-    # The b's of the current table's length in canonical order, each with
-    # the normal forms of b x b^-1, and the table from those forms to the b's.
-    level = [((), tuple(xs))]
-    table = {tuple(xs): [()]}
+    table: dict[tuple[GarsideNormalForm, ...], list[tuple[int, ...]]] = {}
     before = 0  # the number of words shorter than the current length
     for length in range(deepest + 1):
-        if length // 2 > len(level[0][0]):
-            level = _grow_left(level, symbols)
+        if length % 2 == 0:
+            # The b's of half this length under the normal forms of b x b^-1.
             table = {}
-            for b, key in level:
-                table.setdefault(key, []).append(b)
+            for c, key in _walk(symbols, (), tuple(xs), length // 2):
+                table.setdefault(key, []).append(tuple(k ^ 1 for k in reversed(c)))
+            for bs in table.values():
+                bs.sort()
         for a, key in _walk(symbols, (), tuple(ys), length - length // 2):
             for b in table.get(key, ()):
                 if a and b and a[-1] ^ 1 == b[0]:
@@ -231,8 +236,7 @@ def _candidate_loop(
                 rank = before + _lex_rank(a + b, m) + 1
                 if rank > budget:
                     return SolutionReport(BUDGET_EXCEEDED, None, None, budget)
-                letters = tuple(x for k in a + b for x in symbols[k].letters)
-                word = BraidWord(alphabet.strands, letters)
+                word = _spell(symbols, a + b, alphabet.strands)
                 g = compose(word, t)
                 if extra_check is not None and not extra_check(g):
                     continue
@@ -260,18 +264,15 @@ def _lex_rank(seq: tuple[int, ...], m: int) -> int:
     return rank
 
 
-def _grow_left(
-    level: list[tuple[tuple[int, ...], tuple[GarsideNormalForm, ...]]],
-    symbols: list[BraidWord],
-) -> list[tuple[tuple[int, ...], tuple[GarsideNormalForm, ...]]]:
-    """The b's one symbol longer, in canonical order: each s.b that does
-    not cancel, with s (b x b^-1) s^-1 as one conjugation by s^-1 per pair."""
-    return [
-        ((k,) + b, tuple(conjugate(z, symbols[k ^ 1]) for z in zs))
-        for k in range(len(symbols))
-        for b, zs in level
-        if not b or b[0] != k ^ 1
-    ]
+def _symbols(alphabet: SubgroupSpec) -> list[BraidWord]:
+    """The canonical symbols: symbol 2i is the i-th generator and 2i+1 its
+    inverse, so k ^ 1 cancels k."""
+    return [s for g in alphabet.generators for s in (g, invert(g))]
+
+
+def _spell(symbols: list[BraidWord], seq: Sequence[int], strands: int) -> BraidWord:
+    """The word on `strands` strands spelt by a sequence of symbols."""
+    return BraidWord(strands, tuple(x for k in seq for x in symbols[k].letters))
 
 
 def _walk(
@@ -323,10 +324,12 @@ def solve_length_descent(
     attempt ran out of steps first.
     """
     n, alphabet, t, xs, ys0 = _setup(instance, config)
-    symbols: list[BraidWord] = []
-    for g in alphabet.generators:
-        symbols += [g.embed(n), invert(g).embed(n)]
+    symbols = _symbols(alphabet)
+    m = len(symbols)
     x_invs = [inverse(x) for x in xs]
+
+    def cost(zs: list[GarsideNormalForm]) -> tuple[int, int]:
+        return _conjugate_cost(zs, x_invs, config.length_functional)
 
     rng = random.Random(config.seed)
     trace: list[str] = []
@@ -334,80 +337,57 @@ def solve_length_descent(
     stalls = 0
 
     for attempt in range(config.restarts + 1):
-        if attempt == 0:
-            prefix = identity(n)
-        else:
-            prefix_syms = [rng.randrange(len(symbols)) for _ in range(1 + attempt)]
-            prefix = compose_all([identity(n)] + [symbols[i] for i in prefix_syms])
+        # The symbols conjugated by so far, from a random prefix on restarts.
+        path = [rng.randrange(m) for _ in range(1 + attempt)] if attempt else []
+        prefix = _spell(symbols, path, n)
+        if attempt:
             trace.append(f"restart {attempt} prefix {list(prefix.letters)}")
-        accumulated = prefix
         ys = [conjugate(y, prefix) for y in ys0]
         visited = {tuple(ys)}
 
         for step in range(10 * (config.max_length + len(prefix)) + 10):
             if ys == xs:
-                g = compose(accumulated, t)
+                word = _spell(symbols, path, n)
+                g = compose(word, t)
                 per_pair = tuple(verify_solution(instance, g))
                 trace.append(f"success after {step} steps (attempt {attempt})")
-                return SolutionReport(
-                    SOLVED, g, accumulated, tested, per_pair, tuple(trace)
-                )
-            current = _conjugate_cost(ys, x_invs, config.length_functional)
-            best_cost = current
-            best_sym = None
-            best_ys = None
-            plateau_sym = None
-            plateau_ys = None
-            conjugates = []
-            for sym in symbols:
-                tested += 1
-                cand = [conjugate(y, sym) for y in ys]
-                conjugates.append(cand)
-                cost = _conjugate_cost(cand, x_invs, config.length_functional)
-                if cost < best_cost:
-                    best_cost = cost
-                    best_sym = sym
-                    best_ys = cand
-                elif (
-                    cost == current
-                    and plateau_sym is None
-                    and tuple(cand) not in visited
-                ):
-                    plateau_sym = sym
-                    plateau_ys = cand
-            pending: BraidWord | None = None
-            if best_sym is not None:
-                pending = best_sym
-                pending_ys = best_ys
+                return SolutionReport(SOLVED, g, word, tested, per_pair, tuple(trace))
+            current = cost(ys)
+            conjugates = [[conjugate(y, s) for y in ys] for s in symbols]
+            costs = [cost(cand) for cand in conjugates]
+            tested += m
+            moves: list[int] = []
+            best = min(costs)
+            if best < current:
+                moves = [costs.index(best)]
+                ys = conjugates[moves[0]]
             else:
                 # Depth-2 lookahead: a single move may have to go uphill
                 # before the cost can drop again. The first moves are the
                 # conjugates above; a second move that undoes the first
                 # (symbol k1 ^ 1) comes back to the current cost, so it is
                 # counted but not computed.
-                for k1, s1 in enumerate(symbols):
-                    if pending is not None:
+                for k1, k2 in itertools.product(range(m), repeat=2):
+                    tested += 1
+                    if k2 == k1 ^ 1:
+                        continue
+                    cand = [conjugate(y, symbols[k2]) for y in conjugates[k1]]
+                    if cost(cand) < current:
+                        moves, ys = [k1, k2], cand
                         break
-                    for k2, s2 in enumerate(symbols):
-                        tested += 1
-                        if k2 == k1 ^ 1:
-                            continue
-                        cand = [conjugate(y, s2) for y in conjugates[k1]]
-                        if _conjugate_cost(cand, x_invs, config.length_functional) < current:
-                            pending = compose(s1, s2)
-                            pending_ys = cand
+                else:
+                    # Failing that, the first equal-cost move to a new state.
+                    for k, cand in enumerate(conjugates):
+                        if costs[k] == current and tuple(cand) not in visited:
+                            moves, ys = [k], cand
                             break
-                if pending is None and plateau_sym is not None:
-                    pending = plateau_sym
-                    pending_ys = plateau_ys
-            if pending is None:
+            if not moves:
                 trace.append(f"stall at cost {current} (attempt {attempt})")
                 stalls += 1
                 break
-            visited.add(tuple(pending_ys))
+            visited.add(tuple(ys))
             # y -> s^-1 y s means the solution gains s on the right: g = P s ...
-            accumulated = compose(accumulated, pending)
-            ys = pending_ys
+            path += moves
 
     status = STALLED if stalls == config.restarts + 1 else BUDGET_EXCEEDED
     return SolutionReport(status, None, None, tested, (), tuple(trace))

@@ -25,7 +25,7 @@ from braidwork.words import BraidWord, compose, compose_all, enumerate_products,
 
 # The longest length bound per symbol count that keeps the reference's whole
 # enumeration under a thousand words.
-MAX_LENGTH = {2: 5, 4: 5, 6: 4, 8: 3}
+MAX_LENGTH = {2: 9, 4: 5, 6: 4, 8: 3}
 
 
 def letters(strands: int, min_size: int, max_size: int):

@@ -228,6 +228,16 @@ class TestSolveLengthDescent:
         assert report.solved
 
 
+class TestSolverConfig:
+    def test_unknown_length_functional(self):
+        with pytest.raises(ValueError, match="length functional"):
+            SolverConfig(max_length=1, length_functional="no-such")
+
+    def test_negative_restarts(self):
+        with pytest.raises(ValueError, match="restarts"):
+            SolverConfig(max_length=1, restarts=-1)
+
+
 class TestReports:
     def test_record_shape(self):
         alphabet = interval_generators(4, 1, 3)
