@@ -8,24 +8,24 @@ Every pipeline has the same skeleton: extract conjugacy-search instances
 from public data, solve them, lift the solution back to a secret
 candidate (`_lift` for the token maps), and check the candidate against
 the public relations. Solvers return solutions only up to centralizer
-factors, so a pipeline's public predicate is written once and serves both
-as the solver's `extra_check` and as the report's named checks. `_Run`
-collects the checks, recovered values and solver reports of one run and
-builds its AttackReport. A pipeline solves only the instances whose
-answers it uses, and names only checks that can fail: what its solver's
-filter or its own construction already guarantees is not checked again.
-So each key-recovery pipeline runs one search: decomposition derives its
-right factor from the left solution and the token, and stickel reads its
-b-power off the token's quotient by the a-power. Success is claimed only
-when all public checks pass; the harness verdict (comparison against a
-supplied secret) is informational and never gates success.
+factors, so a pipeline's public predicate is the solver's `extra_check`
+and is evaluated there alone; a report names only the checks that can
+still fail once the solver has answered. `_Run` collects the checks,
+recovered values and solver reports of one run and builds its
+AttackReport. A pipeline solves only the instances whose answers it uses,
+and what its solver's filter or its own construction already guarantees
+is not checked again. So each key-recovery pipeline runs one search:
+decomposition derives its right factor from the left solution and the
+token, and stickel reads its b-power off the token's quotient by the
+a-power. Success is claimed only when all public checks pass; the harness
+verdict (comparison against a supplied secret) is informational and never
+gates success.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Iterator
 
 from .extractors import (
     build_conjugation_instance,
@@ -37,7 +37,7 @@ from .extractors import (
 )
 from .garside import is_trivial, nf_key, rewrite, words_equal
 from .handle import ReductionBudgetExceeded, shift_preimage
-from .protocols import PublicTranscript, SecretTranscript
+from .protocols import NamedCheck, PublicTranscript, SecretTranscript
 from .solvers import (
     SolutionReport,
     SolverConfig,
@@ -66,12 +66,6 @@ from .words import (
     shift,
     shifted_conjugate,
 )
-
-
-@dataclasses.dataclass(frozen=True)
-class NamedCheck:
-    name: str
-    passed: bool
 
 
 @dataclasses.dataclass(frozen=True)
@@ -246,7 +240,6 @@ class EdlDecision:
     subset: tuple[int, ...]
     witnesses: tuple[BraidWord, BraidWord] | None
     solver_reports: tuple[SolutionReport]
-    verified: tuple[bool, ...] = ()
 
     def to_record(self) -> dict:
         return {
@@ -256,7 +249,6 @@ class EdlDecision:
                 [w.to_record() for w in self.witnesses] if self.witnesses else None
             ),
             "solver_reports": [r.to_record() for r in self.solver_reports],
-            "verified": list(self.verified),
         }
 
 
@@ -269,8 +261,8 @@ def decide_edl(
     Decide, one-sidedly, whether tokens y_i = u.x_i.v share a factor pair
     (u, v). Differences of two tokens cancel v, giving conjugacy pairs
     (x_i.x_j^-1, y_i.y_j^-1) for u; a u-candidate then fixes v. A YES
-    carries witnesses checked on every index of the subset; anything else
-    is NO-EVIDENCE, never a proof of emptiness.
+    carries witnesses that the solver's filter checked on every index of
+    the subset; anything else is NO-EVIDENCE, never a proof of emptiness.
     """
     if len(tokens) < 2:
         raise ValueError("need at least two tokens")
@@ -296,23 +288,21 @@ def decide_edl(
         def derive_v(u_cand: BraidWord) -> BraidWord:
             return compose_all([invert(x0), invert(u_cand), y0])
 
-        def verify(u_cand: BraidWord) -> Iterator[bool]:
+        def verify(u_cand: BraidWord) -> bool:
             v_cand = derive_v(u_cand)
-            return (
+            return all(
                 words_equal(tokens[i][1], compose_all([u_cand, tokens[i][0], v_cand]))
                 for i in subset
             )
 
-        rep_u = solve_exhaustive(inst_u, config, extra_check=lambda u: all(verify(u)))
+        rep_u = solve_exhaustive(inst_u, config, extra_check=verify)
         reports = (rep_u,)
         if not rep_u.solved:
             decisions.append(EdlDecision("NO-EVIDENCE", subset, None, reports))
             continue
         u_cand = rep_u.solution
         witnesses = (u_cand, rewrite(derive_v(u_cand)))
-        decisions.append(
-            EdlDecision("YES", subset, witnesses, reports, tuple(verify(u_cand)))
-        )
+        decisions.append(EdlDecision("YES", subset, witnesses, reports))
     return tuple(decisions)
 
 
@@ -331,7 +321,7 @@ def solve_gtcp(
     instance alphabet is the relevant map's image of the secret subgroup,
     so raw solutions pull back through the map literally; the solver's
     filter lifts each candidate and keeps it only when it recomputes every
-    sample token, which the report then checks per sample.
+    sample token, so a solved instance is a recovered r.
     """
     u, v, w = endos
     inst = build_gtcp_instances(
@@ -342,8 +332,11 @@ def solve_gtcp(
     # carries the secret for this mode (u for ce1/ce3, w for ce2/ce4).
     carrier_endo = u if mode in ("pairwise-ce1", "centralizer-ce3") else w
 
-    def reproduced(r_c: BraidWord) -> Iterator[bool]:
-        return (
+    def reproduces_samples(candidate: BraidWord) -> bool:
+        if inst.post_transform is not None:
+            candidate = compose(candidate, inst.post_transform)
+        r_c = _lift(carrier_endo, candidate)
+        return r_c is not None and all(
             words_equal(
                 compose_all(
                     [apply_endo(u, r_c), apply_endo(v, p), apply_endo(w, invert(r_c))]
@@ -353,12 +346,6 @@ def solve_gtcp(
             for y, p in samples
         )
 
-    def reproduces_samples(candidate: BraidWord) -> bool:
-        if inst.post_transform is not None:
-            candidate = compose(candidate, inst.post_transform)
-        r_c = _lift(carrier_endo, candidate)
-        return r_c is not None and all(reproduced(r_c))
-
     run = _Run(f"gtcp-{mode}")
     rep = solve_exhaustive(inst, config, extra_check=reproduces_samples)
     if not run.solved("instance-solved", rep):
@@ -366,8 +353,6 @@ def solve_gtcp(
     # The filter has lifted the same element, so this lift succeeds.
     r_cand = rewrite(_lift(carrier_endo, rep.raw_word))
     run.recovered.append(("r-candidate", r_cand))
-    for i, ok in enumerate(reproduced(r_cand)):
-        run.check(f"sample-{i}-reproduced", ok)
     return run.report(r_cand, oracle_r)
 
 
@@ -387,7 +372,7 @@ def attack_dehornoy_centralizer(
     shifted R generators against the fixed public factor d(p).sigma_1, so
     the raw solution is d(r), which unshifts to r. The solver's filter
     unshifts each candidate and keeps it only when it reproduces the
-    commitment.
+    commitment, so a solved instance is a recovered r.
     """
     n = commitment.strands
     if probes is None:
@@ -398,13 +383,9 @@ def attack_dehornoy_centralizer(
         raise ValueError("no probes available for the centralizer instance")
     inst = build_dehornoy_centralizer_instance(commitment, probes, r_spec, base)
 
-    def reproduces_commitment(r_c: BraidWord | None) -> bool:
-        return r_c is not None and words_equal(shifted_conjugate(r_c, base), commitment)
-
     def lifts_to_commitment(candidate: BraidWord) -> bool:
-        return reproduces_commitment(
-            _lift(SHIFT_ENDO, compose(candidate, inst.post_transform))
-        )
+        r_c = _lift(SHIFT_ENDO, compose(candidate, inst.post_transform))
+        return r_c is not None and words_equal(shifted_conjugate(r_c, base), commitment)
 
     run = _Run("dehornoy-centralizer")
     rep = solve_exhaustive(inst, config, extra_check=lifts_to_commitment)
@@ -413,7 +394,6 @@ def attack_dehornoy_centralizer(
     # The filter has lifted the same element, so this lift succeeds.
     r_cand = rewrite(_lift(SHIFT_ENDO, rep.raw_word))
     run.recovered.append(("r-candidate", r_cand))
-    run.check("commitment-reproduced", reproduces_commitment(r_cand))
     return run.report(r_cand, oracle_r)
 
 
@@ -431,7 +411,8 @@ def attack_dehornoy_pair(
     commitments x = r*p and x' = r*p' share the nonce r, so x.x'^-1 is the
     conjugate of d(p).d(p')^-1 by r. Solving that conjugacy pair gives r,
     and the challenge-1 response r*s then unwraps to the long-term secret
-    s = unshift(r^-1.(r*s).d(r).sigma_1^-1).
+    s = unshift(r^-1.(r*s).d(r).sigma_1^-1). The solver's filter keeps a
+    candidate r only when its s reproduces the public key s*base.
     """
     if config.alphabet is None:
         raise ValueError("pair attack needs an explicit search alphabet")
@@ -451,17 +432,15 @@ def attack_dehornoy_pair(
         ds = compose_all([invert(r_cand), response, shift(r_cand), sigma_1_inv])
         return _lift(SHIFT_ENDO, ds)
 
-    def reproduces_key(s_cand: BraidWord | None) -> bool:
-        return s_cand is not None and words_equal(
-            shifted_conjugate(s_cand, base), public_key
-        )
+    def unwraps_to_key(r_cand: BraidWord) -> bool:
+        s_c = unwrap(r_cand)
+        return s_c is not None and words_equal(shifted_conjugate(s_c, base), public_key)
 
-    rep = solve_exhaustive(inst, config, extra_check=lambda r: reproduces_key(unwrap(r)))
+    rep = solve_exhaustive(inst, config, extra_check=unwraps_to_key)
     if not run.solved("instance-solved", rep):
         return run.report()
     s_cand = rewrite(unwrap(rep.solution))
     run.recovered += [("r-candidate", rep.solution), ("s-candidate", s_cand)]
-    run.check("public-key-reproduced", reproduces_key(s_cand))
     return run.report(s_cand, oracle_s)
 
 
@@ -474,7 +453,6 @@ class PartialFactorResult:
     residual: BraidWord | None
     depth: int
     remaining_token: BraidWord | None
-    certificate_product: bool = False
     certificate_commute: bool = False
 
     def to_record(self) -> dict:
@@ -486,7 +464,6 @@ class PartialFactorResult:
             "remaining_token": (
                 self.remaining_token.to_record() if self.remaining_token is not None else None
             ),
-            "certificate_product": self.certificate_product,
             "certificate_commute": self.certificate_commute,
         }
 
@@ -502,8 +479,8 @@ def partial_factor_attack(
     subgroup): conjugating a probe S by u and solving the conjugacy pair
     (S, u.S.u^-1) yields a head candidate s; the residual s^-1.u is the
     part of z commuting with S when the peel is exact. The product
-    certificate s.residual = u holds by construction and is re-checked;
-    the commutation certificate flags exact peels. Iteration repeats on
+    s.residual = u holds by construction, so the one certificate is
+    commutation, which flags exact peels. Iteration repeats on
     u.residual^-1.
     """
     if config.alphabet is None:
@@ -525,14 +502,11 @@ def partial_factor_attack(
                     PartialFactorResult(probe, rep, None, level, None)
                 )
                 break
-            head = rep.solution
-            residual = rewrite(compose(invert(head), current))
-            cert_product = words_equal(compose(head, residual), current)
-            cert_commute = elements_commute(residual, probe)
+            residual = rewrite(compose(invert(rep.solution), current))
             nxt = rewrite(compose(current, invert(residual)))
             results.append(
                 PartialFactorResult(
-                    probe, rep, residual, level, nxt, cert_product, cert_commute
+                    probe, rep, residual, level, nxt, elements_commute(residual, probe)
                 )
             )
             if is_trivial(residual):

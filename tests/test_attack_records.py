@@ -12,14 +12,18 @@ fail and the empty timings field were deleted, and the stickel and
 decomposition digests again when the decomposition right-side solve and
 the token-reconstruction checks were deleted. Every attack-record digest
 was re-pinned once more when `to_record` stopped writing an identity
-solution, raw word or residual as null. `test_answers_unchanged` shows that
-nothing else in those records moved.
+solution, raw word or residual as null, and the EDL, gtcp, dehornoy and
+partial-factor digests again when the checks that re-ran a solver filter's
+predicate on the recovered value (and the product certificate, true by
+construction) were deleted. `test_answers_unchanged` shows that nothing
+else in those records moved.
 """
 
 import dataclasses
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from test_solver_records import identity_as_null
@@ -374,12 +378,21 @@ def test_extractor_records_unchanged():
 # an answer left out (the EDL v-side solve and its instance, the
 # decomposition right-side solve and its instance, the gtcp map-inverted
 # and dehornoy-centralizer unshifted checks, the stickel and decomposition
-# token-reconstruction checks, the always-empty timings), and with identity
-# words written as null where to_record used to write them so. Taken before
-# those were deleted and before identity words were kept, so it shows that
-# neither changed a verdict, recovered value, remaining check or first
-# report.
-UNANSWERED_CHECKS = ("map-inverted", "unshifted", "token-reconstruction")
+# token-reconstruction checks, the always-empty timings, and the re-runs of
+# a solver filter's predicate: the gtcp per-sample, dehornoy commitment and
+# public-key checks, the EDL verified flags and the partial-factor product
+# certificate), and with identity words written as null where to_record
+# used to write them so. Each digest was taken with this projection on a
+# tree that still had what it leaves out, so it shows that no deletion
+# changed a verdict, recovered value, remaining check or first report.
+UNANSWERED_CHECKS = (
+    "map-inverted",
+    "unshifted",
+    "token-reconstruction",
+    "public-key-reproduced",
+    "commitment-reproduced",
+)
+UNANSWERED_KEYS = ("timings_ms", "verified", "certificate_product")
 UNANSWERED_INSTANCES = ("edl-v", "dhdp-b", "dhdp-d")
 ANSWER_SETS = {
     "edl": edl_records,
@@ -392,16 +405,22 @@ ANSWER_SETS = {
 }
 
 
+def unanswered_check(name):
+    return name in UNANSWERED_CHECKS or re.fullmatch(r"sample-\d+-reproduced", name)
+
+
 def answer(record):
     record = identity_as_null(record)
-    if not isinstance(record, dict) or "solver_reports" not in record:
+    if not isinstance(record, dict):
         return record
-    kept = {k: v for k, v in record.items() if k != "timings_ms"}
+    kept = {k: v for k, v in record.items() if k not in UNANSWERED_KEYS}
+    if "solver_reports" not in record:
+        return kept
     if "verdict" in record or record.get("attack") == "decomposition":
         # an EDL decision's u-side report, a decomposition's left-side one
         kept["solver_reports"] = record["solver_reports"][:1]
     if "verdict" not in record:
-        kept["checks"] = [c for c in record["checks"] if c["name"] not in UNANSWERED_CHECKS]
+        kept["checks"] = [c for c in record["checks"] if not unanswered_check(c["name"])]
     return kept
 
 
@@ -415,21 +434,21 @@ def test_answers_unchanged(name, solved_instances):
     assert digest(answers + instances) == ANSWER_DIGESTS[name]
 
 
-EDL_DIGEST = "0e562245bebbcd32997b8dcbbf5358c449013b6ce11c23abb88e67f49f22427c"
+EDL_DIGEST = "c7fc416c2e40fea323cdf2996af72af566c17b92124f6e0581261b5787bb3213"
 EDL_INSTANCES_DIGEST = "4292281555d6d89d46e60d6e1164864c8da1a15b6aa7ceaa94f95d53a73cce6d"
-GTCP_DIGEST = "d895ae3b17aeb498daa12d16a49acca96abeae3749e4cb5c0ae09c145700b3d7"
-DEHORNOY_DIGEST = "0d7fbc836eeaf0e03d9fb954f41f365bd7aaecb75fa8e8c17d5549918ad1722d"
+GTCP_DIGEST = "472999af80c2f5a7d25aacf465603c2ffaa7bfe1ecf3c06dd887c8618f0ee253"
+DEHORNOY_DIGEST = "55d10bc33339f56722b57f0a9ab52d87dfc7bd499a549a3e46fb61fac3f7febb"
 DEHORNOY_INSTANCES_DIGEST = "7239b74be7e531ffe60437af978e88efbe27bce720876ac31acfe1c000b2a336"
-PARTIAL_FACTOR_DIGEST = "eb732e6d2ea28d9c6b38215b8d178e194187cd549c38f7371bbedfc1b3053950"
+PARTIAL_FACTOR_DIGEST = "d67ddd9ed1066d31838b6085b9568fb8ca6d4eb2b8f1e574873a35d01933934a"
 PARTIAL_FACTOR_INSTANCES_DIGEST = "77b9143845d00ca7debae637ac83d6581c4fb968daa8c4da570e9920d63f4cf2"
 STICKEL_DIGEST = "fdeec6ae4fe4995c3e398c1195dc54b60beee03ca20195a89990f55ad1e80509"
 DECOMPOSITION_DIGEST = "af5fcc21d8d1aa70a06f9cea44fd29a310c5abc27765d9cd83cc61b50de1fca4"
 EXTRACTOR_DIGEST = "5673fa90107bb483cf81bb263251e8d77cee3e327cede0cc1f7a88883dd9f936"
 ANSWER_DIGESTS = {
-    "edl": "289c5d6159ff90e23d40f57e98e345ca945f153ea3ad01b0960a64d00e28ebe6",
-    "gtcp": "402662ebfeba2eb385aab6c8733f66bb18ea0ca75bd17365a9acedfd745369df",
-    "dehornoy": "51e5a5e61ec8a2c65b7c6f5a615187feed4dad699c93ebced7b8388d9474c974",
-    "partial-factor": "72dfc63c04074c302078b21d802d582b131c74cb1e73617183a01a1b484cee0a",
+    "edl": "57973129e1bec9b14ea9fe2dca7f32a0846f1463c7e12e35c1109f6e3e75edf8",
+    "gtcp": "4590eddcee5cf19399d59318dfe0ec22c139bf2621132ab62937df6761f5e750",
+    "dehornoy": "a923250e361a3554b0fce992f86662624d8624e103f8c857f852ba9039933ee8",
+    "partial-factor": "a764e8127b2d107ce516425b7b827f4562aea89db41f5f3464d230c38f557c3e",
     "stickel": "71593bb897d08e1ddf2077e5fcc944f11ba38b2d0d8b581da07d8bb55f4b9e79",
     "decomposition": "5d82ade01002ecc3b16129e250970a853cfbe7a8ad70f6880562778070dab4b2",
     "extractor": "5673fa90107bb483cf81bb263251e8d77cee3e327cede0cc1f7a88883dd9f936",

@@ -1,11 +1,15 @@
-"""Every name a library module imports is used in that module, and every
-private top-level function or class of the library is used somewhere.
+"""Every name a library module imports is used in that module, every
+private top-level function or class of the library is used somewhere, and
+every field of a library dataclass is read somewhere.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules. For
 imports, `__init__.py` is exempt, since its imports are the package's
 re-exports, and so is `from __future__`. A private name is one that starts
 with a single underscore; a use inside its own definition, such as a
-recursive call, does not count.
+recursive call, does not count. A field is read when the library, the
+tests or the bench scripts load it as an attribute (`.field`) or name it
+in a string constant (as `getattr(cfg, "left_a")` does); constructing a
+dataclass does not read its fields.
 """
 
 import ast
@@ -13,7 +17,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "braidwork"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "braidwork"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -87,3 +92,62 @@ def test_detects_unreferenced_private_name():
         "_recursive (a.py line 5)",
         "_Unused (a.py line 9)",
     ]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(library: dict[str, str], others: list[str]) -> list[str]:
+    """The fields of the library's dataclasses, in the order the modules
+    define them, that neither the library nor the other sources read."""
+    fields: list[tuple[str, str, str, int]] = []
+    reads: set[str] = set()
+    for module, source in library.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [
+                    (node.name, stmt.target.id, module, stmt.lineno)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    for source in [*library.values(), *others]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+    return [
+        f"{cls}.{field} ({module} line {line})"
+        for cls, field, module, line in fields
+        if field not in reads
+    ]
+
+
+def test_dataclass_fields_are_read():
+    library = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = [
+        p.read_text()
+        for folder in ("tests", "bench")
+        for p in sorted((ROOT / folder).glob("*.py"))
+    ]
+    assert unread_fields(library, others) == []
+
+
+def test_detects_unread_field():
+    library = {
+        "a.py": (
+            "import dataclasses\n\n\n"
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class Point:\n    x: int\n    y: int\n    label: str = ''\n"
+        ),
+    }
+    others = [
+        "from a import Point\n\np = Point(1, y=2)\nprint(p.x, getattr(p, 'label'))\n"
+    ]
+    assert unread_fields(library, others) == ["Point.y (a.py line 7)"]

@@ -32,8 +32,16 @@ class TestPresets:
     @pytest.mark.parametrize("name", KA_PRESETS)
     def test_conditions_hold(self, name):
         config = make_preset(name, strands=8, secret_length=4, seed=0)
-        report = validate_conditions(config)
-        assert all(c.passed for c in report.checks)
+        assert all(c.passed for c in validate_conditions(config))
+
+    def test_conditions_with_trivial_base(self):
+        # ka_run accepts a conditions-2 config whose base is the identity;
+        # its trivial Z commutes with everything, so every [.,Z]!=1 row fails.
+        config = make_preset("klchkp", strands=6, secret_length=2, base_length=0)
+        ka_run(config, seed=0)
+        rows = {c.name: c.passed for c in validate_conditions(config)}
+        assert rows["[L_A,L_B]=1"] and rows["[R_A,R_B]=1"]
+        assert [passed for name, passed in rows.items() if ",Z]" in name] == [False] * 4
 
     def test_unknown_preset(self):
         with pytest.raises(ProtocolError):
