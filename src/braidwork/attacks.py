@@ -428,18 +428,22 @@ def attack_dehornoy_pair(
         return run.report()
     sigma_1_inv = invert(generator(response.strands, 1))
 
-    def unwrap(r_cand: BraidWord) -> BraidWord | None:
-        ds = compose_all([invert(r_cand), response, shift(r_cand), sigma_1_inv])
-        return _lift(SHIFT_ENDO, ds)
+    # The s the filter lifted for each r it accepted; the search returns the
+    # first r accepted, so its s is not lifted again.
+    lifted: dict[BraidWord, BraidWord] = {}
 
     def unwraps_to_key(r_cand: BraidWord) -> bool:
-        s_c = unwrap(r_cand)
-        return s_c is not None and words_equal(shifted_conjugate(s_c, base), public_key)
+        ds = compose_all([invert(r_cand), response, shift(r_cand), sigma_1_inv])
+        s_c = _lift(SHIFT_ENDO, ds)
+        if s_c is None or not words_equal(shifted_conjugate(s_c, base), public_key):
+            return False
+        lifted[r_cand] = s_c
+        return True
 
     rep = solve_exhaustive(inst, config, extra_check=unwraps_to_key)
     if not run.solved("instance-solved", rep):
         return run.report()
-    s_cand = rewrite(unwrap(rep.solution))
+    s_cand = rewrite(lifted[rep.solution])
     run.recovered += [("r-candidate", rep.solution), ("s-candidate", s_cand)]
     return run.report(s_cand, oracle_s)
 

@@ -19,18 +19,23 @@ the middle rather than conjugating by every word:
 - Split a word of length d as w = a.b, with |a| = ceil(d/2) and
   |b| = floor(d/2). Then w x w^-1 = y for every pair exactly when
   b x b^-1 = a^-1 y a for every pair.
-- A table maps the normal forms of b x b^-1 over the pairs to the b's of
-  one length, in canonical order. The table for |b| = h is built when
-  length 2h is first searched, by the same depth-first walk as the a's:
-  it walks each c of length h from x, carrying c^-1 x c at one conjugation
-  by a symbol per node, and files b = c^-1 under it, which is b x b^-1.
-  Each key's b's are then sorted into canonical order. The table serves
-  lengths 2h and 2h + 1 and is dropped for the next.
-- The a's are walked depth first in canonical order, carrying a^-1 y a at
-  one conjugation by a symbol per node. Each a is followed by its matching
-  b's in order, less those that cancel at the junction, so the matches
-  come in canonical order and the extra check sees them as it would in a
-  plain enumeration.
+- The search grows levels: the level of length h lists, in canonical
+  order, each symbol sequence c of length h with the normal forms it
+  carries, and the level of length h + 1 is grown from it by one
+  conjugation by a symbol per pair and node. Each node is conjugated once
+  in the whole search.
+- The tails grow from x: c carries c^-1 x c, which is b x b^-1 for
+  b = c^-1. When length 2h is first searched, tail level h is grown and a
+  table maps each key to its b's, sorted into canonical order. The table
+  serves lengths 2h and 2h + 1 and is dropped for the next.
+- The heads grow from y: a carries a^-1 y a. Head level h + 1 is grown
+  lazily at length 2h + 1, as the search reaches each a, and is kept for
+  length 2h + 2 (and the growth of the next level) only when the search
+  reaches that length. Then the table of length 2h + 2 holds as many
+  entries, so no level is kept that is larger than a table the cap admits.
+- Each a is followed by its matching b's in order, less those that cancel
+  at the junction, so the matches come in canonical order and the extra
+  check sees them as it would in a plain enumeration.
 - A word's rank in the enumeration, which its report gives as the number
   of candidates tested, has a closed form: 1 + sum over j < d of
   m(m-1)^(j-1) words are shorter (m symbols), and its lexicographic place
@@ -48,7 +53,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .extractors import CspInstance
 from .garside import (
@@ -57,14 +62,12 @@ from .garside import (
     inverse,
     normal_form,
     product,
-    words_equal,
 )
 from .subgroups import SubgroupSpec
 from .words import (
     MAX_SECRET_LENGTH,
     BraidWord,
     compose,
-    compose_all,
     identity,
     invert,
 )
@@ -81,6 +84,9 @@ STALLED = "stalled"
 # 3.11), so a full table about 80 MB; the default budget of 200,000 never
 # needs a table of more than a few thousand words.
 MAX_TABLE_ENTRIES = 1 << 16
+
+# A node of the search: a symbol sequence and the normal forms it carries.
+_Node = tuple[tuple[int, ...], tuple[GarsideNormalForm, ...]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,10 +132,18 @@ class SolutionReport:
 
 
 def verify_solution(instance: CspInstance, g: BraidWord) -> list[bool]:
-    """Per-pair check of the defining relation g x g^-1 = y."""
-    g_inv = invert(g)
+    """Per-pair check of the defining relation g x g^-1 = y, by products of
+    normal forms on the largest strand count among g and the pairs: g's
+    normal form is built once and inverted in closed form, and each pair
+    compares G . x . G^-1 with y. It normalises the instance's own words and
+    does not read the normal forms a search carried, so each bit is a check
+    independent of the search that found g."""
+    n = max([g.strands] + [w.strands for pair in instance.pairs for w in pair])
+    g_nf = normal_form(g.embed(n))
+    g_inv = inverse(g_nf)
     return [
-        words_equal(compose_all([g, x, g_inv]), y) for x, y in instance.pairs
+        product(product(g_nf, normal_form(x.embed(n))), g_inv) == normal_form(y.embed(n))
+        for x, y in instance.pairs
     ]
 
 
@@ -220,16 +234,27 @@ def _candidate_loop(
         )
 
     table: dict[tuple[GarsideNormalForm, ...], list[tuple[int, ...]]] = {}
+    heads: list[_Node] | None = [((), tuple(ys))]
+    tails: list[_Node] = [((), tuple(xs))]
     before = 0  # the number of words shorter than the current length
     for length in range(deepest + 1):
-        if length % 2 == 0:
+        if length % 2:
+            # The heads one symbol longer, kept for the next length if it is
+            # searched.
+            grown = [] if length < deepest else None
+            level = _grow(symbols, heads, grown)
+            heads = grown
+        else:
             # The b's of half this length under the normal forms of b x b^-1.
+            if length:
+                tails = list(_grow(symbols, tails))
             table = {}
-            for c, key in _walk(symbols, (), tuple(xs), length // 2):
+            for c, key in tails:
                 table.setdefault(key, []).append(tuple(k ^ 1 for k in reversed(c)))
             for bs in table.values():
                 bs.sort()
-        for a, key in _walk(symbols, (), tuple(ys), length - length // 2):
+            level = heads
+        for a, key in level:
             for b in table.get(key, ()):
                 if a and b and a[-1] ^ 1 == b[0]:
                     continue
@@ -275,23 +300,19 @@ def _spell(symbols: list[BraidWord], seq: Sequence[int], strands: int) -> BraidW
     return BraidWord(strands, tuple(x for k in seq for x in symbols[k].letters))
 
 
-def _walk(
-    symbols: list[BraidWord],
-    prefix: tuple[int, ...],
-    zs: tuple[GarsideNormalForm, ...],
-    length: int,
-):
-    """Depth first in canonical order, every a of `length` more symbols
-    after `prefix` with no cancelling neighbours, and the normal forms of
-    a^-1 y a: one conjugation by a symbol per pair and node."""
-    if not length:
-        yield prefix, zs
-        return
-    cancels = prefix[-1] ^ 1 if prefix else -1
-    for k, s in enumerate(symbols):
-        if k != cancels:
-            step = tuple(conjugate(z, s) for z in zs)
-            yield from _walk(symbols, prefix + (k,), step, length - 1)
+def _grow(symbols: list[BraidWord], level: Iterable[_Node], keep: list[_Node] | None = None):
+    """The level one symbol longer, in canonical order: each sequence of
+    `level` followed by every symbol that does not cancel its last one, with
+    its normal forms conjugated by that symbol, one conjugation per pair and
+    node. Lazy; each node is also appended to `keep` when one is given."""
+    for seq, zs in level:
+        cancels = seq[-1] ^ 1 if seq else -1
+        for k, s in enumerate(symbols):
+            if k != cancels:
+                node = (seq + (k,), tuple(conjugate(z, s) for z in zs))
+                if keep is not None:
+                    keep.append(node)
+                yield node
 
 
 def _conjugate_cost(

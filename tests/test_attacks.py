@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from braidwork import attacks
 from braidwork.attacks import (
     attack_decomposition,
     attack_dehornoy_centralizer,
@@ -14,7 +15,7 @@ from braidwork.attacks import (
     solve_gtcp,
 )
 from braidwork.garside import is_trivial, rewrite, words_equal
-from braidwork.handle import is_trivial_handle_reduction
+from braidwork.handle import is_trivial_handle_reduction, shift_preimage
 from braidwork.protocols import (
     DehornoyKeys,
     dehornoy_commit,
@@ -23,7 +24,7 @@ from braidwork.protocols import (
     ka_run,
     make_preset,
 )
-from braidwork.solvers import SolverConfig
+from braidwork.solvers import SolverConfig, solve_exhaustive
 from braidwork.subgroups import SubgroupSpec, elements_commute, interval_generators
 from braidwork.words import (
     IDENTITY_ENDO,
@@ -302,6 +303,39 @@ class TestDehornoyAttacks:
         assert report.harness_verdict is True
         s_cand = report.recovered_dict()["s-candidate"]
         assert words_equal(shifted_conjugate(s_cand, keys.base), keys.public_key)
+
+    def test_pair_attack_lifts_each_candidate_once(self, monkeypatch):
+        # One shift preimage per candidate the filter sees, and none after
+        # the solve: the accepted r's s is the one the filter lifted.
+        lifts, seen, lifts_at_solve = [], [], []
+
+        def counting_preimage(word):
+            lifts.append(word)
+            return shift_preimage(word)
+
+        def counting_solve(inst, config, extra_check):
+            def check(g):
+                seen.append(g)
+                return extra_check(g)
+
+            rep = solve_exhaustive(inst, config, extra_check=check)
+            lifts_at_solve.append(len(lifts))
+            return rep
+
+        monkeypatch.setattr(attacks, "shift_preimage", counting_preimage)
+        monkeypatch.setattr(attacks, "solve_exhaustive", counting_solve)
+        keys = dehornoy_keygen(strands=4, secret_length=3, base_length=3, seed=0)
+        gens = [generator(4, i) for i in range(1, 4)]
+        r = random_word(gens, 3, random.Random("nonce:0"))
+        x, x_prime = dehornoy_commit(keys, r)
+        response = dehornoy_respond(keys, r, challenge=1)
+        config = SolverConfig(max_length=3, alphabet=interval_generators(4, 1, 3))
+        report = attack_dehornoy_pair(
+            x, x_prime, keys.base, keys.public_key, response, config, oracle_s=keys.secret
+        )
+        assert report.success
+        assert seen and len(lifts) == len(seen)
+        assert lifts_at_solve == [len(lifts)]
 
     def test_pair_attack_flags_degenerate_keys(self):
         base = BraidWord(3, (1, 2))

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from braidwork import solvers
 from braidwork.extractors import CspInstance, build_mscsp_dhdp, build_stickel_instance
-from braidwork.garside import rewrite, words_equal
+from braidwork.garside import conjugate, rewrite, words_equal
+from braidwork.handle import is_trivial_handle_reduction
 from braidwork.protocols import ka_run, make_preset
 from braidwork.solvers import (
     BUDGET_EXCEEDED,
@@ -46,6 +49,37 @@ class TestVerifySolution:
         )
         checks = verify_solution(inst, generator(4, 1))
         assert checks == [True, False]
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_matches_handle_reduction(self, data):
+        # g, each x and each y live on their own strand counts; y is a
+        # planted conjugate g x g^-1 or an arbitrary word. The instance's
+        # post_transform, when it has one, does not enter the check.
+        def word(min_strands):
+            n = data.draw(st.integers(min_value=min_strands, max_value=6))
+            letter = st.integers(min_value=1, max_value=n - 1).flatmap(
+                lambda i: st.sampled_from([i, -i])
+            )
+            return BraidWord(n, tuple(data.draw(st.lists(letter, max_size=6))))
+
+        g = word(2)
+        pairs = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            x = word(2)
+            if data.draw(st.booleans()):
+                y = compose_all([g, x, invert(g)])
+                y = y.embed(data.draw(st.integers(min_value=y.strands, max_value=7)))
+            else:
+                y = word(2)
+            pairs.append((x, y))
+        post = word(2) if data.draw(st.booleans()) else None
+        inst = CspInstance(tuple(pairs), interval_generators(3, 1, 2), post)
+        expected = [
+            is_trivial_handle_reduction(compose_all([g, x, invert(g), invert(y)]))
+            for x, y in pairs
+        ]
+        assert verify_solution(inst, g) == expected
 
 
 class TestSolveExhaustive:
@@ -106,6 +140,36 @@ class TestSolveExhaustive:
         )
         assert report.solved
         assert len(report.solution) > 0
+
+    def test_each_node_is_conjugated_once(self, monkeypatch):
+        # Four symbols and two pairs that no word conjugates (the exponent
+        # sum of sigma_3 is not that of its inverse), so the search exhausts
+        # length 5. It grows head levels 1..3 and tail levels 1..2, and
+        # conjugates each node's two normal forms once.
+        calls = []
+
+        def counting_conjugate(a, s):
+            calls.append(s)
+            return conjugate(a, s)
+
+        monkeypatch.setattr(solvers, "conjugate", counting_conjugate)
+        alphabet = interval_generators(4, 1, 2)
+        inst = CspInstance(
+            (
+                (generator(4, 3), invert(generator(4, 3))),
+                (generator(4, 1), generator(4, 2)),
+            ),
+            alphabet,
+        )
+        report = solve_exhaustive(inst, SolverConfig(max_length=5))
+        assert report.status == EXHAUSTED
+
+        def nodes(length):
+            return 4 * 3 ** (length - 1)
+
+        heads = sum(nodes(h) for h in range(1, 4))
+        tails = sum(nodes(h) for h in range(1, 3))
+        assert len(calls) == 2 * (heads + tails)
 
     def test_deterministic(self):
         run = ka_run(make_preset("klchkp", strands=6, secret_length=2), seed=9)
