@@ -9,8 +9,11 @@ from public data, solve them, lift the solution back to a secret
 candidate (`_lift` for the token maps), and check the candidate against
 the public relations. Solvers return solutions only up to centralizer
 factors, so a pipeline's public predicate is the solver's `extra_check`
-and is evaluated there alone; a report names only the checks that can
-still fail once the solver has answered. `_Run` collects the checks,
+and is evaluated there alone, on the enumerated secret: only extractors
+and solvers know an instance's post_transform. `_solve` keeps the value
+the filter derived from the accepted secret, so none is derived twice. A
+report names only the checks that can still fail once the solver has
+answered. `_Run` collects the checks,
 recovered values and solver reports of one run and builds its
 AttackReport. A pipeline solves only the instances whose answers it uses,
 and what its solver's filter or its own construction already guarantees
@@ -26,8 +29,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from typing import Callable
 
 from .extractors import (
+    CspInstance,
     build_conjugation_instance,
     build_dehornoy_centralizer_instance,
     build_difference_instance,
@@ -60,7 +65,6 @@ from .words import (
     compose_all,
     enumerate_products,
     generator,
-    identity,
     invert,
     power,
     shift,
@@ -126,6 +130,23 @@ class _Run:
         )
 
 
+def _solve(
+    instance: CspInstance,
+    config: SolverConfig,
+    derive: Callable[[BraidWord], BraidWord | None],
+) -> tuple[SolutionReport, BraidWord | None]:
+    """The exhaustive search filtered by `derive`, which maps an enumerated
+    secret to the value it pins or to None, and the value of the secret it
+    accepted: the search stops there, so that value is the last derived."""
+    derived: list[BraidWord | None] = [None]
+
+    def accepts(word: BraidWord) -> bool:
+        derived[0] = derive(word)
+        return derived[0] is not None
+
+    return solve_exhaustive(instance, config, extra_check=accepts), derived[0]
+
+
 def _lift(f: Endomorphism, word: BraidWord) -> BraidWord | None:
     """Pull a word back through an invertible token map; None when it is
     not in the map's image or handle reduction runs over budget."""
@@ -150,23 +171,19 @@ def attack_decomposition(
     Key recovery against a decomposition-style key agreement.
 
     Extracts the left-side conjugacy instance from the attacked party's
-    token and solves it; the solution g = left.z fixes both candidates,
-    left = g.z^-1 and right = g^-1.token, which rebuild the token around z
-    by construction (Hofheinz & Steinwandt, PKC 2003). Public checks: each
+    token and solves it: the enumerated word is the left candidate, and the
+    solution g = left.z fixes right = g^-1.token, so the two rebuild the
+    token around z (Hofheinz & Steinwandt, PKC 2003). Public checks: each
     candidate commutes with the peer's matching subgroup; with the token
     rebuilt, those conditions alone force the assembled key to equal the
     shared one.
     """
     if party not in ("a", "b"):
         raise ValueError(f"party must be 'a' or 'b', got {party!r}")
-    if method == "exhaustive":
-        solve = solve_exhaustive
-    elif method == "descent":
-        solve = solve_length_descent
-    else:
+    solve = {"exhaustive": solve_exhaustive, "descent": solve_length_descent}.get(method)
+    if solve is None:
         raise ValueError(f"unknown solver method {method!r}")
     cfg = transcript.config
-    z = cfg.base if len(cfg.base) else identity(cfg.strands)
     if party == "a":
         target, own_token, peer_token = "a", transcript.token_a, transcript.token_b
         peer_left, peer_right = cfg.left_b, cfg.right_b
@@ -178,7 +195,7 @@ def attack_decomposition(
     rep = solve(build_mscsp_dhdp(transcript, target), config)
     if not run.solved("left-instance-solved", rep):
         return run.report()
-    left_cand = rewrite(compose(rep.solution, invert(z)))
+    left_cand = rewrite(rep.raw_word)
     right_cand = rewrite(compose(invert(rep.solution), own_token))
     run.recovered += [("left-candidate", left_cand), ("right-candidate", right_cand)]
     run.check(
@@ -234,7 +251,7 @@ def attack_stickel(
 @dataclasses.dataclass(frozen=True)
 class EdlDecision:
     """One-sided answer for a common-factor decision subset. The one
-    solver report is the u-side search's; v is derived from its solution."""
+    solver report is the u-side search's; v is the one its filter derived."""
 
     verdict: str  # "YES" | "NO-EVIDENCE"
     subset: tuple[int, ...]
@@ -285,24 +302,18 @@ def decide_edl(
         # and finds witnesses even when the conjugacy solution is not unique.
         x0, y0 = tokens[subset[0]]
 
-        def derive_v(u_cand: BraidWord) -> BraidWord:
-            return compose_all([invert(x0), invert(u_cand), y0])
-
-        def verify(u_cand: BraidWord) -> bool:
-            v_cand = derive_v(u_cand)
-            return all(
+        def derive_v(u_cand: BraidWord) -> BraidWord | None:
+            v_cand = compose_all([invert(x0), invert(u_cand), y0])
+            verified = all(
                 words_equal(tokens[i][1], compose_all([u_cand, tokens[i][0], v_cand]))
                 for i in subset
             )
+            return v_cand if verified else None
 
-        rep_u = solve_exhaustive(inst_u, config, extra_check=verify)
-        reports = (rep_u,)
-        if not rep_u.solved:
-            decisions.append(EdlDecision("NO-EVIDENCE", subset, None, reports))
-            continue
-        u_cand = rep_u.solution
-        witnesses = (u_cand, rewrite(derive_v(u_cand)))
-        decisions.append(EdlDecision("YES", subset, witnesses, reports))
+        rep_u, v_cand = _solve(inst_u, config, derive_v)
+        witnesses = (rep_u.solution, rewrite(v_cand)) if rep_u.solved else None
+        verdict = "YES" if rep_u.solved else "NO-EVIDENCE"
+        decisions.append(EdlDecision(verdict, subset, witnesses, (rep_u,)))
     return tuple(decisions)
 
 
@@ -332,26 +343,21 @@ def solve_gtcp(
     # carries the secret for this mode (u for ce1/ce3, w for ce2/ce4).
     carrier_endo = u if mode in ("pairwise-ce1", "centralizer-ce3") else w
 
-    def reproduces_samples(candidate: BraidWord) -> bool:
-        if inst.post_transform is not None:
-            candidate = compose(candidate, inst.post_transform)
-        r_c = _lift(carrier_endo, candidate)
-        return r_c is not None and all(
+    def reproducing_r(candidate: BraidWord) -> BraidWord | None:
+        r = _lift(carrier_endo, candidate)
+        reproduces = r is not None and all(
             words_equal(
-                compose_all(
-                    [apply_endo(u, r_c), apply_endo(v, p), apply_endo(w, invert(r_c))]
-                ),
-                y,
+                compose_all([apply_endo(u, r), apply_endo(v, p), apply_endo(w, invert(r))]), y
             )
             for y, p in samples
         )
+        return r if reproduces else None
 
     run = _Run(f"gtcp-{mode}")
-    rep = solve_exhaustive(inst, config, extra_check=reproduces_samples)
+    rep, r_c = _solve(inst, config, reproducing_r)
     if not run.solved("instance-solved", rep):
         return run.report()
-    # The filter has lifted the same element, so this lift succeeds.
-    r_cand = rewrite(_lift(carrier_endo, rep.raw_word))
+    r_cand = rewrite(r_c)
     run.recovered.append(("r-candidate", r_cand))
     return run.report(r_cand, oracle_r)
 
@@ -383,16 +389,16 @@ def attack_dehornoy_centralizer(
         raise ValueError("no probes available for the centralizer instance")
     inst = build_dehornoy_centralizer_instance(commitment, probes, r_spec, base)
 
-    def lifts_to_commitment(candidate: BraidWord) -> bool:
-        r_c = _lift(SHIFT_ENDO, compose(candidate, inst.post_transform))
-        return r_c is not None and words_equal(shifted_conjugate(r_c, base), commitment)
+    def committing_r(candidate: BraidWord) -> BraidWord | None:
+        r = _lift(SHIFT_ENDO, candidate)
+        commits = r is not None and words_equal(shifted_conjugate(r, base), commitment)
+        return r if commits else None
 
     run = _Run("dehornoy-centralizer")
-    rep = solve_exhaustive(inst, config, extra_check=lifts_to_commitment)
+    rep, r_c = _solve(inst, config, committing_r)
     if not run.solved("instance-solved", rep):
         return run.report()
-    # The filter has lifted the same element, so this lift succeeds.
-    r_cand = rewrite(_lift(SHIFT_ENDO, rep.raw_word))
+    r_cand = rewrite(r_c)
     run.recovered.append(("r-candidate", r_cand))
     return run.report(r_cand, oracle_r)
 
@@ -428,23 +434,16 @@ def attack_dehornoy_pair(
         return run.report()
     sigma_1_inv = invert(generator(response.strands, 1))
 
-    # The s the filter lifted for each r it accepted; the search returns the
-    # first r accepted, so its s is not lifted again.
-    lifted: dict[BraidWord, BraidWord] = {}
+    def key_secret(r: BraidWord) -> BraidWord | None:
+        s_c = _lift(SHIFT_ENDO, compose_all([invert(r), response, shift(r), sigma_1_inv]))
+        keyed = s_c is not None and words_equal(shifted_conjugate(s_c, base), public_key)
+        return s_c if keyed else None
 
-    def unwraps_to_key(r_cand: BraidWord) -> bool:
-        ds = compose_all([invert(r_cand), response, shift(r_cand), sigma_1_inv])
-        s_c = _lift(SHIFT_ENDO, ds)
-        if s_c is None or not words_equal(shifted_conjugate(s_c, base), public_key):
-            return False
-        lifted[r_cand] = s_c
-        return True
-
-    rep = solve_exhaustive(inst, config, extra_check=unwraps_to_key)
+    rep, s_c = _solve(inst, config, key_secret)
     if not run.solved("instance-solved", rep):
         return run.report()
-    s_cand = rewrite(lifted[rep.solution])
-    run.recovered += [("r-candidate", rep.solution), ("s-candidate", s_cand)]
+    s_cand = rewrite(s_c)
+    run.recovered += [("r-candidate", rep.raw_word), ("s-candidate", s_cand)]
     return run.report(s_cand, oracle_s)
 
 

@@ -72,7 +72,7 @@ import functools
 import itertools
 from typing import Sequence
 
-from .words import BraidWord, reconcile
+from .words import BraidWord, delta, power, reconcile
 
 Perm = tuple[int, ...]
 
@@ -169,8 +169,6 @@ class GarsideNormalForm:
         n = self.strands
         letters: list[int] = []
         if self.infimum != 0:
-            from .words import delta, power
-
             letters.extend(power(delta(n), self.infimum).letters)
         for p in self.factors:
             letters.extend(factor_word(p))

@@ -18,7 +18,7 @@ fails, and the benchmark's oracle counts the word as nontrivial.
 
 from __future__ import annotations
 
-from .words import BraidWord
+from .words import BraidWord, unshift
 
 DEFAULT_BUDGET = 10**6
 
@@ -76,8 +76,6 @@ def shift_preimage(a: BraidWord, budget: int = DEFAULT_BUDGET) -> BraidWord:
     Raises ValueError if sigma_1 letters survive reduction, i.e. the
     element is not in the image of the shift.
     """
-    from .words import unshift
-
     reduced = handle_reduce(a, budget)
     try:
         return unshift(reduced)

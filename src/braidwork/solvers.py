@@ -7,8 +7,10 @@ All solvers share the convention of CspInstance: a solution g satisfies
 g x_i g^-1 = y_i for every pair. Candidates are formed as `word . t` where
 the word ranges over a canonical deterministic enumeration of the
 configured alphabet and t is a fixed coset factor, the inverse of the
-instance's post_transform (so the enumerated word is the secret itself).
-Reports are deterministic functions of (instance, config).
+instance's post_transform. The enumerated word is the secret itself: an
+extra check (an attack's filter) is asked about it, on the alphabet's
+strand count, and t is applied only to the word it accepts, a report's
+`raw_word`. Reports are deterministic functions of (instance, config).
 
 The canonical enumeration (`words.enumerate_products`) orders words by
 length, then lexicographically by symbol (each generator followed by its
@@ -174,12 +176,14 @@ def solve_exhaustive(
     extra_check: Callable[[BraidWord], bool] | None = None,
 ) -> SolutionReport:
     """
-    The first candidate word, in canonical breadth-first order, that with
-    the coset factor verifies every pair (and the optional extra
-    predicate), found by meeting in the middle: each word is split into a
-    head and a tail of half its length, tails are looked up in a table
-    built for one length at a time, and the rank of the word gives
-    `candidates_tested`, as the module docstring sets out. Status
+    The first word, in canonical breadth-first order, that with the coset
+    factor verifies every pair and that the optional `extra_check`
+    accepts; the check sees the enumerated word (`raw_word`), not its
+    product with the coset factor (`solution`). It is found by meeting in
+    the middle: each word is split into a head and a tail of half its
+    length, tails are looked up in a table built for one length at a
+    time, and the rank of the word gives `candidates_tested`, as the
+    module docstring sets out. Status
     "exhausted" means the whole space up to the length bound was
     searched; "budget-exceeded" means the candidate budget ran out first.
     Raises ValueError when the longest length the budget reaches needs a
@@ -262,9 +266,9 @@ def _candidate_loop(
                 if rank > budget:
                     return SolutionReport(BUDGET_EXCEEDED, None, None, budget)
                 word = _spell(symbols, a + b, alphabet.strands)
-                g = compose(word, t)
-                if extra_check is not None and not extra_check(g):
+                if extra_check is not None and not extra_check(word):
                     continue
+                g = compose(word, t)
                 per_pair = tuple(verify_solution(instance, g))
                 return SolutionReport(SOLVED, g, word, rank, per_pair)
         before += _words_of_length(m, length)

@@ -7,7 +7,8 @@ forms, kept for the differential tests. Not part of the library.
 - `_candidate_loop` is the exhaustive search before it met in the middle.
   It enumerates every word with `enumerate_products`, in canonical order,
   and conjugates each pair by the whole word, so the rank of a word is the
-  count of words tested.
+  count of words tested. Its extra check sees the enumerated word, as the
+  library's does, not the word times the coset factor.
 - `solve_length_descent` is the descent before its lookahead reused the
   first-level conjugates: it recomputes them, and also computes the second
   moves that undo the first.
@@ -72,9 +73,9 @@ def _candidate_loop(
         # word . (t x t^-1) . word^-1 is the conjugate by word^-1.
         word_inv = invert(word)
         if all(conjugate(x, word_inv) == y for x, y in zip(xs, ys)):
-            g = compose(word, t)
-            if extra_check is not None and not extra_check(g):
+            if extra_check is not None and not extra_check(word):
                 continue
+            g = compose(word, t)
             per_pair = tuple(verify_solution(instance, g))
             return SolutionReport(SOLVED, g, word, tested, per_pair)
     return SolutionReport(EXHAUSTED, None, None, tested)

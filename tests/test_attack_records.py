@@ -437,7 +437,7 @@ def test_answers_unchanged(name, solved_instances):
 EDL_DIGEST = "c7fc416c2e40fea323cdf2996af72af566c17b92124f6e0581261b5787bb3213"
 EDL_INSTANCES_DIGEST = "4292281555d6d89d46e60d6e1164864c8da1a15b6aa7ceaa94f95d53a73cce6d"
 GTCP_DIGEST = "472999af80c2f5a7d25aacf465603c2ffaa7bfe1ecf3c06dd887c8618f0ee253"
-DEHORNOY_DIGEST = "55d10bc33339f56722b57f0a9ab52d87dfc7bd499a549a3e46fb61fac3f7febb"
+DEHORNOY_DIGEST = "0e9ff8c02d5bf3e3c8501f0bf4a757b966844a8913e4270fd0c5c4bdd1d4c872"
 DEHORNOY_INSTANCES_DIGEST = "7239b74be7e531ffe60437af978e88efbe27bce720876ac31acfe1c000b2a336"
 PARTIAL_FACTOR_DIGEST = "d67ddd9ed1066d31838b6085b9568fb8ca6d4eb2b8f1e574873a35d01933934a"
 PARTIAL_FACTOR_INSTANCES_DIGEST = "77b9143845d00ca7debae637ac83d6581c4fb968daa8c4da570e9920d63f4cf2"
@@ -447,7 +447,7 @@ EXTRACTOR_DIGEST = "5673fa90107bb483cf81bb263251e8d77cee3e327cede0cc1f7a88883dd9
 ANSWER_DIGESTS = {
     "edl": "57973129e1bec9b14ea9fe2dca7f32a0846f1463c7e12e35c1109f6e3e75edf8",
     "gtcp": "4590eddcee5cf19399d59318dfe0ec22c139bf2621132ab62937df6761f5e750",
-    "dehornoy": "a923250e361a3554b0fce992f86662624d8624e103f8c857f852ba9039933ee8",
+    "dehornoy": "4293ebd3ddbfa1d32e78d57159a700f21152eb0caece27b8789f7e00a642847d",
     "partial-factor": "a764e8127b2d107ce516425b7b827f4562aea89db41f5f3464d230c38f557c3e",
     "stickel": "71593bb897d08e1ddf2077e5fcc944f11ba38b2d0d8b581da07d8bb55f4b9e79",
     "decomposition": "5d82ade01002ecc3b16129e250970a853cfbe7a8ad70f6880562778070dab4b2",

@@ -39,6 +39,7 @@ from braidwork.words import (
     invert,
     power,
     random_word,
+    shift,
     shifted_conjugate,
 )
 
@@ -281,6 +282,42 @@ class TestGtcp:
         assert not report.success
 
 
+def pair_round():
+    keys = dehornoy_keygen(strands=4, secret_length=3, base_length=3, seed=0)
+    gens = [generator(4, i) for i in range(1, 4)]
+    r = random_word(gens, 3, random.Random("nonce:0"))
+    x, x_prime = dehornoy_commit(keys, r)
+    response = dehornoy_respond(keys, r, challenge=1)
+    config = SolverConfig(max_length=3, alphabet=interval_generators(4, 1, 3))
+    return attack_dehornoy_pair(
+        x, x_prime, keys.base, keys.public_key, response, config, oracle_s=keys.secret
+    )
+
+
+def gtcp_shift_round():
+    # The shift carries the secret, so the filter lifts through it.
+    endos = (SHIFT_ENDO, IDENTITY_ENDO, SHIFT_ENDO)
+    r = BraidWord(4, (1, 3))
+    ps = (generator(4, 1), generator(4, 2), BraidWord(4, (3, 2)))
+    samples = tuple(
+        (rewrite(compose_all([shift(r), p, invert(shift(r))])), p) for p in ps
+    )
+    spec = interval_generators(4, 1, 3)
+    return solve_gtcp(
+        samples, endos, "pairwise-ce1", spec, SolverConfig(max_length=2), oracle_r=r
+    )
+
+
+def centralizer_round():
+    r_spec = interval_generators(4, 1, 2)
+    base = BraidWord(4, (3, 1))
+    r = BraidWord(4, (1, 2))
+    commitment = rewrite(shifted_conjugate(r, base))
+    return attack_dehornoy_centralizer(
+        r_spec, base, commitment, SolverConfig(max_length=2), oracle_r=r
+    )
+
+
 class TestDehornoyAttacks:
     def test_pair_attack_recovers_secret(self):
         keys = dehornoy_keygen(strands=4, secret_length=3, base_length=3, seed=0)
@@ -304,9 +341,15 @@ class TestDehornoyAttacks:
         s_cand = report.recovered_dict()["s-candidate"]
         assert words_equal(shifted_conjugate(s_cand, keys.base), keys.public_key)
 
-    def test_pair_attack_lifts_each_candidate_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "attack",
+        (pair_round, gtcp_shift_round, centralizer_round),
+        ids=("pair", "gtcp-shift", "centralizer"),
+    )
+    def test_filter_lifts_each_candidate_once(self, monkeypatch, attack):
         # One shift preimage per candidate the filter sees, and none after
-        # the solve: the accepted r's s is the one the filter lifted.
+        # the solve: the accepted candidate's value is the one the filter
+        # lifted.
         lifts, seen, lifts_at_solve = [], [], []
 
         def counting_preimage(word):
@@ -314,9 +357,9 @@ class TestDehornoyAttacks:
             return shift_preimage(word)
 
         def counting_solve(inst, config, extra_check):
-            def check(g):
-                seen.append(g)
-                return extra_check(g)
+            def check(word):
+                seen.append(word)
+                return extra_check(word)
 
             rep = solve_exhaustive(inst, config, extra_check=check)
             lifts_at_solve.append(len(lifts))
@@ -324,18 +367,34 @@ class TestDehornoyAttacks:
 
         monkeypatch.setattr(attacks, "shift_preimage", counting_preimage)
         monkeypatch.setattr(attacks, "solve_exhaustive", counting_solve)
-        keys = dehornoy_keygen(strands=4, secret_length=3, base_length=3, seed=0)
-        gens = [generator(4, i) for i in range(1, 4)]
-        r = random_word(gens, 3, random.Random("nonce:0"))
-        x, x_prime = dehornoy_commit(keys, r)
-        response = dehornoy_respond(keys, r, challenge=1)
-        config = SolverConfig(max_length=3, alphabet=interval_generators(4, 1, 3))
-        report = attack_dehornoy_pair(
-            x, x_prime, keys.base, keys.public_key, response, config, oracle_s=keys.secret
-        )
-        assert report.success
+        report = attack()
+        assert report.success and report.harness_verdict is True
         assert seen and len(lifts) == len(seen)
         assert lifts_at_solve == [len(lifts)]
+
+    def test_pair_attack_answers_in_the_key_group(self):
+        # Criterion 8's seeds: r and s are read off the enumerated secret,
+        # so they live on the key's strand count, and s * p = p'.
+        gens = [generator(4, i) for i in range(1, 4)]
+        config = SolverConfig(
+            max_length=3, alphabet=interval_generators(4, 1, 3), budget=500_000
+        )
+        for seed in range(10):
+            keys = dehornoy_keygen(strands=4, secret_length=3, base_length=4, seed=seed)
+            nonce = random_word(gens, 3, random.Random(f"nonce:{seed}"))
+            x, x_prime = dehornoy_commit(keys, nonce)
+            response = dehornoy_respond(keys, nonce, challenge=1)
+            report = attack_dehornoy_pair(
+                x, x_prime, keys.base, keys.public_key, response, config
+            )
+            assert report.success
+            recovered = report.recovered_dict()
+            assert recovered["r-candidate"].strands == keys.strands
+            s = recovered["s-candidate"]
+            assert s.strands == keys.strands
+            assert is_trivial_handle_reduction(
+                compose(shifted_conjugate(s, keys.base), invert(keys.public_key))
+            )
 
     def test_pair_attack_flags_degenerate_keys(self):
         base = BraidWord(3, (1, 2))

@@ -128,12 +128,30 @@ def test_closed_form_rank_is_the_enumeration_position(m):
 def test_extra_check_sees_every_word_in_canonical_order():
     # sigma_5 commutes with the alphabet, so every word solves the pair,
     # and an extra check that turns every word down is asked about each.
-    alphabet = SubgroupSpec("s1,s2s1", 6, (BraidWord(6, (1,)), BraidWord(6, (2, 1))))
-    instance = CspInstance(((BraidWord(6, (5,)), BraidWord(6, (5,))),), alphabet)
-    seen = []
-    report = solve_exhaustive(instance, SolverConfig(4), lambda g: seen.append(g) and False)
-    assert seen == list(enumerate_products(alphabet.generators, 4))
-    assert (report.status, report.candidates_tested) == ("exhausted", len(seen))
+    # With a coset factor t = p^-1 on more strands than the alphabet, the
+    # pair is (p.sigma_6.p^-1, sigma_6): word.t solves it for every word,
+    # and the check still sees the enumerated words on the alphabet's strands.
+    alphabet = SubgroupSpec("s1,s2s1", 4, (BraidWord(4, (1,)), BraidWord(4, (2, 1))))
+    p = BraidWord(7, (5, 4, -6))
+    sigma_6 = BraidWord(7, (6,))
+    instances = (
+        CspInstance(((BraidWord(6, (5,)), BraidWord(6, (5,))),), alphabet),
+        CspInstance(((rewrite(compose_all([p, sigma_6, invert(p)])), sigma_6),), alphabet, p),
+    )
+    words = list(enumerate_products(alphabet.generators, 4))
+    assert {w.strands for w in words} == {alphabet.strands}
+    for instance in instances:
+        seen = []
+        report = solve_exhaustive(instance, SolverConfig(4), lambda w: seen.append(w) and False)
+        assert seen == words
+        assert (report.status, report.candidates_tested) == ("exhausted", len(seen))
+        # The report's solution is the accepted word times the coset factor.
+        report = solve_exhaustive(instance, SolverConfig(4), lambda w: len(w) == 3)
+        post = instance.post_transform
+        t = BraidWord(instance.strands) if post is None else invert(post)
+        assert report.raw_word == next(w for w in words if len(w) == 3)
+        assert report.solution == compose(report.raw_word, t)
+        assert all(report.per_pair)
 
 
 def test_the_budget_sets_the_deepest_table(monkeypatch):
