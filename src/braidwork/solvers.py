@@ -48,6 +48,15 @@ the middle rather than conjugating by every word:
 - Before building any table the search works out the longest length its
   budget reaches and the size of that length's table, and refuses a table
   above MAX_TABLE_ENTRIES with a ValueError.
+
+The length descent keeps two dicts for one solve, dropped when it returns:
+the conjugate of each normal form by each symbol, and each pair's cost
+term at each normal form. Storing the conjugate c of z by symbol k also
+stores z as c's conjugate by the inverse symbol k ^ 1, since normal forms
+are unique. So a solve conjugates each (normal form, symbol) pair at most
+once, never conjugates a result back, and makes at most the one-symbol
+conjugations the descent without the dicts made; its reports are those
+of that descent.
 """
 
 from __future__ import annotations
@@ -107,6 +116,10 @@ class SolverConfig:
             raise ValueError(f"unknown length functional {self.length_functional!r}")
         if self.restarts < 0:
             raise ValueError(f"restarts must be nonnegative, got {self.restarts}")
+        if self.max_length > MAX_SECRET_LENGTH:
+            raise ValueError(
+                f"length bound {self.max_length} is above the cap of {MAX_SECRET_LENGTH}"
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -213,10 +226,6 @@ def _candidate_loop(
     """The search behind solve_exhaustive and solve_power, kept apart so
     neither traced solver entry calls the other: a meet in the middle over
     the canonical enumeration, as the module docstring describes."""
-    if config.max_length > MAX_SECRET_LENGTH:
-        raise ValueError(
-            f"length bound {config.max_length} is above the cap of {MAX_SECRET_LENGTH}"
-        )
     n, alphabet, t, xs, ys = _setup(instance, config)
     symbols = _symbols(alphabet)
     m = len(symbols)
@@ -319,18 +328,17 @@ def _grow(symbols: list[BraidWord], level: Iterable[_Node], keep: list[_Node] | 
                 yield node
 
 
-def _conjugate_cost(
-    ys: list[GarsideNormalForm], x_invs: list[GarsideNormalForm], functional: str
-) -> tuple[int, int]:
-    """Primary cost of the current conjugated tuple, with the canonical
-    length of the per-pair quotients y.x^-1 as a target-aware tie-break
+def _cost_term(z: GarsideNormalForm, x_inv: GarsideNormalForm, functional: str) -> tuple[int, int]:
+    """One pair's term of the descent cost of a state, whose cost is the sum
+    over its pairs: the primary length of the pair's side z, with the
+    canonical length of the quotient z.x^-1 as a target-aware tie-break
     (zero exactly at success, so flat-length plateaus still give a signal)."""
-    gap = sum(len(product(y, x_inv).factors) for y, x_inv in zip(ys, x_invs))
+    gap = len(product(z, x_inv).factors)
     if functional == "difference":
         return (gap, gap)
     if functional == "letters":
-        return (sum(y.word_length for y in ys), gap)
-    return (sum(len(y.factors) for y in ys), gap)
+        return (z.word_length, gap)
+    return (len(z.factors), gap)
 
 
 def solve_length_descent(
@@ -347,14 +355,43 @@ def solve_length_descent(
     enumeration order, so traces are reproducible. Status "stalled" means
     every attempt ended with no helpful move; "budget-exceeded" means some
     attempt ran out of steps first.
+
+    Two dicts, dropped when the solve returns, hold the conjugate of each
+    normal form z by each symbol k and each pair's cost term at each z.
+    Storing a conjugate c of z also stores z as c's conjugate by the
+    inverse symbol k ^ 1, so a move that undoes the last one, or a symbol
+    and its inverse that both fix z, cost no second conjugation. Restart
+    prefixes go through the dict one symbol at a time, so the solve
+    conjugates by no more symbols than the descent without the dicts,
+    which conjugated by a whole prefix in one call; values, tie-breaks,
+    counts and traces are that descent's.
     """
     n, alphabet, t, xs, ys0 = _setup(instance, config)
     symbols = _symbols(alphabet)
     m = len(symbols)
     x_invs = [inverse(x) for x in xs]
+    conjugates: dict[tuple[GarsideNormalForm, int], GarsideNormalForm] = {}
+    terms: dict[tuple[int, GarsideNormalForm], tuple[int, int]] = {}
+
+    def move(zs: list[GarsideNormalForm], k: int) -> list[GarsideNormalForm]:
+        out = []
+        for z in zs:
+            c = conjugates.get((z, k))
+            if c is None:
+                c = conjugates[z, k] = conjugate(z, symbols[k])
+                conjugates[c, k ^ 1] = z
+            out.append(c)
+        return out
 
     def cost(zs: list[GarsideNormalForm]) -> tuple[int, int]:
-        return _conjugate_cost(zs, x_invs, config.length_functional)
+        primary = gap = 0
+        for p, z in enumerate(zs):
+            term = terms.get((p, z))
+            if term is None:
+                term = terms[p, z] = _cost_term(z, x_invs[p], config.length_functional)
+            primary += term[0]
+            gap += term[1]
+        return (primary, gap)
 
     rng = random.Random(config.seed)
     trace: list[str] = []
@@ -367,7 +404,9 @@ def solve_length_descent(
         prefix = _spell(symbols, path, n)
         if attempt:
             trace.append(f"restart {attempt} prefix {list(prefix.letters)}")
-        ys = [conjugate(y, prefix) for y in ys0]
+        ys = ys0
+        for k in path:
+            ys = move(ys, k)
         visited = {tuple(ys)}
 
         for step in range(10 * (config.max_length + len(prefix)) + 10):
@@ -378,14 +417,14 @@ def solve_length_descent(
                 trace.append(f"success after {step} steps (attempt {attempt})")
                 return SolutionReport(SOLVED, g, word, tested, per_pair, tuple(trace))
             current = cost(ys)
-            conjugates = [[conjugate(y, s) for y in ys] for s in symbols]
-            costs = [cost(cand) for cand in conjugates]
+            firsts = [move(ys, k) for k in range(m)]
+            costs = [cost(cand) for cand in firsts]
             tested += m
             moves: list[int] = []
             best = min(costs)
             if best < current:
                 moves = [costs.index(best)]
-                ys = conjugates[moves[0]]
+                ys = firsts[moves[0]]
             else:
                 # Depth-2 lookahead: a single move may have to go uphill
                 # before the cost can drop again. The first moves are the
@@ -396,13 +435,13 @@ def solve_length_descent(
                     tested += 1
                     if k2 == k1 ^ 1:
                         continue
-                    cand = [conjugate(y, symbols[k2]) for y in conjugates[k1]]
+                    cand = move(firsts[k1], k2)
                     if cost(cand) < current:
                         moves, ys = [k1, k2], cand
                         break
                 else:
                     # Failing that, the first equal-cost move to a new state.
-                    for k, cand in enumerate(conjugates):
+                    for k, cand in enumerate(firsts):
                         if costs[k] == current and tuple(cand) not in visited:
                             moves, ys = [k], cand
                             break

@@ -11,7 +11,10 @@ forms, kept for the differential tests. Not part of the library.
   library's does, not the word times the coset factor.
 - `solve_length_descent` is the descent before its lookahead reused the
   first-level conjugates: it recomputes them, and also computes the second
-  moves that undo the first.
+  moves that undo the first. It keeps no memo: each state it meets is
+  conjugated and costed afresh, by its own copy of `_conjugate_cost`, so
+  the library's per-solve dicts are checked against code they share none
+  of.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import random
 from typing import Callable
 
 from braidwork.extractors import CspInstance
-from braidwork.garside import GarsideNormalForm, conjugate, inverse, normal_form
+from braidwork.garside import GarsideNormalForm, conjugate, inverse, normal_form, product
 from braidwork.solvers import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
@@ -28,7 +31,6 @@ from braidwork.solvers import (
     STALLED,
     SolutionReport,
     SolverConfig,
-    _conjugate_cost,
     verify_solution,
 )
 from braidwork.subgroups import SubgroupSpec
@@ -79,6 +81,20 @@ def _candidate_loop(
             per_pair = tuple(verify_solution(instance, g))
             return SolutionReport(SOLVED, g, word, tested, per_pair)
     return SolutionReport(EXHAUSTED, None, None, tested)
+
+
+def _conjugate_cost(
+    ys: list[GarsideNormalForm], x_invs: list[GarsideNormalForm], functional: str
+) -> tuple[int, int]:
+    """Primary cost of the current conjugated tuple, with the canonical
+    length of the per-pair quotients y.x^-1 as a target-aware tie-break
+    (zero exactly at success, so flat-length plateaus still give a signal)."""
+    gap = sum(len(product(y, x_inv).factors) for y, x_inv in zip(ys, x_invs))
+    if functional == "difference":
+        return (gap, gap)
+    if functional == "letters":
+        return (sum(y.word_length for y in ys), gap)
+    return (sum(len(y.factors) for y in ys), gap)
 
 
 def solve_length_descent(

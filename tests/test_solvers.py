@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidwork import solvers
 from braidwork.extractors import CspInstance, build_mscsp_dhdp, build_stickel_instance
-from braidwork.garside import conjugate, rewrite, words_equal
+from braidwork.garside import conjugate, inverse, normal_form, product, rewrite, words_equal
 from braidwork.handle import is_trivial_handle_reduction
 from braidwork.protocols import ka_run, make_preset
 from braidwork.solvers import (
@@ -280,6 +280,84 @@ class TestSolveLengthDescent:
         inst = build_mscsp_dhdp(run.public, "a")
         cfg = SolverConfig(max_length=2, restarts=3, seed=4)
         assert solve_length_descent(inst, cfg) == solve_length_descent(inst, cfg)
+
+    # Two descents on two pairs: the first solves on its first attempt
+    # after a depth-2 lookahead, the second stalls twice, with lookaheads,
+    # and solves after its second restart. The descent without a memo
+    # made 166 and 558 conjugations on them.
+    REPEATS = [
+        pytest.param(5, (2, -3, -4, -1), ((-1, -3, 2), (3, 2, -2)), 0, 92, id="lookahead"),
+        pytest.param(4, (2, 3, 2), ((2, 1, 1), (1, -1, 2)), 2, 160, id="restarts"),
+    ]
+
+    def repeat_instance(self, n, secret, probes):
+        alphabet = interval_generators(n, 1, n - 1)
+        return conjugation_instance(
+            BraidWord(n, secret), tuple(BraidWord(n, p) for p in probes), alphabet
+        )
+
+    @pytest.mark.parametrize("n, secret, probes, restarts, conjugations", REPEATS)
+    def test_no_repeated_work(self, monkeypatch, n, secret, probes, restarts, conjugations):
+        # Within one solve no normal form is conjugated twice by a symbol,
+        # no conjugate is conjugated back by the inverse symbol, and each
+        # pair's gap product runs once per normal form of that pair.
+        inst = self.repeat_instance(n, secret, probes)
+        symbols = solvers._symbols(inst.alphabet)
+        x_invs = [inverse(normal_form(x)) for x, _ in inst.pairs]
+        assert len(set(x_invs)) == len(x_invs)
+        conjugated, undone = [], set()
+        gaps = {x_inv: [] for x_inv in x_invs}
+
+        def counting_conjugate(a, s):
+            k = symbols.index(s)
+            assert (a, k) not in undone
+            c = conjugate(a, s)
+            conjugated.append((a, k))
+            undone.add((c, k ^ 1))
+            return c
+
+        def counting_product(a, b):
+            if b in gaps:
+                gaps[b].append(a)
+            return product(a, b)
+
+        monkeypatch.setattr(solvers, "conjugate", counting_conjugate)
+        monkeypatch.setattr(solvers, "product", counting_product)
+        config = SolverConfig(max_length=len(secret), restarts=restarts)
+        report = solve_length_descent(inst, config)
+        assert report.solved
+        assert sum(t.startswith("restart") for t in report.trace) == restarts
+        assert len(set(conjugated)) == len(conjugated) == conjugations
+        for zs in gaps.values():
+            assert zs and len(set(zs)) == len(zs)
+
+    @pytest.mark.parametrize("n, secret, probes, restarts, conjugations", REPEATS)
+    def test_memo_is_per_solve(self, monkeypatch, n, secret, probes, restarts, conjugations):
+        # A second solve of the same instance redoes all of the first's
+        # conjugations: nothing carries over from one solve to the next.
+        inst = self.repeat_instance(n, secret, probes)
+        config = SolverConfig(max_length=len(secret), restarts=restarts)
+        calls = []
+
+        def counting_conjugate(a, s):
+            calls.append(s)
+            return conjugate(a, s)
+
+        monkeypatch.setattr(solvers, "conjugate", counting_conjugate)
+        first = solve_length_descent(inst, config)
+        between = len(calls)
+        second = solve_length_descent(inst, config)
+        assert first == second
+        assert between == len(calls) - between == conjugations
+
+    def test_bound_is_capped_at_the_secret_length_cap(self):
+        alphabet = interval_generators(4, 1, 3)
+        inst = CspInstance(((generator(4, 2), generator(4, 2)),), alphabet)
+        report = solve_length_descent(inst, SolverConfig(MAX_SECRET_LENGTH))
+        assert report.solved
+        message = f"length bound {MAX_SECRET_LENGTH + 1} is above the cap of {MAX_SECRET_LENGTH}"
+        with pytest.raises(ValueError, match=message):
+            solve_length_descent(inst, SolverConfig(MAX_SECRET_LENGTH + 1))
 
     @pytest.mark.parametrize("functional", ["canonical", "letters", "difference"])
     def test_functionals_accepted(self, functional):
