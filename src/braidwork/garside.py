@@ -27,13 +27,18 @@ Processing in Groups* (1992), ch. 9:
   - Right multiplication (`_comb_right`). A normal form times one
     permutation braid is normalised by a single backward comb: left-weight
     the last pair, then the pair before it, stopping at the first pair left
-    unchanged. A leading Delta factor is moved into the Delta power and a
-    trailing identity factor dropped as they appear.
+    unchanged. A trailing identity factor is dropped. When a pair step
+    turns factor j into Delta, the rest of the comb would only carry that
+    Delta to the front, one step (A, Delta) -> (Delta, flip(A)) per earlier
+    factor; instead factors 0..j-1 are flipped in place and the Delta moves
+    into the Delta power, in closed form.
   - The pair step (`_left_weight_pair`) moves generators from the front of
     the right factor to the back of the left one until the pair is
-    left-weighted. It works on the right factor and the inverse of the left
-    one as lists, where a move is two adjacent swaps, and after a move at i
-    it re-examines only i-1..i+1, so it costs O(n + moves).
+    left-weighted, which transfers the meet of the right factor and the
+    complement of the left one. It holds the inverse of the left factor and
+    the right factor as lists by position, and a move swaps the pairs at
+    two adjacent positions. One insertion pass shifts each pair left past
+    every neighbour it can move past, so it takes n-1+moves steps.
 
 Equality of braid words is decided by comparing normal forms.
 
@@ -81,11 +86,6 @@ def perm_identity(n: int) -> Perm:
     return tuple(range(n))
 
 
-def perm_mul(p: Perm, q: Perm) -> Perm:
-    """Apply p, then q."""
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
 def perm_inv(p: Sequence[int]) -> Perm:
     """The inverse permutation."""
     inv = [0] * len(p)
@@ -111,16 +111,6 @@ def perm_flip(p: Perm) -> Perm:
     """Conjugation by the longest element: Delta^-1 . p . Delta at braid level."""
     m = len(p) - 1
     return tuple([m - x for x in reversed(p)])
-
-
-def starting_set(p: Perm) -> frozenset[int]:
-    """Generators sigma_i that can begin a positive word for the factor p."""
-    return frozenset(i for i in range(1, len(p)) if p[i - 1] > p[i])
-
-
-def finishing_set(p: Perm) -> frozenset[int]:
-    """Generators sigma_i that can end a positive word for the factor p."""
-    return starting_set(perm_inv(p))
 
 
 def factor_word(p: Perm) -> list[int]:
@@ -180,31 +170,32 @@ def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:
     """Transfer generators from the front of b to the back of a until the
     pair (a, b) is left-weighted. Returns (a', b', changed)."""
     n = len(a)
-    a_list = list(a)
-    a_inv = list(perm_inv(a))
-    b_list = list(b)
+    # Position i holds the pair (u[i], v[i]) of a^-1 and b. sigma_j moves
+    # when it starts b (v[j-1] > v[j]) and does not finish a (u[j-1] <
+    # u[j]), and moving it swaps the pairs at j-1 and j. So one insertion
+    # pass shifts each pair left past every neighbour it can move past. The
+    # pair it lands beside and the one it passed last cannot move against
+    # it, so the pass ends with none movable: a maximal sequence of moves,
+    # which transfers the meet of b and the complement of a, as any does.
+    u = [0] * n
+    for i, x in enumerate(a):
+        u[x] = i
+    v = list(b)
     changed = False
-    # sigma_i is movable when it starts b (b[i-1] > b[i]) and does not
-    # finish a (a_inv[i-1] < a_inv[i]). Moving it swaps both pairs, which
-    # can only make i-1 or i+1 movable, so step back one place after a move:
-    # every index below i stays unmovable, and the moves come out in the
-    # same order as always taking the least movable generator. In a itself
-    # the move swaps the values i-1 and i, which sit at a_inv[i-1], a_inv[i].
-    i = 1
-    while i < n:
-        if b_list[i - 1] > b_list[i] and a_inv[i - 1] < a_inv[i]:
-            b_list[i - 1], b_list[i] = b_list[i], b_list[i - 1]
-            p, q = a_inv[i - 1], a_inv[i]
-            a_list[p], a_list[q] = i, i - 1
-            a_inv[i - 1], a_inv[i] = q, p
+    for i in range(1, n):
+        x, y = u[i], v[i]
+        j = i
+        while j and v[j - 1] > y and u[j - 1] < x:
+            u[j] = u[j - 1]
+            v[j] = v[j - 1]
+            j -= 1
+        if j != i:
+            u[j] = x
+            v[j] = y
             changed = True
-            if i > 1:
-                i -= 1
-        else:
-            i += 1
     if not changed:
         return a, b, False
-    return tuple(a_list), tuple(b_list), True
+    return perm_inv(u), tuple(v), True
 
 
 def _pack(n: int, letters: Sequence[int]) -> list[list[int]]:
@@ -226,18 +217,28 @@ def _comb_right(factors: list[Perm], p: Perm, ident: Perm, w0: Perm) -> int:
     """Right-multiply left-weighted factors by the permutation braid p, in
     place: one backward comb, which stops at the first pair it leaves
     unchanged. Only the appended factor can end up trivial, and one simple
-    factor raises the infimum by at most one, so at most one Delta appears,
-    in front; it is removed, and the return value (1 or 0) is what the
-    caller adds to its Delta power. `ident` and `w0` are the identity and
-    the longest permutation."""
+    factor raises the infimum by at most one, so at most one Delta appears;
+    it is removed, and the return value (1 or 0) is what the caller adds to
+    its Delta power. `ident` and `w0` are the identity and the longest
+    permutation."""
     if p == ident:
         return 0
     factors.append(p)
     j = len(factors) - 2
     while j >= 0:
-        factors[j], factors[j + 1], moved = _left_weight_pair(factors[j], factors[j + 1])
+        a, b, moved = _left_weight_pair(factors[j], factors[j + 1])
         if not moved:
             break
+        factors[j + 1] = b
+        if a == w0:
+            # The rest of the comb would carry Delta to the front, one pair
+            # step (A, Delta) -> (Delta, flip(A)) per earlier factor.
+            factors[:j] = [perm_flip(f) for f in factors[:j]]
+            del factors[j]
+            if factors[-1] == ident:
+                factors.pop()
+            return 1
+        factors[j] = a
         j -= 1
     if factors[-1] == ident:
         factors.pop()
@@ -309,6 +310,8 @@ def product(a: GarsideNormalForm, b: GarsideNormalForm) -> GarsideNormalForm:
     """The normal form of a . b: b's Delta power moves to the front, flipping
     a's factors if it is odd, and b's factors are appended one comb each."""
     n = a.strands
+    if b.strands != n:
+        raise ValueError(f"product of normal forms on {n} and {b.strands} strands")
     ident = perm_identity(n)
     w0 = perm_longest(n)
     factors = [perm_flip(p) for p in a.factors] if b.infimum % 2 else list(a.factors)
@@ -337,8 +340,11 @@ def conjugate(a: GarsideNormalForm, s: BraidWord) -> GarsideNormalForm:
     """The normal form of s^-1 . a . s, one letter of s at a time, each with
     one comb on either side. A sigma_i^-1 is written Delta^-1 . (Delta
     sigma_i^-1); its Delta^-1 passes a's factors only on the right, and not
-    at all when sigma_i ends the last factor and can be cancelled there."""
+    at all when sigma_i ends the last factor and can be cancelled there.
+    s may have fewer strands than a, but not more."""
     n = a.strands
+    if s.strands > n:
+        raise ValueError(f"conjugating a normal form on {n} strands by a word on {s.strands}")
     ident = perm_identity(n)
     w0 = perm_longest(n)
     power = a.infimum
@@ -370,19 +376,6 @@ def conjugate(a: GarsideNormalForm, s: BraidWord) -> GarsideNormalForm:
         j = n - i if power % 2 else i
         power += _comb_left(factors, perm_transposition(n, j), ident, w0)
     return GarsideNormalForm(n, power, tuple(factors))
-
-
-def is_left_weighted(nf: GarsideNormalForm) -> bool:
-    """Check the structural invariants of a normal form at the permutation level."""
-    ident = perm_identity(nf.strands)
-    w0 = perm_longest(nf.strands)
-    for p in nf.factors:
-        if p == ident or p == w0:
-            return False
-    for a, b in zip(nf.factors, nf.factors[1:]):
-        if not starting_set(b) <= finishing_set(a):
-            return False
-    return True
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:

@@ -6,8 +6,10 @@ Every letter becomes its own permutation-braid factor, the sequence is
 combed one generator at a time, and a fixpoint pass re-checks every pair at
 the end. It is slow but simple, and the differential tests compare the
 packed implementation against it. `factor_word` is the rescanning version
-of the re-expansion, whose letters the public words are made of. Not part of
-the library.
+of the re-expansion, whose letters the public words are made of. The
+permutation product, starting and finishing sets and the left-weighted
+check are the definitions the reference and the tests are written in. Not
+part of the library.
 """
 
 from __future__ import annotations
@@ -17,15 +19,41 @@ import functools
 from braidwork.garside import (
     GarsideNormalForm,
     Perm,
-    finishing_set,
     perm_flip,
     perm_identity,
+    perm_inv,
     perm_longest,
-    perm_mul,
     perm_transposition,
-    starting_set,
 )
 from braidwork.words import BraidWord
+
+
+def perm_mul(p: Perm, q: Perm) -> Perm:
+    """Apply p, then q."""
+    return tuple(q[p[i]] for i in range(len(p)))
+
+
+def starting_set(p: Perm) -> frozenset[int]:
+    """Generators sigma_i that can begin a positive word for the factor p."""
+    return frozenset(i for i in range(1, len(p)) if p[i - 1] > p[i])
+
+
+def finishing_set(p: Perm) -> frozenset[int]:
+    """Generators sigma_i that can end a positive word for the factor p."""
+    return starting_set(perm_inv(p))
+
+
+def is_left_weighted(nf: GarsideNormalForm) -> bool:
+    """Check the structural invariants of a normal form at the permutation level."""
+    ident = perm_identity(nf.strands)
+    w0 = perm_longest(nf.strands)
+    for p in nf.factors:
+        if p == ident or p == w0:
+            return False
+    for a, b in zip(nf.factors, nf.factors[1:]):
+        if not starting_set(b) <= finishing_set(a):
+            return False
+    return True
 
 
 def factor_word(p: Perm) -> list[int]:

@@ -1,13 +1,17 @@
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from garside_reference import finishing_set, is_left_weighted, perm_mul, starting_set
+from braidwork import garside
 from braidwork.garside import (
     GarsideNormalForm,
     canonical_length,
+    conjugate,
     factor_word,
-    finishing_set,
-    is_left_weighted,
+    inverse,
     is_trivial,
     nf_key,
     normal_form,
@@ -15,10 +19,9 @@ from braidwork.garside import (
     perm_identity,
     perm_inv,
     perm_longest,
-    perm_mul,
     perm_transposition,
+    product,
     rewrite,
-    starting_set,
     words_equal,
 )
 from braidwork.words import BraidWord, compose, delta, generator, identity, invert
@@ -169,3 +172,40 @@ class TestRewrite:
 
     def test_kills_cancellation(self):
         assert rewrite(BraidWord(3, (1, -1))) == identity(3)
+
+
+class TestArithmetic:
+    def test_product_carries_delta_in_closed_form(self, monkeypatch):
+        # NF(w u) . NF(u)^-1 cancels u, and the cancelled Deltas are carried
+        # down the combs. Normal-form factors are never Delta, so a pair step
+        # with Delta on the right could only be a step of that carry.
+        rng = random.Random(3)
+        w, u = (
+            BraidWord(9, tuple(rng.choice([1, -1]) * rng.randint(1, 8) for _ in range(80)))
+            for _ in range(2)
+        )
+        a, b = normal_form(compose(w, u)), inverse(normal_form(u))
+        expected = normal_form(w)
+        steps = []
+        kernel = garside._left_weight_pair
+        monkeypatch.setattr(
+            garside, "_left_weight_pair", lambda x, y: steps.append(y) or kernel(x, y)
+        )
+        assert product(a, b) == expected
+        assert sum(y == perm_longest(9) for y in steps) == 0
+        assert len(steps) == 33
+
+    def test_product_rejects_other_strand_counts(self):
+        a, b = normal_form(BraidWord(4, (1, -3))), normal_form(BraidWord(6, (5, 2)))
+        with pytest.raises(ValueError, match="4 and 6 strands"):
+            product(a, b)
+        with pytest.raises(ValueError, match="6 and 4 strands"):
+            product(b, a)
+
+    def test_conjugate_rejects_a_word_on_more_strands(self):
+        a = normal_form(BraidWord(4, (1, -3)))
+        with pytest.raises(ValueError, match="4 strands by a word on 6"):
+            conjugate(a, BraidWord(6, (5,)))
+        # Fewer strands is the inclusion B_4 < B_6.
+        a6, s = normal_form(a.to_word().embed(6)), BraidWord(4, (3, -1))
+        assert conjugate(a6, s) == conjugate(a6, s.embed(6))

@@ -6,6 +6,7 @@ reduction."""
 import itertools
 
 import garside_reference as reference
+from garside_reference import is_left_weighted, perm_mul
 from hypothesis import given, settings, strategies as st
 
 from braidwork.garside import (
@@ -14,8 +15,12 @@ from braidwork.garside import (
     conjugate,
     factor_word,
     inverse,
-    is_left_weighted,
     normal_form,
+    perm_flip,
+    perm_identity,
+    perm_inv,
+    perm_longest,
+    perm_transposition,
     product,
     rewrite,
 )
@@ -66,6 +71,31 @@ def perms(n: int):
     return st.permutations(range(n)).map(tuple)
 
 
+def prefix(p, k: int):
+    """The permutation braid of the first k letters of p's reduced word, a
+    left divisor of p."""
+    q = perm_identity(len(p))
+    for i in factor_word(p)[:k]:
+        q = perm_mul(q, perm_transposition(len(p), i))
+    return q
+
+
+@st.composite
+def pairs_that_transfer_much(draw):
+    """A factor a on 6-16 strands, and right factors b of which much or all
+    transfers to a: Delta, the complement a^-1 Delta, a prefix c of it, the
+    complement times c, and the complement times a prefix d of flip(a).
+    flip(a) is the complement of a^-1 Delta, so the last is a permutation
+    braid with a^-1 Delta as a prefix."""
+    n = draw(st.integers(min_value=6, max_value=16))
+    a = draw(perms(n))
+    w0 = perm_longest(n)
+    complement = perm_mul(perm_inv(a), w0)
+    c = prefix(complement, draw(st.integers(min_value=0, max_value=n * (n - 1) // 2)))
+    d = prefix(perm_flip(a), draw(st.integers(min_value=0, max_value=n * (n - 1) // 2)))
+    return a, (w0, complement, c, perm_mul(complement, c), perm_mul(complement, d))
+
+
 class TestNormalFormAgainstReference:
     @given(sized_words(2, 12, 60))
     @settings(max_examples=150, deadline=None)
@@ -103,6 +133,16 @@ class TestLeftWeightPairAgainstReference:
         a, b = pair
         assert _left_weight_pair(a, b) == reference._left_weight_pair(a, b)
 
+    @given(pairs_that_transfer_much())
+    @settings(max_examples=300, deadline=None)
+    def test_pairs_that_transfer_much(self, case):
+        # Random pairs seldom make Delta or transfer all of b, and the combs
+        # of the normal-form arithmetic make most of their moves in such
+        # pairs.
+        a, right_factors = case
+        for b in right_factors:
+            assert _left_weight_pair(a, b) == reference._left_weight_pair(a, b)
+
 
 def test_factor_word_matches_reference_up_to_six_strands():
     for n in range(1, 7):
@@ -121,6 +161,18 @@ class TestArithmeticOnNormalForms:
         assert nf == normal_form(compose(a, b))
         assert nf == reference.normal_form(compose(a, b))
         assert is_left_weighted(nf)
+
+    @given(st.integers(min_value=6, max_value=16).flatmap(
+        lambda n: st.tuples(words(n, 40), words(n, 40))
+    ))
+    @settings(deadline=None)
+    def test_product_cancels_a_right_factor(self, pair):
+        # Cancelling u carries Delta down the combs, where most generator
+        # moves are.
+        w, u = pair
+        nf = product(normal_form(compose(w, u)), inverse(normal_form(u)))
+        assert nf == normal_form(w)
+        assert nf == reference.normal_form(w)
 
     @given(sized_words(2, 12, 60))
     @settings(deadline=None)
