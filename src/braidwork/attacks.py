@@ -430,7 +430,8 @@ def attack_dehornoy_pair(
         (("extractor", "dehornoy-pair"),),
     )
     run = _Run("dehornoy-pair")
-    if not run.check("informative-instance", not is_trivial(inst.pairs[0][0])):
+    x = inst.forms[0][0]
+    if not run.check("informative-instance", (x.infimum, x.factors) != (0, ())):
         return run.report()
     sigma_1_inv = invert(generator(response.strands, 1))
 

@@ -13,9 +13,10 @@ Every instance of the library is built here, by `build_conjugation_instance`
 (differences of samples sharing a secret factor). Each instance side they
 compute is a canonical value, modelling an attacker who only sees canonical
 public values: the conjugation builder computes it by arithmetic on normal
-forms and exposes it with `to_word`, the difference builder re-expands the
-composed word with `rewrite`. Their callers choose tokens, probes, sides
-and alphabets.
+forms, the difference builder normalises the composed word. Both hand the
+normal forms to the solver in `CspInstance.forms` and spell them with
+`to_word` only for the instance's `pairs`, which its record writes. Their
+callers choose tokens, probes, sides and alphabets.
 
 Instance convention: a solution g satisfies g x_i g^-1 = y_i for every
 pair. The optional post_transform t records how to turn the recovered
@@ -52,16 +53,30 @@ class CspInstance:
     A single pair is a plain conjugacy search; several pairs share one
     conjugator. `alphabet` names the subgroup the enumeration draws
     candidates from; `post_transform` is the fixed right factor taking the
-    recovered conjugator back to the attacked secret."""
+    recovered conjugator back to the attacked secret.
+
+    `forms` holds the normal forms (x, y) of each pair, each on its word's
+    strand count or more; the solvers read these, not the words. The
+    builders below pass the forms they computed; otherwise, as in
+    `from_record`, they are normalised from the words. `pairs` keeps the
+    words, which the record writes."""
 
     pairs: tuple[tuple[BraidWord, BraidWord], ...]
     alphabet: SubgroupSpec
     post_transform: BraidWord | None = None
     meta: tuple[tuple[str, str], ...] = ()
+    forms: tuple[tuple[GarsideNormalForm, GarsideNormalForm], ...] | None = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if not self.pairs:
             raise ValueError("instance needs at least one pair")
+        if self.forms is None:
+            forms = tuple((normal_form(x), normal_form(y)) for x, y in self.pairs)
+            object.__setattr__(self, "forms", forms)
+        elif len(self.forms) != len(self.pairs):
+            raise ValueError(f"{len(self.forms)} pairs of forms for {len(self.pairs)} pairs")
 
     @property
     def strands(self) -> int:
@@ -133,22 +148,25 @@ def build_conjugation_instance(
 ) -> CspInstance:
     """One pair (probe, probe conjugated by the token on `side`) per probe,
     as `ce_conjugate_sample` composes it, built by normal-form arithmetic:
-    the token is normalised once and inverted in closed form, each conjugate
-    is L.NF(probe).R with (L, R) = (T, T^-1) on the left and (T^-1, T) on
-    the right, and leaves the library through `to_word`. Each pair lives on
-    the larger of the token's and the probe's strand counts."""
+    the token is normalised once and inverted in closed form, and each
+    conjugate is L.NF(probe).R with (L, R) = (T, T^-1) on the left and
+    (T^-1, T) on the right. The pair's forms are (NF(probe), L.NF(probe).R);
+    only the conjugate is spelt, with `to_word`. Each pair lives on the
+    larger of the token's and the probe's strand counts."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     around: dict[int, tuple[GarsideNormalForm, GarsideNormalForm]] = {}
     for n in {max(token.strands, probe.strands) for probe in probes}:
         t = normal_form(token.embed(n))
         around[n] = (t, inverse(t)) if side == "left" else (inverse(t), t)
-    pairs = []
+    pairs, forms = [], []
     for probe in probes:
         left, right = around[max(token.strands, probe.strands)]
         middle = normal_form(probe.embed(left.strands))
-        pairs.append((probe, product(product(left, middle), right).to_word()))
-    return CspInstance(tuple(pairs), alphabet, post_transform, meta)
+        y = product(product(left, middle), right)
+        pairs.append((probe, y.to_word()))
+        forms.append((middle, y))
+    return CspInstance(tuple(pairs), alphabet, post_transform, meta, tuple(forms))
 
 
 def build_difference_instance(
@@ -159,16 +177,18 @@ def build_difference_instance(
     meta: tuple[tuple[str, str], ...] = (),
 ) -> CspInstance:
     """One pair per (i, j) from samples (x_k, y_k) that share the factors
-    around x_k: left (x_i.x_j^-1, y_i.y_j^-1), right (x_j^-1.x_i, y_j^-1.y_i),
-    both sides re-expanded from normal form."""
-    pairs = tuple(
+    around x_k: left (x_i.x_j^-1, y_i.y_j^-1), right (x_j^-1.x_i, y_j^-1.y_i).
+    Both sides are normalised, kept as the pair's forms and spelt with
+    `to_word`."""
+    forms = tuple(
         (
-            rewrite(ce_difference_pair(samples[i][0], samples[j][0], side)),
-            rewrite(ce_difference_pair(samples[i][1], samples[j][1], side)),
+            normal_form(ce_difference_pair(samples[i][0], samples[j][0], side)),
+            normal_form(ce_difference_pair(samples[i][1], samples[j][1], side)),
         )
         for i, j in index_pairs
     )
-    return CspInstance(pairs, alphabet, None, meta)
+    pairs = tuple((x.to_word(), y.to_word()) for x, y in forms)
+    return CspInstance(pairs, alphabet, None, meta, forms)
 
 
 # Which token / probe source / conjugation side each extractor target uses.
@@ -353,7 +373,7 @@ def build_dehornoy_centralizer_instance(
     by the inverse of O = d(p).sigma_1.d(r)^-1, that is by d(r).(d(p).sigma_1)^-1.
     The alphabet is d(R) and the post_transform d(p).sigma_1, so the
     enumerated word is d(r). Central probes (Delta^2 powers) conjugate
-    trivially and are flagged in meta.
+    trivially, so their pair's two forms are equal, and are flagged in meta.
     """
     if not probes:
         raise ValueError("at least one probe is required")
@@ -363,9 +383,7 @@ def build_dehornoy_centralizer_instance(
     )
     post = compose(shift(base), generator(n, 1))
     inst = build_conjugation_instance(commitment, probes, "right", alphabet, post)
-    degenerate = [
-        str(i) for i, (probe, out) in enumerate(inst.pairs) if words_equal(probe, out)
-    ]
+    degenerate = [str(i) for i, (probe, out) in enumerate(inst.forms) if probe == out]
     meta = (
         ("extractor", "dehornoy-centralizer"),
         ("degenerate_pairs", ",".join(degenerate)),

@@ -63,11 +63,14 @@ in pair steps, for normal forms of canonical lengths l and m:
 Values that leave the library (protocol tokens, extractor instances,
 recovered keys in reports) are exposed as canonical words: their letters
 are part of the reports' bytes, and the canonical expansion hides the
-letters the value was built from. A value computed by the arithmetic above,
-such as each conjugate of `extractors.build_conjugation_instance`, leaves
-through `GarsideNormalForm.to_word`; a value composed as a word leaves
-through `rewrite`, which normalises it first. The normal form is unique,
-so both give the same letters.
+letters the value was built from. A value computed by the arithmetic above
+leaves through `GarsideNormalForm.to_word`; a value composed as a word
+leaves through `rewrite`, which normalises it first. The normal form is
+unique, so both give the same letters. Inside the library a value stays a
+normal form: the extractors hand each instance side to the solver as the
+normal form they computed, and spell it as a word only for the instance's
+`pairs` and its record. `embed` carries a normal form into a larger braid
+group in closed form.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ import functools
 import itertools
 from typing import Sequence
 
-from .words import BraidWord, delta, power, reconcile
+from .words import BraidWord, reconcile
 
 Perm = tuple[int, ...]
 
@@ -156,10 +159,12 @@ class GarsideNormalForm:
 
     def to_word(self) -> BraidWord:
         """Re-expand to a braid word equal to the original element."""
-        n = self.strands
+        n, k = self.strands, self.infimum
         letters: list[int] = []
-        if self.infimum != 0:
-            letters.extend(power(delta(n), self.infimum).letters)
+        if k:
+            # Delta = (s1)(s2 s1)...(s_{n-1} ... s1), as `words.delta` spells it.
+            twist = [x for i in range(1, n) for x in range(i, 0, -1)]
+            letters = (twist if k > 0 else [-x for x in reversed(twist)]) * abs(k)
         for p in self.factors:
             letters.extend(factor_word(p))
         return BraidWord(n, tuple(letters))
@@ -376,6 +381,26 @@ def conjugate(a: GarsideNormalForm, s: BraidWord) -> GarsideNormalForm:
         j = n - i if power % 2 else i
         power += _comb_left(factors, perm_transposition(n, j), ident, w0)
     return GarsideNormalForm(n, power, tuple(factors))
+
+
+def embed(a: GarsideNormalForm, n: int) -> GarsideNormalForm:
+    """The normal form of a in B_n, for n >= a.strands, in closed form. Each
+    factor fixes the added strands, and so does Delta_m for m = a.strands;
+    every padded factor starts within {1..m-1}, which the padded Delta_m
+    finishes, so Delta_m^k A_1 ... A_l padded is left-weighted as it stands
+    for k >= 0. For k < 0 the padded Delta_m^k is inverted in closed form
+    and multiplied in."""
+    m = a.strands
+    if n < m:
+        raise ValueError(f"cannot embed a normal form on {m} strands into B_{n}")
+    if n == m:
+        return a
+    pad = tuple(range(m, n))
+    factors = tuple(p + pad for p in a.factors)
+    twists = (perm_longest(m) + pad,) * abs(a.infimum)
+    if a.infimum >= 0:
+        return GarsideNormalForm(n, 0, twists + factors)
+    return product(inverse(GarsideNormalForm(n, 0, twists)), GarsideNormalForm(n, 0, factors))
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:

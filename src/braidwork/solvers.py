@@ -70,6 +70,7 @@ from .extractors import CspInstance
 from .garside import (
     GarsideNormalForm,
     conjugate,
+    embed,
     inverse,
     normal_form,
     product,
@@ -148,17 +149,17 @@ class SolutionReport:
 
 def verify_solution(instance: CspInstance, g: BraidWord) -> list[bool]:
     """Per-pair check of the defining relation g x g^-1 = y, by products of
-    normal forms on the largest strand count among g and the pairs: g's
-    normal form is built once and inverted in closed form, and each pair
-    compares G . x . G^-1 with y. It normalises the instance's own words and
-    does not read the normal forms a search carried, so each bit is a check
-    independent of the search that found g."""
-    n = max([g.strands] + [w.strands for pair in instance.pairs for w in pair])
+    normal forms on the largest strand count among g and the pairs: g is
+    normalised here, once, and inverted in closed form, and each pair
+    compares G . x . G^-1 with y, both read from the instance's own forms.
+    It does not read the normal forms a search carried, so each bit is a
+    check independent of the search that found g."""
+    n = max([g.strands] + [f.strands for pair in instance.forms for f in pair])
     g_nf = normal_form(g.embed(n))
     g_inv = inverse(g_nf)
     return [
-        product(product(g_nf, normal_form(x.embed(n))), g_inv) == normal_form(y.embed(n))
-        for x, y in instance.pairs
+        product(product(g_nf, embed(x, n)), g_inv) == embed(y, n)
+        for x, y in instance.forms
     ]
 
 
@@ -168,12 +169,14 @@ def _setup(
     """The strand count n, the alphabet, the coset factor t on n strands (the
     inverse of the instance's post_transform, or the identity) and the normal
     forms of t x t^-1 and y per pair: g = P.t solves a pair iff P conjugates
-    t x t^-1 to y. With a coset factor, t x t^-1 is a product of normal
-    forms, with t's inverted in closed form; without one it is x's."""
+    t x t^-1 to y. The pairs' forms are the instance's, embedded in B_n, and
+    no word of the instance is normalised again. With a coset factor,
+    t x t^-1 is a product of normal forms, with t's inverted in closed form;
+    without one it is x's."""
     alphabet = config.alphabet if config.alphabet is not None else instance.alphabet
     n = max(instance.strands, alphabet.strands)
-    xs = [normal_form(x.embed(n)) for x, _ in instance.pairs]
-    ys = [normal_form(y.embed(n)) for _, y in instance.pairs]
+    xs = [embed(x, n) for x, _ in instance.forms]
+    ys = [embed(y, n) for _, y in instance.forms]
     if instance.post_transform is None:
         return n, alphabet, identity(n), xs, ys
     post = instance.post_transform.embed(n)

@@ -12,7 +12,7 @@ from braidwork.extractors import (
     ce_conjugate_sample,
     ce_difference_pair,
 )
-from braidwork.garside import rewrite, words_equal
+from braidwork.garside import embed, normal_form, rewrite, words_equal
 from braidwork.protocols import dehornoy_commit, dehornoy_keygen, ka_run, make_preset
 from braidwork.subgroups import SubgroupSpec, interval_generators
 from braidwork.words import (
@@ -351,3 +351,74 @@ class TestDehornoyCentralizerExtractor:
             build_dehornoy_centralizer_instance(
                 BraidWord(3, (1,)), (), interval_generators(2, 1, 1), identity(2)
             )
+
+
+def assert_forms_match_words(inst: CspInstance) -> None:
+    """Each pair's forms embed, on the instance's strand count, to the
+    normal forms of its words, and no form has fewer strands than its word."""
+    n = inst.strands
+    assert len(inst.forms) == len(inst.pairs)
+    for pair, forms in zip(inst.pairs, inst.forms):
+        for w, f in zip(pair, forms):
+            assert f.strands >= w.strands
+            assert embed(f, n) == normal_form(w.embed(n))
+
+
+class TestForms:
+    alphabet = interval_generators(6, 1, 2)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_conjugation_builder(self, side):
+        # The second probe has fewer strands than the token.
+        token = BraidWord(6, (1, -2, 5, -1))
+        probes = (generator(6, 4), BraidWord(4, (-3, 2)))
+        assert_forms_match_words(build_conjugation_instance(token, probes, side, self.alphabet))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_difference_builder(self, side):
+        u, v = BraidWord(6, (1, 2)), BraidWord(6, (-2, -5))
+        xs = (generator(6, 4), BraidWord(6, (4, -5)), generator(6, 5))
+        samples = tuple((x, compose_all([u, x, v])) for x in xs)
+        inst = build_difference_instance(samples, ((0, 1), (1, 2)), side, self.alphabet)
+        assert_forms_match_words(inst)
+
+    def test_dhdp_builder(self):
+        run = ka_run(make_preset("klchkp", strands=8, secret_length=3), seed=2)
+        assert_forms_match_words(build_mscsp_dhdp(run.public, "a"))
+
+    def test_stickel_builder(self):
+        a, b = BraidWord(5, (1, 2)), BraidWord(5, (3, -4))
+        token = compose_all([a, power(b, 2), invert(a)])
+        assert_forms_match_words(build_stickel_instance(a, b, token, alpha=2))
+
+    def test_gtcp_builder(self):
+        spec = interval_generators(4, 1, 3)
+        endos = (inner_endo(generator(4, 1)), IDENTITY_ENDO, inner_endo(generator(4, 2)))
+        r = BraidWord(4, (2, 1))
+        u, v, w = endos
+        samples = tuple(
+            (compose_all([apply_endo(u, r), apply_endo(v, p), apply_endo(w, invert(r))]), p)
+            for p in (generator(4, 1), generator(4, 3), BraidWord(4, (2, 3)))
+        )
+        assert_forms_match_words(build_gtcp_instances(samples, endos, "pairwise-ce2", spec))
+
+    def test_dehornoy_centralizer_builder(self):
+        probes = (power(delta(4), 2), generator(4, 3), BraidWord(4, (3, -1)))
+        inst = build_dehornoy_centralizer_instance(
+            BraidWord(4, (1, 2, -3)), probes, interval_generators(3, 1, 2), BraidWord(3, (2,))
+        )
+        assert_forms_match_words(inst)
+        assert dict(inst.meta)["degenerate_pairs"] == "0"
+
+    def test_record_roundtrip(self):
+        token = BraidWord(6, (1, -2, 5))
+        inst = build_conjugation_instance(token, (generator(6, 4),), "left", self.alphabet)
+        back = CspInstance.from_record(inst.to_record())
+        assert_forms_match_words(back)
+        assert back.forms == inst.forms
+
+    def test_forms_of_the_wrong_length_are_rejected(self):
+        pair = (generator(3, 1), generator(3, 2))
+        forms = ((normal_form(pair[0]), normal_form(pair[1])),)
+        with pytest.raises(ValueError, match="1 pairs of forms for 2 pairs"):
+            CspInstance((pair, pair), interval_generators(3, 1, 2), forms=forms)

@@ -10,6 +10,7 @@ from braidwork.garside import (
     GarsideNormalForm,
     canonical_length,
     conjugate,
+    embed,
     factor_word,
     inverse,
     is_trivial,
@@ -24,7 +25,7 @@ from braidwork.garside import (
     rewrite,
     words_equal,
 )
-from braidwork.words import BraidWord, compose, delta, generator, identity, invert
+from braidwork.words import BraidWord, compose, delta, generator, identity, invert, power
 
 
 def words(n: int, max_len: int = 8):
@@ -173,6 +174,11 @@ class TestRewrite:
     def test_kills_cancellation(self):
         assert rewrite(BraidWord(3, (1, -1))) == identity(3)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_to_word_spells_delta_powers(self, n):
+        for k in range(-3, 4):
+            assert GarsideNormalForm(n, k, ()).to_word() == power(delta(n), k)
+
 
 class TestArithmetic:
     def test_product_carries_delta_in_closed_form(self, monkeypatch):
@@ -209,3 +215,32 @@ class TestArithmetic:
         # Fewer strands is the inclusion B_4 < B_6.
         a6, s = normal_form(a.to_word().embed(6)), BraidWord(4, (3, -1))
         assert conjugate(a6, s) == conjugate(a6, s.embed(6))
+
+
+# Words with inverses on m strands, after a prefix Delta_m^k, so that both
+# signs of the infimum come up; then a larger strand count n.
+@st.composite
+def embeddings(draw):
+    m = draw(st.integers(min_value=1, max_value=7))
+    n = draw(st.integers(min_value=m, max_value=9))
+    if m == 1:
+        return identity(1), n
+    k = draw(st.integers(min_value=-3, max_value=3))
+    return compose(power(delta(m), k), draw(words(m, 12))), n
+
+
+class TestEmbed:
+    # Example counts follow the hypothesis profile (see conftest.py).
+    @given(embeddings())
+    @settings(deadline=None)
+    def test_matches_normal_form_of_embedded_word(self, case):
+        w, n = case
+        assert embed(normal_form(w), n) == normal_form(w.embed(n))
+
+    def test_same_strand_count_is_unchanged(self):
+        a = normal_form(BraidWord(4, (-1, 2, -3)))
+        assert embed(a, 4) is a
+
+    def test_rejects_fewer_strands(self):
+        with pytest.raises(ValueError, match="4 strands into B_3"):
+            embed(normal_form(BraidWord(4, (3,))), 3)

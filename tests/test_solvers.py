@@ -171,6 +171,24 @@ class TestSolveExhaustive:
         tails = sum(nodes(h) for h in range(1, 3))
         assert len(calls) == 2 * (heads + tails)
 
+    def test_reads_the_instance_forms(self, monkeypatch):
+        # The pairs' normal forms come with the instance, so with no coset
+        # factor the only word the solver normalises is the solution g, once,
+        # in verify_solution.
+        calls = []
+
+        def counting_normal_form(w):
+            calls.append(w)
+            return normal_form(w)
+
+        alphabet = interval_generators(5, 1, 2)
+        probes = (generator(5, 4), generator(5, 1), BraidWord(5, (4, -3)))
+        inst = conjugation_instance(BraidWord(5, (1, 2)), probes, alphabet)
+        monkeypatch.setattr(solvers, "normal_form", counting_normal_form)
+        report = solve_exhaustive(inst, SolverConfig(max_length=2))
+        assert report.solved
+        assert calls == [report.solution]
+
     def test_deterministic(self):
         run = ka_run(make_preset("klchkp", strands=6, secret_length=2), seed=9)
         inst = build_mscsp_dhdp(run.public, "a")
