@@ -323,8 +323,6 @@ def solve_gtcp(
     mode: str,
     secret_spec: SubgroupSpec,
     config: SolverConfig,
-    centralizer_length: int = 1,
-    sample_index: int = 0,
     oracle_r: BraidWord | None = None,
 ) -> AttackReport:
     """
@@ -335,10 +333,7 @@ def solve_gtcp(
     sample token, so a solved instance is a recovered r.
     """
     u, v, w = endos
-    inst = build_gtcp_instances(
-        samples, endos, mode, secret_spec,
-        centralizer_length=centralizer_length, sample_index=sample_index,
-    )
+    inst = build_gtcp_instances(samples, endos, mode, secret_spec)
     # The enumerated raw word lies in the image alphabet of the map that
     # carries the secret for this mode (u for ce1/ce3, w for ce2/ce4).
     carrier_endo = u if mode in ("pairwise-ce1", "centralizer-ce3") else w
@@ -368,7 +363,6 @@ def attack_dehornoy_centralizer(
     commitment: BraidWord,
     config: SolverConfig,
     probes: tuple[BraidWord, ...] | None = None,
-    centralizer_length: int = 2,
     oracle_r: BraidWord | None = None,
 ) -> AttackReport:
     """
@@ -378,12 +372,13 @@ def attack_dehornoy_centralizer(
     shifted R generators against the fixed public factor d(p).sigma_1, so
     the raw solution is d(r), which unshifts to r. The solver's filter
     unshifts each candidate and keeps it only when it reproduces the
-    commitment, so a solved instance is a recovered r.
+    commitment, so a solved instance is a recovered r. Without given
+    probes, they come from a centralizer search over words of length <= 2.
     """
     n = commitment.strands
     if probes is None:
         ambient = interval_generators(r_spec.strands, 1, r_spec.strands - 1)
-        elements = centralizer_search(r_spec, centralizer_length, ambient)
+        elements = centralizer_search(r_spec, 2, ambient)
         probes = tuple(p.embed(n) for p in elements if len(p) > 0)
     if not probes:
         raise ValueError("no probes available for the centralizer instance")

@@ -5,6 +5,9 @@ Subcommands: simulate (write a protocol transcript), attack (run the
 preset's attack pipeline on a public transcript), solve (run the
 exhaustive solver on a stored conjugacy instance), selftest (run the
 built-in invariant suite), sweep (aggregate attack success over seeds).
+Each subcommand takes only the flags its handler reads (SUBCOMMAND_FLAGS);
+a flag of another subcommand is a usage error. attack and solve take no
+--preset or sizes: they read them from the input record.
 
 All randomness is seeded, and report files are plain JSON with sorted
 keys, so identical invocations produce byte-identical outputs. Exit
@@ -55,6 +58,28 @@ from .words import (
 
 PRESETS = tuple(KA_PRESETS) + ("dehornoy",)
 
+FLAGS = {
+    "--preset": dict(choices=PRESETS, default="klchkp"),
+    "--n": dict(type=int, default=8, help="strand count"),
+    "--secret-len": dict(type=int, default=8),
+    "--max-len": dict(type=int, default=4, help="solver word-length bound"),
+    "--budget": dict(type=int, default=200_000, help="solver candidate budget"),
+    "--seed": dict(type=int, default=0),
+    "--reps": dict(type=int, default=1),
+    "--in": dict(dest="in_path", default=None, help="input file"),
+    "--oracle": dict(default=None, help="secret transcript for the harness verdict"),
+    "--out": dict(default=".", help="output file or directory"),
+}
+
+# The flags each subcommand's handler reads, and no others.
+SUBCOMMAND_FLAGS = {
+    "simulate": "--preset --n --secret-len --seed --out",
+    "attack": "--in --oracle --max-len --budget --out",
+    "solve": "--in --max-len --budget --out",
+    "selftest": "--seed",
+    "sweep": "--preset --n --secret-len --max-len --budget --seed --reps --out",
+}
+
 
 def _dump(path: pathlib.Path, record: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -73,21 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="braidwork", description="braid protocol simulation and cryptanalysis"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--preset", choices=PRESETS, default="klchkp")
-        p.add_argument("--n", type=int, default=8, help="strand count")
-        p.add_argument("--secret-len", type=int, default=8)
-        p.add_argument("--max-len", type=int, default=4, help="solver word-length bound")
-        p.add_argument("--budget", type=int, default=200_000, help="solver candidate budget")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--reps", type=int, default=1)
-        p.add_argument("--in", dest="in_path", default=None, help="input file")
-        p.add_argument("--oracle", default=None, help="secret transcript for the harness verdict")
-        p.add_argument("--out", default=".", help="output file or directory")
-
-    for name in ("simulate", "attack", "solve", "selftest", "sweep"):
-        common(sub.add_parser(name))
+    for name, flags in SUBCOMMAND_FLAGS.items():
+        p = sub.add_parser(name)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -310,12 +324,15 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": cmd_sweep,
     }
     try:
-        expect_strands(args.n)
-        expect_secret_length(args.secret_len)
-        for flag, value in (("--max-len", args.max_len), ("--budget", args.budget)):
+        if "n" in args:
+            expect_strands(args.n)
+        if "secret_len" in args:
+            expect_secret_length(args.secret_len)
+        for flag, dest in (("--max-len", "max_len"), ("--budget", "budget")):
+            value = getattr(args, dest, 0)
             if value < 0:
                 raise ValueError(f"{flag} must be nonnegative, got {value}")
-        if args.max_len > MAX_SECRET_LENGTH:
+        if "max_len" in args and args.max_len > MAX_SECRET_LENGTH:
             raise ValueError(f"--max-len {args.max_len} is above the cap of {MAX_SECRET_LENGTH}")
         return handlers[args.command](args)
     except (ProtocolError, ValueError, KeyError, OSError) as exc:

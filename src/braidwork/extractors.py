@@ -290,7 +290,6 @@ def build_gtcp_instances(
     endos: tuple[Endomorphism, Endomorphism, Endomorphism],
     mode: str,
     secret_spec: SubgroupSpec,
-    centralizer_length: int = 1,
     sample_index: int = 0,
 ) -> CspInstance:
     """
@@ -299,8 +298,9 @@ def build_gtcp_instances(
     Pairwise modes difference two tokens so the w-side (or u-side) cancels:
     "pairwise-ce1" targets u(r) with pairs (v(p_i).v(p_j)^-1, y_i.y_j^-1),
     "pairwise-ce2" targets w(r^-1)^-1 with pairs (v(p_j)^-1.v(p_i), y_j^-1.y_i).
-    Centralizer modes conjugate probes commuting with the cancelled side by a
-    single token: "centralizer-ce3" targets u(r).v(p_i) with probes from the
+    Centralizer modes conjugate probes commuting with the cancelled side
+    (found by a centralizer search over words of length <= 1) by a single
+    token: "centralizer-ce3" targets u(r).v(p_i) with probes from the
     centralizer of w's images of the secret subgroup; "centralizer-ce4"
     targets w(r^-1)^-1.v(p_i)^-1 with probes from the centralizer of u's
     images. `samples` holds (y_i, p_i); the secret r is sampled from
@@ -334,7 +334,7 @@ def build_gtcp_instances(
         # Probes must commute with the cancelled side's image of the secret.
         n = max(max(y.strands for y in ys), max(vp.strands for vp in vps))
         elements = centralizer_search(
-            cancelled_spec, centralizer_length, interval_generators(n, 1, n - 1)
+            cancelled_spec, 1, interval_generators(n, 1, n - 1)
         )
         probes = tuple(p for p in elements if len(p) > 0)
         if not probes:

@@ -61,12 +61,12 @@ def handle_reduce(a: BraidWord, budget: int = DEFAULT_BUDGET) -> BraidWord:
     return BraidWord(a.strands, tuple(letters))
 
 
-def is_trivial_handle_reduction(a: BraidWord, budget: int = DEFAULT_BUDGET) -> bool:
+def is_trivial_handle_reduction(a: BraidWord) -> bool:
     """Whether the word represents the identity, by handle reduction."""
-    return len(handle_reduce(a, budget)) == 0
+    return len(handle_reduce(a)) == 0
 
 
-def shift_preimage(a: BraidWord, budget: int = DEFAULT_BUDGET) -> BraidWord:
+def shift_preimage(a: BraidWord) -> BraidWord:
     """
     Undo the index-shift endomorphism on an element (not just a literal
     image word): fully reduce first, since an element of the subgroup
@@ -76,7 +76,7 @@ def shift_preimage(a: BraidWord, budget: int = DEFAULT_BUDGET) -> BraidWord:
     Raises ValueError if sigma_1 letters survive reduction, i.e. the
     element is not in the image of the shift.
     """
-    reduced = handle_reduce(a, budget)
+    reduced = handle_reduce(a)
     try:
         return unshift(reduced)
     except ValueError:

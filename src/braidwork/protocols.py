@@ -429,14 +429,13 @@ def dehornoy_keygen(
     secret_length: int,
     base_length: int,
     seed: int,
-    secret_spec: SubgroupSpec | None = None,
 ) -> DehornoyKeys:
-    """Sample a key pair; the secret comes from secret_spec when given."""
+    """Sample a key pair; the base and the secret are words in the Artin
+    generators of B_strands."""
     rng = random.Random(seed)
     gens = [generator(strands, i) for i in range(1, strands)]
     p = random_word(gens, base_length, rng)
-    alphabet = secret_spec.generators if secret_spec else gens
-    s = random_word(alphabet, secret_length, rng)
+    s = random_word(gens, secret_length, rng)
     p_pub = rewrite(shifted_conjugate(s, p))
     return DehornoyKeys(strands, p, p_pub, s)
 

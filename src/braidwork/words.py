@@ -14,6 +14,7 @@ All values are immutable; operations return fresh words.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from typing import Iterable, Iterator, Sequence
 
@@ -24,6 +25,13 @@ MAX_STRANDS = 64
 # default of 8 and every length the tests, README and benchmark use: the
 # cost of a protocol run grows faster than linearly with it.
 MAX_SECRET_LENGTH = 256
+
+
+@functools.lru_cache(maxsize=MAX_STRANDS)
+def _letters(strands: int) -> frozenset[int]:
+    """The letters of B_strands: +-1 .. +-(strands - 1). BraidWord checks
+    its letters as one inclusion in this set, which runs in C."""
+    return frozenset(range(1 - strands, strands)) - {0}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,9 +46,10 @@ class BraidWord:
             raise ValueError(f"strand count must be positive, got {self.strands}")
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
-        for x in self.letters:
-            if x == 0 or abs(x) > self.strands - 1:
-                raise ValueError(f"letter {x} out of range for {self.strands} strands")
+        valid = _letters(self.strands)
+        if not valid.issuperset(self.letters):
+            x = next(x for x in self.letters if x not in valid)
+            raise ValueError(f"letter {x} out of range for {self.strands} strands")
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -1,10 +1,11 @@
+import argparse
 import json
 import tracemalloc
 
 import pytest
 
 from braidwork.attacks import AttackReport, NamedCheck
-from braidwork.cli import main, summarize
+from braidwork.cli import build_parser, main, summarize
 from braidwork.solvers import SolutionReport
 
 
@@ -20,6 +21,48 @@ def report(success: bool, verdict=None, tested=10) -> AttackReport:
         (SolutionReport("solved" if success else "exhausted", None, None, tested),),
         verdict,
     )
+
+
+class TestFlags:
+    """Each subcommand takes exactly the flags its handler reads; a flag of
+    another subcommand is a usage error (exit 2)."""
+
+    EXPECTED = {
+        "simulate": {"--preset", "--n", "--secret-len", "--seed", "--out"},
+        "attack": {"--in", "--oracle", "--max-len", "--budget", "--out"},
+        "solve": {"--in", "--max-len", "--budget", "--out"},
+        "selftest": {"--seed"},
+        "sweep": {
+            "--preset", "--n", "--secret-len", "--max-len", "--budget", "--seed", "--reps", "--out",
+        },
+    }
+
+    def test_each_subcommand_takes_its_own_flags(self):
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = {
+            name: {
+                option
+                for action in parser._actions
+                for option in action.option_strings
+                if option not in ("-h", "--help")
+            }
+            for name, parser in subparsers.choices.items()
+        }
+        assert flags == self.EXPECTED
+
+    @pytest.mark.parametrize("argv", [
+        ("selftest", "--max-len", "3"),
+        ("solve", "--preset", "klchkp"),
+        ("simulate", "--budget", "5"),
+        ("attack", "--reps", "2"),
+        ("sweep", "--in", "x.json"),
+    ])
+    def test_foreign_flag_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
 
 
 class TestSimulate:
@@ -60,7 +103,7 @@ class TestAttack:
     def test_success_roundtrip(self, tmp_path):
         self.simulate(tmp_path)
         code = run_cli(
-            "attack", "--preset", "klchkp", "--max-len", "3",
+            "attack", "--max-len", "3",
             "--in", str(tmp_path / "public.json"),
             "--oracle", str(tmp_path / "secret.json"),
             "--out", str(tmp_path),
@@ -248,8 +291,7 @@ class TestStrandCap:
 
     def test_n_flag(self, tmp_path, capsys):
         code = run_cli(
-            "simulate", "--n", str(self.N), "--secret-len", "1", "--max-len", "0",
-            "--out", str(tmp_path),
+            "simulate", "--n", str(self.N), "--secret-len", "1", "--out", str(tmp_path),
         )
         assert code == 2
         assert "64" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-private top-level function or class of the library is used somewhere, and
-every field of a library dataclass is read somewhere.
+private top-level function or class of the library is used somewhere,
+every field of a library dataclass is read somewhere, and every defaulted
+parameter of a library function is passed somewhere.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules. For
 imports, `__init__.py` is exempt, since its imports are the package's
@@ -9,7 +10,10 @@ with a single underscore; a use inside its own definition, such as a
 recursive call, does not count. A field is read when the library, the
 tests or the bench scripts load it as an attribute (`.field`) or name it
 in a string constant (as `getattr(cfg, "left_a")` does); constructing a
-dataclass does not read its fields.
+dataclass does not read its fields. A defaulted parameter is passed when
+some call to a function of that name, in the library, the tests or the
+bench scripts, names it as a keyword or gives it a positional argument (a
+method's `self` takes none).
 """
 
 import ast
@@ -151,3 +155,82 @@ def test_detects_unread_field():
         "from a import Point\n\np = Point(1, y=2)\nprint(p.x, getattr(p, 'label'))\n"
     ]
     assert unread_fields(library, others) == ["Point.y (a.py line 7)"]
+
+
+def unpassed_defaults(library: dict[str, str], others: list[str]) -> list[str]:
+    """The defaulted parameters of the library's functions and methods, in
+    the order the modules define them, that no call to that name passes."""
+    params: list[tuple[str, str, int | None, str, int]] = []
+    for module, source in library.items():
+        tree = ast.parse(source)
+        methods = {
+            id(stmt)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for stmt in node.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not any(getattr(d, "id", "") == "staticmethod" for d in stmt.decorator_list)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            first_default = len(positional) - len(args.defaults)
+            skip = 1 if id(node) in methods else 0
+            params += [
+                (node.name, arg.arg, i - skip, module, arg.lineno)
+                for i, arg in enumerate(positional)
+                if i >= first_default
+            ]
+            params += [
+                (node.name, arg.arg, None, module, arg.lineno)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+    keywords: set[tuple[str, str | None]] = set()
+    positions: dict[str, int] = {}
+    for source in [*library.values(), *others]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                keywords |= {(name, kw.arg) for kw in node.keywords}
+                positions[name] = max(positions.get(name, 0), len(node.args))
+    return [
+        f"{function}.{param} ({module} line {line})"
+        for function, param, index, module, line in params
+        if (function, param) not in keywords
+        and (index is None or positions.get(function, 0) <= index)
+    ]
+
+
+def test_defaulted_parameters_are_passed():
+    library = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = [
+        p.read_text()
+        for folder in ("tests", "bench")
+        for p in sorted((ROOT / folder).glob("*.py"))
+    ]
+    assert unpassed_defaults(library, others) == []
+
+
+def test_detects_unpassed_default():
+    library = {
+        "a.py": (
+            "def scale(x, factor=2, *, offset=0, unused=1):\n"
+            "    return x * factor + offset\n\n\n"
+            "class Box:\n"
+            "    def grow(self, by=1, cap=9):\n        return by\n\n"
+            "    @staticmethod\n"
+            "    def make(size=1):\n        return Box()\n"
+        ),
+    }
+    others = [
+        "from a import Box, scale\n\n"
+        "scale(1, 3)\nscale(1, offset=4)\nBox().grow(5)\nBox.make()\n"
+    ]
+    assert unpassed_defaults(library, others) == [
+        "scale.unused (a.py line 1)",
+        "grow.cap (a.py line 6)",
+        "make.size (a.py line 10)",
+    ]

@@ -45,6 +45,14 @@ class TestBraidWord:
         with pytest.raises(ValueError):
             BraidWord(3, (0,))
 
+    @pytest.mark.parametrize(
+        "letters, bad",
+        [((1, 0, 5, -4), 0), ((2, -3, 4, 0), 4), ((3, -4, 9), -4)],
+    )
+    def test_error_names_first_bad_letter(self, letters, bad):
+        with pytest.raises(ValueError, match=rf"^letter {bad} out of range for 4 strands$"):
+            BraidWord(4, letters)
+
     def test_embed_is_inclusion(self):
         w = BraidWord(2, (1,))
         assert w.embed(4) == BraidWord(4, (1,))
