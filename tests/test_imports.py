@@ -98,6 +98,18 @@ def test_detects_unreferenced_private_name():
     ]
 
 
+def library_and_others() -> tuple[dict[str, str], list[str]]:
+    """The library's sources by module name, and the sources of the tests
+    and the bench scripts."""
+    library = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = [
+        p.read_text()
+        for folder in ("tests", "bench")
+        for p in sorted((ROOT / folder).glob("*.py"))
+    ]
+    return library, others
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
@@ -134,13 +146,7 @@ def unread_fields(library: dict[str, str], others: list[str]) -> list[str]:
 
 
 def test_dataclass_fields_are_read():
-    library = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    others = [
-        p.read_text()
-        for folder in ("tests", "bench")
-        for p in sorted((ROOT / folder).glob("*.py"))
-    ]
-    assert unread_fields(library, others) == []
+    assert unread_fields(*library_and_others()) == []
 
 
 def test_detects_unread_field():
@@ -205,13 +211,7 @@ def unpassed_defaults(library: dict[str, str], others: list[str]) -> list[str]:
 
 
 def test_defaulted_parameters_are_passed():
-    library = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    others = [
-        p.read_text()
-        for folder in ("tests", "bench")
-        for p in sorted((ROOT / folder).glob("*.py"))
-    ]
-    assert unpassed_defaults(library, others) == []
+    assert unpassed_defaults(*library_and_others()) == []
 
 
 def test_detects_unpassed_default():
