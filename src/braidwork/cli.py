@@ -50,6 +50,7 @@ from .words import (
     expect_list,
     expect_secret_length,
     expect_strands,
+    expect_type,
     generator,
     invert,
     random_word,
@@ -149,10 +150,13 @@ def _attack_from_records(
 ) -> AttackReport:
     config = SolverConfig(max_length=args.max_len, budget=args.budget)
     if public.get("scheme") == "dehornoy":
-        x, x_prime = (
-            BraidWord.from_record(w)
-            for w in expect_list(public["commitment"], "a commitment")
-        )
+        commitment = expect_list(public["commitment"], "a commitment")
+        if len(commitment) != 2:
+            raise ValueError(f"commitment must hold two words (x, x'), got {len(commitment)}")
+        if expect_type(public["challenge"], int, "challenge") != 1:
+            raise ValueError(f"challenge must be 1, the only challenge the pair attack "
+                             f"reads; got {public['challenge']}")
+        x, x_prime = (BraidWord.from_record(w) for w in commitment)
         base = BraidWord.from_record(public["p"])
         p_pub = BraidWord.from_record(public["p_pub"])
         response = BraidWord.from_record(public["response"])

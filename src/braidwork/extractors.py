@@ -30,7 +30,7 @@ import dataclasses
 
 from .garside import GarsideNormalForm, inverse, normal_form, product, rewrite, words_equal
 from .protocols import PublicTranscript
-from .subgroups import SubgroupSpec, centralizer_search, interval_generators
+from .subgroups import SubgroupSpec, centralizer_search, interval_generators, letter_support
 from .words import (
     BraidWord,
     Endomorphism,
@@ -191,30 +191,25 @@ def build_difference_instance(
     return CspInstance(pairs, alphabet, None, meta, forms)
 
 
-# Which token / probe source / conjugation side each extractor target uses.
-# Targets are named after the secret factor the recovered conjugator carries.
+# Which token / probe source / search alphabet / conjugation side each
+# extractor target uses. Targets are named after the secret factor the
+# recovered conjugator carries; the alphabet is the subgroup that secret was
+# sampled from.
 _DHDP_ROUTES = {
-    # target: (token attr, probe spec attr, side, coset description)
-    "a": ("token_a", "right_b", "left", "a1.z"),
-    "c": ("token_b", "right_a", "left", "b1.z"),
-    "b": ("token_a", "left_b", "right", "a2^-1.z^-1"),
-    "d": ("token_b", "left_a", "right", "b2^-1.z^-1"),
+    # target: (token attr, probe spec attr, alphabet spec attr, side, coset description)
+    "a": ("token_a", "right_b", "left_a", "left", "a1.z"),
+    "c": ("token_b", "right_a", "left_b", "left", "b1.z"),
+    "b": ("token_a", "left_b", "right_a", "right", "a2^-1.z^-1"),
+    "d": ("token_b", "left_a", "right_b", "right", "b2^-1.z^-1"),
 }
-
-
-def _spec_letter_indices(spec: SubgroupSpec) -> set[int]:
-    indices: set[int] = set()
-    for g in spec.generators:
-        indices |= {abs(x) for x in g.letters}
-    return indices
 
 
 def _check_probe_membership(probe: BraidWord, spec: SubgroupSpec) -> None:
     """Probes must come from the prescribed commutant subgroup. Checked at the
     letter level only: every letter index must appear in the spec's
     generators, which does not decide membership in the subgroup."""
-    allowed = _spec_letter_indices(spec)
-    used = {abs(x) for x in probe.letters}
+    allowed = letter_support(*spec.generators)
+    used = letter_support(probe)
     if not used <= allowed:
         raise ValueError(
             f"probe uses generators {sorted(used - allowed)} that no generator "
@@ -239,7 +234,7 @@ def build_mscsp_dhdp(
     """
     if target not in _DHDP_ROUTES:
         raise ValueError(f"target must be one of a/b/c/d, got {target!r}")
-    token_attr, probe_attr, side, coset = _DHDP_ROUTES[target]
+    token_attr, probe_attr, alphabet_attr, side, coset = _DHDP_ROUTES[target]
     token: BraidWord = getattr(transcript, token_attr)
     cfg = transcript.config
     probe_spec: SubgroupSpec = getattr(cfg, probe_attr)
@@ -250,21 +245,11 @@ def build_mscsp_dhdp(
     for probe in probes:
         _check_probe_membership(probe, probe_spec)
 
-    alphabet = {
-        "a": cfg.left_a,
-        "c": cfg.left_b,
-        "b": cfg.right_a,
-        "d": cfg.right_b,
-    }[target]
+    alphabet: SubgroupSpec = getattr(cfg, alphabet_attr)
     # Coset shape: left targets recover w.z, right targets recover w.z^-1
     # (w in the alphabet), so "secret-ish = g . post" needs the matching sign.
     z = cfg.base
-    if not len(z):
-        post = None
-    elif side == "left":
-        post = invert(z)
-    else:
-        post = z
+    post = (invert(z) if side == "left" else z) if len(z) else None
     meta = (
         ("extractor", f"dhdp-{target}"),
         ("side", side),

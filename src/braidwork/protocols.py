@@ -15,7 +15,12 @@ the z != e mode), "klchkp" (conjugacy shape, a2 = a1^-1), "cklhc"
 (two-sided decomposition over disjoint intervals), "stickel" (cyclic
 subgroups of two fixed non-commuting words, z = e), "shpilrain-central"
 (peer subgroups published from a centralizer search of committed
-elements), and "dehornoy" for the authentication scheme.
+elements), and "dehornoy" for the authentication scheme. The table
+MIN_STRANDS is the one list of the key-agreement presets, with the fewest
+strands each needs. The rest of a preset's shape is derived, not stored:
+only stickel runs the conditions-3 mode, and only klchkp has conjugate
+secrets. make_preset chooses a preset's subgroup specs, and every KaConfig,
+built or read from a record, passes the one check in its __post_init__.
 """
 
 from __future__ import annotations
@@ -47,16 +52,31 @@ from .words import (
     shifted_conjugate,
 )
 
-KA_PRESETS = ("generalized", "klchkp", "cklhc", "stickel", "shpilrain-central")
+MIN_STRANDS = {"generalized": 8, "klchkp": 5, "cklhc": 5, "stickel": 4, "shpilrain-central": 8}
+KA_PRESETS = tuple(MIN_STRANDS)
 
 
 class ProtocolError(ValueError):
     """Raised for invalid configurations or failed condition checks."""
 
 
+def _check_preset(name: str, strands: int) -> None:
+    if name not in MIN_STRANDS:
+        raise ProtocolError(f"unknown preset {name!r}")
+    if strands < MIN_STRANDS[name]:
+        raise ProtocolError(f"{name} preset needs at least {MIN_STRANDS[name]} strands")
+
+
+def _check_strands(what: str, part: BraidWord | SubgroupSpec, strands: int) -> None:
+    if part.strands != strands:
+        raise ProtocolError(f"{what} is on {part.strands} strands, not the config's {strands}")
+
+
 @dataclasses.dataclass(frozen=True)
 class KaConfig:
-    """Public parameters of one key-agreement setup."""
+    """Public parameters of one key-agreement setup. Every config, built by
+    `make_preset` or read by `from_record`, passes the one check in
+    `__post_init__`."""
 
     preset: str
     strands: int
@@ -65,20 +85,35 @@ class KaConfig:
     left_b: SubgroupSpec
     right_b: SubgroupSpec
     base: BraidWord  # the public element z
-    condition_mode: str  # "conditions-2" | "conditions-3"
     secret_length: int = 8
     positive_only: bool = False
-    conjugate_secrets: bool = False  # a2 = a1^-1 and b2 = b1^-1 (conjugacy shape)
     stickel_pair: tuple[BraidWord, BraidWord] | None = None
     exponent_bound: int = 5
 
     def __post_init__(self):
-        if self.condition_mode not in ("conditions-2", "conditions-3"):
-            raise ProtocolError(f"unknown condition mode {self.condition_mode!r}")
-        if self.condition_mode == "conditions-3" and len(self.base) != 0:
-            raise ProtocolError("conditions-3 requires the base element z = e")
-        if self.preset == "stickel" and self.stickel_pair is None:
-            raise ProtocolError("stickel preset needs its public word pair")
+        _check_preset(self.preset, self.strands)
+        expect_secret_length(self.secret_length)
+        pair = self.stickel_pair or ()
+        if pair and len(pair) != 2:
+            raise ProtocolError(f"stickel_pair must hold two words, got {len(pair)}")
+        for what in ("left_a", "right_a", "left_b", "right_b", "base"):
+            _check_strands(what, getattr(self, what), self.strands)
+        for word in pair:
+            _check_strands("stickel_pair", word, self.strands)
+        if self.preset == "stickel":
+            if len(self.base) != 0:
+                raise ProtocolError("conditions-3 requires the base element z = e")
+            if not pair:
+                raise ProtocolError("stickel preset needs its public word pair")
+
+    @property
+    def condition_mode(self) -> str:
+        return "conditions-3" if self.preset == "stickel" else "conditions-2"
+
+    @property
+    def conjugate_secrets(self) -> bool:
+        """a2 = a1^-1 and b2 = b1^-1 (the conjugacy shape of klchkp)."""
+        return self.preset == "klchkp"
 
     def to_record(self) -> dict:
         return {
@@ -93,19 +128,19 @@ class KaConfig:
             "secret_length": self.secret_length,
             "positive_only": self.positive_only,
             "conjugate_secrets": self.conjugate_secrets,
-            "stickel_pair": (
-                [w.to_record() for w in self.stickel_pair]
-                if self.stickel_pair
-                else None
-            ),
+            "stickel_pair": [w.to_record() for w in self.stickel_pair or ()] or None,
             "exponent_bound": self.exponent_bound,
         }
 
     @staticmethod
     def from_record(record: dict) -> KaConfig:
+        """The config a record holds. Its condition_mode and
+        conjugate_secrets must be the values its preset fixes."""
         expect_object(record, "a protocol config record")
         pair = record.get("stickel_pair")
-        return KaConfig(
+        if pair:
+            pair = tuple(BraidWord.from_record(w) for w in expect_list(pair, "stickel_pair"))
+        config = KaConfig(
             preset=expect_type(record["preset"], str, "preset"),
             strands=expect_strands(expect_type(record["n"], int, "n")),
             left_a=SubgroupSpec.from_record(record["left_a"]),
@@ -113,21 +148,17 @@ class KaConfig:
             left_b=SubgroupSpec.from_record(record["left_b"]),
             right_b=SubgroupSpec.from_record(record["right_b"]),
             base=BraidWord.from_record(record["z"]),
-            condition_mode=expect_type(record["condition_mode"], str, "condition_mode"),
-            secret_length=expect_secret_length(
-                expect_type(record["secret_length"], int, "secret_length")
-            ),
+            secret_length=expect_type(record["secret_length"], int, "secret_length"),
             positive_only=expect_type(record["positive_only"], bool, "positive_only"),
-            conjugate_secrets=expect_type(
-                record["conjugate_secrets"], bool, "conjugate_secrets"
-            ),
-            stickel_pair=(
-                tuple(BraidWord.from_record(w) for w in expect_list(pair, "stickel_pair"))
-                if pair
-                else None
-            ),
+            stickel_pair=pair or None,
             exponent_bound=expect_type(record["exponent_bound"], int, "exponent_bound"),
         )
+        for key in ("condition_mode", "conjugate_secrets"):
+            fixed = getattr(config, key)
+            if type(record[key]) is not type(fixed) or record[key] != fixed:
+                raise ProtocolError(f"{key} {record[key]!r} contradicts the "
+                                    f"{config.preset} preset, which fixes {fixed!r}")
+        return config
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,11 +221,11 @@ class PublicTranscript:
     @staticmethod
     def from_record(record: dict) -> PublicTranscript:
         expect_object(record, "a public transcript record")
-        return PublicTranscript(
-            KaConfig.from_record(record["config"]),
-            BraidWord.from_record(record["K_A"]),
-            BraidWord.from_record(record["K_B"]),
-        )
+        config = KaConfig.from_record(record["config"])
+        tokens = [BraidWord.from_record(record[key]) for key in ("K_A", "K_B")]
+        for key, token in zip(("K_A", "K_B"), tokens):
+            _check_strands(key, token, config.strands)
+        return PublicTranscript(config, *tokens)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -228,14 +259,8 @@ class SecretTranscript:
             )
             if len(exps) != 4:
                 raise ValueError("exponents must be null or four ints (r, s, t, u)")
-        return SecretTranscript(
-            BraidWord.from_record(record["a1"]),
-            BraidWord.from_record(record["a2"]),
-            BraidWord.from_record(record["b1"]),
-            BraidWord.from_record(record["b2"]),
-            BraidWord.from_record(record["kappa"]),
-            exps,
-        )
+        words = (BraidWord.from_record(record[k]) for k in ("a1", "a2", "b1", "b2", "kappa"))
+        return SecretTranscript(*words, exps)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -302,90 +327,44 @@ def make_preset(
     base_length: int | None = None,
     exponent_bound: int = 5,
 ) -> KaConfig:
-    """Build the KaConfig for a named preset at desk scale."""
+    """Build the KaConfig for a named preset at desk scale: each preset
+    chooses the four subgroup specs (L_A, R_A, L_B, R_B), and stickel its
+    public word pair."""
     n = strands
-    if base_length is None:
-        base_length = secret_length
+    _check_preset(name, n)
+    pair = None
     if name == "generalized":
-        if n < 8:
-            raise ProtocolError("generalized preset needs at least 8 strands")
-        return KaConfig(
-            preset=name,
-            strands=n,
-            left_a=interval_generators(n, 1, 2),
-            right_a=interval_generators(n, 2, 3),
-            left_b=interval_generators(n, 5, 6),
-            right_b=interval_generators(n, 5, 5),
-            base=_seeded_base(n, base_length, seed),
-            condition_mode="conditions-2",
-            secret_length=secret_length,
-        )
-    if name in ("klchkp", "cklhc"):
-        if n < 5:
-            raise ProtocolError(f"{name} preset needs at least 5 strands")
+        specs = [interval_generators(n, lo, hi) for lo, hi in ((1, 2), (2, 3), (5, 6), (5, 5))]
+    elif name in ("klchkp", "cklhc"):
         mid = (n + 1) // 2
         lower = interval_generators(n, 1, mid - 2)
         upper = interval_generators(n, mid, n - 1)
-        return KaConfig(
-            preset=name,
-            strands=n,
-            left_a=lower,
-            right_a=lower,
-            left_b=upper,
-            right_b=upper,
-            base=_seeded_base(n, base_length, seed),
-            condition_mode="conditions-2",
-            secret_length=secret_length,
-            conjugate_secrets=(name == "klchkp"),
-        )
-    if name == "stickel":
-        if n < 4:
-            raise ProtocolError("stickel preset needs at least 4 strands")
-        a = BraidWord(n, (1, 2))
-        b = BraidWord(n, (2, 3))
-        spec_a = SubgroupSpec("<a>", n, (a,))
-        spec_b = SubgroupSpec("<b>", n, (b,))
-        return KaConfig(
-            preset=name,
-            strands=n,
-            left_a=spec_a,
-            right_a=spec_b,
-            left_b=spec_a,
-            right_b=spec_b,
-            base=identity(n),
-            condition_mode="conditions-3",
-            secret_length=secret_length,
-            stickel_pair=(a, b),
-            exponent_bound=exponent_bound,
-        )
-    if name == "shpilrain-central":
-        if n < 8:
-            raise ProtocolError("shpilrain-central preset needs at least 8 strands")
+        specs = [lower, lower, upper, upper]
+    elif name == "stickel":
+        pair = (BraidWord(n, (1, 2)), BraidWord(n, (2, 3)))
+        spec_a, spec_b = (SubgroupSpec(f"<{c}>", n, (w,)) for c, w in zip("ab", pair))
+        specs = [spec_a, spec_b, spec_a, spec_b]
+    else:  # shpilrain-central
         rng = random.Random(f"commit:{seed}")
         lower = interval_generators(n, 1, 2)
         upper_src = interval_generators(n, 2, 3)
         while True:
             committed_1 = random_word(lower.generators, 2, rng)
             committed_2 = random_word(upper_src.generators, 2, rng)
-            if len(committed_1) and len(committed_2) and not elements_commute(
-                committed_1, committed_2
-            ):
+            if not elements_commute(committed_1, committed_2):  # so neither is e
                 break
         ambient = interval_generators(n, 1, n - 1)
-        peer_left = _centralizer_spec("L_B", committed_1, ambient)
-        peer_right = _centralizer_spec("R_B", committed_2, ambient)
-        return KaConfig(
-            preset=name,
-            strands=n,
-            left_a=SubgroupSpec("<a1>", n, (committed_1,)),
-            right_a=SubgroupSpec("<a2>", n, (committed_2,)),
-            left_b=peer_left,
-            right_b=peer_right,
-            base=_seeded_base(n, base_length, seed),
-            condition_mode="conditions-2",
-            secret_length=secret_length,
-        )
-    raise ProtocolError(f"unknown preset {name!r}")
+        specs = [
+            SubgroupSpec("<a1>", n, (committed_1,)),
+            SubgroupSpec("<a2>", n, (committed_2,)),
+            _centralizer_spec("L_B", committed_1, ambient),
+            _centralizer_spec("R_B", committed_2, ambient),
+        ]
+    if base_length is None:
+        base_length = secret_length
+    base = identity(n) if name == "stickel" else _seeded_base(n, base_length, seed)
+    return KaConfig(name, n, *specs, base, secret_length=secret_length,
+                    stickel_pair=pair, exponent_bound=exponent_bound)
 
 
 def _centralizer_spec(

@@ -99,8 +99,9 @@ def noncommuting_witness(
     return None
 
 
-def _letter_support(w: BraidWord) -> set[int]:
-    return {abs(x) for x in w.letters}
+def letter_support(*words: BraidWord) -> set[int]:
+    """The generator indices |i| the letters of the words use."""
+    return {abs(x) for w in words for x in w.letters}
 
 
 def centralizer_search(
@@ -120,9 +121,7 @@ def centralizer_search(
         raise ValueError("max_length must be nonnegative")
     n = max(target.strands, alphabet.strands)
     targets = [t.embed(n) for t in target.generators]
-    support = set()
-    for t in targets:
-        support |= _letter_support(t)
+    support = letter_support(*targets)
 
     found: dict[tuple, BraidWord] = {}  # by normal form; the first word stays
 

@@ -108,7 +108,9 @@ def expect_strands(n: int) -> int:
 
 
 def expect_secret_length(length: int) -> int:
-    """`length` itself if it is at most MAX_SECRET_LENGTH; a ValueError otherwise."""
+    """`length` itself if it is from 0 to MAX_SECRET_LENGTH; a ValueError otherwise."""
+    if length < 0:
+        raise ValueError(f"secret length {length} is negative")
     if length > MAX_SECRET_LENGTH:
         raise ValueError(f"secret length {length} is above the cap of {MAX_SECRET_LENGTH}")
     return length

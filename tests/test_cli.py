@@ -138,13 +138,73 @@ class TestAttack:
         assert run_cli("attack", "--in", str(path), "--out", str(tmp_path)) == 2
         assert "config record must be a JSON object" in capsys.readouterr().err
 
-    def tampered_config(self, tmp_path, edit):
+    def tampered_config(self, tmp_path, edit, *extra):
+        """Attack a simulated public.json after `edit` changed its config, or
+        the whole record if it has none (dehornoy). `extra` flags override the
+        simulated preset and sizes."""
+        self.simulate(tmp_path, *extra)
+        path = tmp_path / "public.json"
+        public = json.loads(path.read_text())
+        edit(public.get("config", public))
+        path.write_text(json.dumps(public))
+        return run_cli("attack", "--max-len", "3", "--in", str(path), "--out", str(tmp_path))
+
+    STICKEL = ("--preset", "stickel")
+    DEHORNOY = ("--preset", "dehornoy", "--n", "4", "--secret-len", "3")
+    # case: (flags overriding the simulated preset, edit, what the message says)
+    HOSTILE = {
+        "unknown-preset": ((), lambda c: c.update(preset="nope"), "unknown preset 'nope'"),
+        "n-below-minimum": (
+            (), lambda c: c.update(n=3), "klchkp preset needs at least 5 strands"
+        ),
+        "n-off-the-specs": (
+            (), lambda c: c.update(n=7), "left_a is on 6 strands, not the config's 7"
+        ),
+        "spec-off-n": ((), lambda c: c["right_b"].update(n=20), "right_b is on 20 strands"),
+        "condition-mode": (
+            (), lambda c: c.update(condition_mode="conditions-3"), "condition_mode"
+        ),
+        "conjugate-secrets-int": (
+            (), lambda c: c.update(conjugate_secrets=1), "conjugate_secrets 1 contradicts"
+        ),
+        "conjugate-secrets-false": (
+            (), lambda c: c.update(conjugate_secrets=False), "conjugate_secrets False"
+        ),
+        "negative-secret-length": (
+            (), lambda c: c.update(secret_length=-4), "secret length -4 is negative"
+        ),
+        "one-word-stickel-pair": (
+            STICKEL, lambda c: c["stickel_pair"].pop(), "stickel_pair must hold two words"
+        ),
+        "one-word-commitment": (
+            DEHORNOY, lambda p: p["commitment"].pop(), "commitment must hold two words"
+        ),
+        "three-word-commitment": (
+            DEHORNOY, lambda p: p["commitment"].append(p["p"]), "commitment must hold two"
+        ),
+        "challenge-7": (DEHORNOY, lambda p: p.update(challenge=7), "challenge must be 1"),
+        "challenge-0": (DEHORNOY, lambda p: p.update(challenge=0), "challenge must be 1"),
+        "challenge-true": (
+            DEHORNOY, lambda p: p.update(challenge=True), "challenge must be int"
+        ),
+    }
+
+    @pytest.mark.parametrize("extra, edit, message", HOSTILE.values(), ids=HOSTILE)
+    def test_hostile_config_is_config_error(self, tmp_path, capsys, extra, edit, message):
+        code = self.tampered_config(tmp_path, edit, *extra)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "attack_report.json").exists()
+
+    def test_token_off_the_config_strands_is_config_error(self, tmp_path, capsys):
         self.simulate(tmp_path)
         path = tmp_path / "public.json"
         public = json.loads(path.read_text())
-        edit(public["config"])
+        public["K_A"]["n"] = 20
         path.write_text(json.dumps(public))
-        return run_cli("attack", "--max-len", "3", "--in", str(path), "--out", str(tmp_path))
+        code = run_cli("attack", "--max-len", "3", "--in", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "K_A is on 20 strands, not the config's 6" in capsys.readouterr().err
 
     def test_non_integer_secret_length_is_config_error(self, tmp_path, capsys):
         code = self.tampered_config(tmp_path, lambda c: c.update(secret_length="x"))
@@ -357,13 +417,22 @@ class TestSearchSize:
 
 
 class TestSecretLengthCap:
-    """Secret lengths above 256, from the flag or a config record, are
-    configuration errors."""
+    """Secret lengths below 0 or above 256, from the flag or a config
+    record, are configuration errors."""
 
     def test_flag(self, tmp_path, capsys):
         code = run_cli("simulate", "--secret-len", "257", "--out", str(tmp_path))
         assert code == 2
         assert "256" in capsys.readouterr().err
+        assert not (tmp_path / "public.json").exists()
+
+    def test_negative_flag(self, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--preset", "stickel", "--n", "6", "--secret-len", "-3",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "secret length -3 is negative" in capsys.readouterr().err
         assert not (tmp_path / "public.json").exists()
 
     def test_config_record(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from braidwork.garside import words_equal
 from braidwork.protocols import (
     KA_PRESETS,
+    MIN_STRANDS,
     KaConfig,
     ProtocolError,
     PublicTranscript,
@@ -53,6 +55,33 @@ class TestPresets:
         with pytest.raises(ProtocolError):
             make_preset("klchkp", strands=4)
         make_preset("klchkp", strands=5)
+
+    @pytest.mark.parametrize("name", KA_PRESETS)
+    def test_strand_minimums_come_from_the_table(self, name):
+        k = MIN_STRANDS[name]
+        assert make_preset(name, strands=k, secret_length=2).strands == k
+        with pytest.raises(ProtocolError, match=f"{name} preset needs at least {k} strands"):
+            make_preset(name, strands=k - 1)
+
+    @pytest.mark.parametrize("name", KA_PRESETS)
+    def test_preset_fixes_mode_and_shape(self, name):
+        config = make_preset(name, strands=8, secret_length=2)
+        fields = {f.name for f in dataclasses.fields(KaConfig)}
+        assert len(fields) == 11
+        assert not fields & {"condition_mode", "conjugate_secrets"}
+        assert config.condition_mode == ("conditions-3" if name == "stickel" else "conditions-2")
+        assert config.conjugate_secrets is (name == "klchkp")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"preset": "rsa"}, "unknown preset 'rsa'"),
+        ({"strands": 4}, "klchkp preset needs at least 5 strands"),
+        ({"strands": 7}, "left_a is on 6 strands, not the config's 7"),
+        ({"secret_length": -1}, "secret length -1 is negative"),
+    ])
+    def test_every_built_config_is_checked(self, change, message):
+        config = make_preset("klchkp", strands=6, secret_length=2)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(config, **change)
 
     def test_config_record_roundtrip(self):
         for name in KA_PRESETS:
@@ -107,8 +136,6 @@ class TestKaRun:
         assert ka_run(config, seed=7).public == ka_run(config, seed=7).public
 
     def test_positive_only_secrets(self):
-        import dataclasses
-
         config = dataclasses.replace(
             make_preset("klchkp", strands=6, secret_length=4), positive_only=True
         )
