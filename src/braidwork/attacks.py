@@ -479,8 +479,8 @@ def partial_factor_attack(
     (S, u.S.u^-1) yields a head candidate s; the residual s^-1.u is the
     part of z commuting with S when the peel is exact. The product
     s.residual = u holds by construction, so the one certificate is
-    commutation, which flags exact peels. Iteration repeats on
-    u.residual^-1.
+    commutation, which flags exact peels. Iteration continues on the head
+    s = u.residual^-1.
     """
     if config.alphabet is None:
         raise ValueError("partial-factor attack needs an explicit search alphabet")
@@ -502,7 +502,7 @@ def partial_factor_attack(
                 )
                 break
             residual = rewrite(compose(invert(rep.solution), current))
-            nxt = rewrite(compose(current, invert(residual)))
+            nxt = rewrite(rep.solution)
             results.append(
                 PartialFactorResult(
                     probe, rep, residual, level, nxt, elements_commute(residual, probe)

@@ -5,9 +5,10 @@ Subcommands: simulate (write a protocol transcript), attack (run the
 preset's attack pipeline on a public transcript), solve (run the
 exhaustive solver on a stored conjugacy instance), selftest (run the
 built-in invariant suite), sweep (aggregate attack success over seeds).
-Each subcommand takes only the flags its handler reads (SUBCOMMAND_FLAGS);
-a flag of another subcommand is a usage error. attack and solve take no
---preset or sizes: they read them from the input record.
+SUBCOMMANDS names each subcommand's handler and the flags it reads, and
+no others; a flag of another subcommand is a usage error. attack and solve
+take no --preset or sizes: they read them from the input record, which
+--in must name.
 
 All randomness is seeded, and report files are plain JSON with sorted
 keys, so identical invocations produce byte-identical outputs. Exit
@@ -44,6 +45,7 @@ from .solvers import SolverConfig, solve_exhaustive
 from .subgroups import interval_generators
 from .words import (
     MAX_SECRET_LENGTH,
+    MAX_STRANDS,
     BraidWord,
     compose,
     compose_all,
@@ -67,18 +69,9 @@ FLAGS = {
     "--budget": dict(type=int, default=200_000, help="solver candidate budget"),
     "--seed": dict(type=int, default=0),
     "--reps": dict(type=int, default=1),
-    "--in": dict(dest="in_path", default=None, help="input file"),
+    "--in": dict(dest="in_path", required=True, help="input file"),
     "--oracle": dict(default=None, help="secret transcript for the harness verdict"),
     "--out": dict(default=".", help="output file or directory"),
-}
-
-# The flags each subcommand's handler reads, and no others.
-SUBCOMMAND_FLAGS = {
-    "simulate": "--preset --n --secret-len --seed --out",
-    "attack": "--in --oracle --max-len --budget --out",
-    "solve": "--in --max-len --budget --out",
-    "selftest": "--seed",
-    "sweep": "--preset --n --secret-len --max-len --budget --seed --reps --out",
 }
 
 
@@ -94,21 +87,30 @@ def _load(path: str) -> dict:
     return record
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="braidwork", description="braid protocol simulation and cryptanalysis"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in SUBCOMMAND_FLAGS.items():
-        p = sub.add_parser(name)
-        for flag in flags.split():
-            p.add_argument(flag, **FLAGS[flag])
-    return parser
+def _report_path(out: str, name: str) -> pathlib.Path:
+    """Where a report goes: file `name` in `out` if `out` is a directory or
+    has no suffix, else `out` itself."""
+    path = pathlib.Path(out)
+    return path / name if path.is_dir() or not path.suffix else path
+
+
+def _word_on(record, what: str, n: int, extra: int) -> BraidWord:
+    """The braid word in `record`, which must be on n + extra strands."""
+    word = BraidWord.from_record(record)
+    if word.strands != n + extra:
+        expected = f"n + {extra} = {n + extra}" if extra else f"n = {n}"
+        raise ValueError(f"{what} is on {word.strands} strands, not {expected}")
+    return word
 
 
 def _simulate_records(args: argparse.Namespace) -> tuple[dict, dict]:
-    """Public and secret records for one seeded protocol run."""
+    """Public and secret records for one seeded protocol run. For dehornoy,
+    --secret-len is the base length and caps the secret and the nonce at 3;
+    p is on n strands, p_pub, x and the response on n + 1, and x' on n + 2."""
     if args.preset == "dehornoy":
+        if args.n > MAX_STRANDS - 2:
+            raise ValueError(f"dehornoy needs --n at most {MAX_STRANDS - 2}, got {args.n}: "
+                             f"its commitment x' is on n + 2 strands")
         keys = dehornoy_keygen(
             strands=args.n,
             secret_length=min(args.secret_len, 3),
@@ -121,8 +123,10 @@ def _simulate_records(args: argparse.Namespace) -> tuple[dict, dict]:
         x, x_prime = dehornoy_commit(keys, nonce)
         response = dehornoy_respond(keys, nonce, challenge=1)
         public = {
-            **keys.public_record(),
             "scheme": "dehornoy",
+            "n": keys.strands,
+            "p": keys.base.to_record(),
+            "p_pub": keys.public_key.to_record(),
             "commitment": [x.to_record(), x_prime.to_record()],
             "challenge": 1,
             "response": response.to_record(),
@@ -150,19 +154,19 @@ def _attack_from_records(
 ) -> AttackReport:
     config = SolverConfig(max_length=args.max_len, budget=args.budget)
     if public.get("scheme") == "dehornoy":
+        n = expect_type(public["n"], int, "n")
         commitment = expect_list(public["commitment"], "a commitment")
         if len(commitment) != 2:
             raise ValueError(f"commitment must hold two words (x, x'), got {len(commitment)}")
         if expect_type(public["challenge"], int, "challenge") != 1:
             raise ValueError(f"challenge must be 1, the only challenge the pair attack "
                              f"reads; got {public['challenge']}")
-        x, x_prime = (BraidWord.from_record(w) for w in commitment)
-        base = BraidWord.from_record(public["p"])
-        p_pub = BraidWord.from_record(public["p_pub"])
-        response = BraidWord.from_record(public["response"])
-        n = base.strands
         return attack_dehornoy_pair(
-            x, x_prime, base, p_pub, response,
+            _word_on(commitment[0], "commitment x", n, 1),
+            _word_on(commitment[1], "commitment x'", n, 2),
+            _word_on(public["p"], "p", n, 0),
+            _word_on(public["p_pub"], "p_pub", n, 1),
+            _word_on(public["response"], "response", n, 1),
             dataclasses.replace(config, alphabet=interval_generators(n, 1, n - 1)),
             oracle_s=BraidWord.from_record(secret["s"]) if secret else None,
         )
@@ -182,30 +186,20 @@ def _attack_from_records(
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    if args.in_path is None:
-        print("attack requires --in public.json", file=sys.stderr)
-        return 2
     public = _load(args.in_path)
     secret = _load(args.oracle) if args.oracle else None
     report = _attack_from_records(public, secret, args)
-    out = pathlib.Path(args.out)
-    path = out / "attack_report.json" if out.is_dir() or not out.suffix else out
-    _dump(path, report.to_record())
+    _dump(_report_path(args.out, "attack_report.json"), report.to_record())
     print(f"attack {report.attack}: {'success' if report.success else 'incomplete'}"
           + (f" (harness verdict: {report.harness_verdict})" if report.harness_verdict is not None else ""))
     return 0 if report.success else 1
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.in_path is None:
-        print("solve requires --in instance.json", file=sys.stderr)
-        return 2
     instance = CspInstance.from_record(_load(args.in_path))
     config = SolverConfig(max_length=args.max_len, budget=args.budget)
     report = solve_exhaustive(instance, config)
-    out = pathlib.Path(args.out)
-    path = out / "solution.json" if out.is_dir() or not out.suffix else out
-    _dump(path, report.to_record())
+    _dump(_report_path(args.out, "solution.json"), report.to_record())
     print(f"solve: {report.status} ({report.candidates_tested} candidates)")
     return 0 if report.solved else 1
 
@@ -307,9 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     summary = summarize(reports)
     summary["preset"] = args.preset
     summary["seeds"] = [args.seed + k for k in range(args.reps)]
-    out = pathlib.Path(args.out)
-    path = out / "sweep_summary.json" if out.is_dir() or not out.suffix else out
-    _dump(path, summary)
+    _dump(_report_path(args.out, "sweep_summary.json"), summary)
     print(
         f"sweep {args.preset}: {summary['successes']}/{summary['count']} succeeded "
         f"(rate {summary['success_rate']:.2f})"
@@ -317,16 +309,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each subcommand's handler and the flags it reads, and no others.
+SUBCOMMANDS = {
+    "simulate": (cmd_simulate, "--preset --n --secret-len --seed --out"),
+    "attack": (cmd_attack, "--in --oracle --max-len --budget --out"),
+    "solve": (cmd_solve, "--in --max-len --budget --out"),
+    "selftest": (cmd_selftest, "--seed"),
+    "sweep": (cmd_sweep, "--preset --n --secret-len --max-len --budget --seed --reps --out"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="braidwork", description="braid protocol simulation and cryptanalysis"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "simulate": cmd_simulate,
-        "attack": cmd_attack,
-        "solve": cmd_solve,
-        "selftest": cmd_selftest,
-        "sweep": cmd_sweep,
-    }
+    args = build_parser().parse_args(argv)
     try:
         if "n" in args:
             expect_strands(args.n)
@@ -338,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"{flag} must be nonnegative, got {value}")
         if "max_len" in args and args.max_len > MAX_SECRET_LENGTH:
             raise ValueError(f"--max-len {args.max_len} is above the cap of {MAX_SECRET_LENGTH}")
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ProtocolError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -370,7 +370,7 @@ def make_preset(
 def _centralizer_spec(
     name: str, committed: BraidWord, alphabet: SubgroupSpec
 ) -> SubgroupSpec:
-    """Peer subgroup from a budgeted centralizer search of a committed element,
+    """Peer subgroup from a length-bounded centralizer search of a committed element,
     keeping only short nontrivial elements so runs stay desk-scale."""
     target = SubgroupSpec("committed", committed.strands, (committed,))
     short = [
@@ -394,13 +394,6 @@ class DehornoyKeys:
     base: BraidWord  # p
     public_key: BraidWord  # p' = s*p
     secret: BraidWord  # s
-
-    def public_record(self) -> dict:
-        return {
-            "n": self.strands,
-            "p": self.base.to_record(),
-            "p_pub": self.public_key.to_record(),
-        }
 
 
 def dehornoy_keygen(

@@ -1,6 +1,6 @@
 """
-Finite-generator subgroup specifications, commutation checks, and budgeted
-centralizer search.
+Finite-generator subgroup specifications, commutation checks, and
+length-bounded centralizer search.
 
 A SubgroupSpec is just a named, ordered list of generator words; the order
 matters because enumeration (and hence every solver and search built on
@@ -40,8 +40,6 @@ class SubgroupSpec:
     def __post_init__(self):
         if not self.generators:
             raise ValueError(f"subgroup {self.name!r} has no generators")
-        if not isinstance(self.generators, tuple):
-            object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(
             self, "generators", tuple(g.embed(self.strands) for g in self.generators)
         )

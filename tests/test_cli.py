@@ -85,8 +85,30 @@ class TestSimulate:
         )
         assert code == 0
         public = json.loads((tmp_path / "public.json").read_text())
+        assert set(public) == {
+            "scheme", "n", "p", "p_pub", "commitment", "challenge", "response"
+        }
         assert public["scheme"] == "dehornoy"
         assert public["challenge"] == 1
+
+    def test_dehornoy_strand_cap(self, tmp_path, capsys):
+        """x' is on n + 2 strands, so dehornoy takes --n up to 62: attack
+        reads every record that simulate writes."""
+        code = run_cli("simulate", "--preset", "dehornoy", "--n", "63", "--out", str(tmp_path))
+        assert code == 2
+        assert "dehornoy needs --n at most 62" in capsys.readouterr().err
+        assert not (tmp_path / "public.json").exists()
+        assert run_cli(
+            "simulate", "--preset", "dehornoy", "--n", "62", "--secret-len", "1",
+            "--out", str(tmp_path),
+        ) == 0
+        code = run_cli(
+            "attack", "--max-len", "0", "--in", str(tmp_path / "public.json"),
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = json.loads((tmp_path / "attack_report.json").read_text())
+        assert record["solver_reports"][0]["status"] == "exhausted"
 
     def test_config_error_exit_code(self, tmp_path):
         assert run_cli("simulate", "--preset", "klchkp", "--n", "3",
@@ -126,7 +148,9 @@ class TestAttack:
         assert code == 1
 
     def test_missing_input_is_config_error(self, tmp_path):
-        assert run_cli("attack", "--out", str(tmp_path)) == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("attack", "--out", str(tmp_path))
+        assert exc.value.code == 2
 
     def test_nonexistent_input_is_config_error(self, tmp_path):
         for path in (tmp_path / "missing.json", tmp_path):
@@ -176,6 +200,9 @@ class TestAttack:
         "one-word-stickel-pair": (
             STICKEL, lambda c: c["stickel_pair"].pop(), "stickel_pair must hold two words"
         ),
+        "null-stickel-pair": (
+            STICKEL, lambda c: c.update(stickel_pair=None), "needs its public word pair"
+        ),
         "one-word-commitment": (
             DEHORNOY, lambda p: p["commitment"].pop(), "commitment must hold two words"
         ),
@@ -186,6 +213,27 @@ class TestAttack:
         "challenge-0": (DEHORNOY, lambda p: p.update(challenge=0), "challenge must be 1"),
         "challenge-true": (
             DEHORNOY, lambda p: p.update(challenge=True), "challenge must be int"
+        ),
+        "dehornoy-n-20": (
+            DEHORNOY, lambda p: p.update(n=20), "commitment x is on 5 strands, not n + 1 = 21"
+        ),
+        "dehornoy-n-string": (DEHORNOY, lambda p: p.update(n="4"), "n must be int, got str"),
+        "dehornoy-n-true": (DEHORNOY, lambda p: p.update(n=True), "n must be int, got bool"),
+        "p-off-n": (DEHORNOY, lambda p: p["p"].update(n=8), "p is on 8 strands, not n = 4"),
+        "p_pub-off-n": (
+            DEHORNOY, lambda p: p["p_pub"].update(n=8), "p_pub is on 8 strands, not n + 1 = 5"
+        ),
+        "response-off-n": (
+            DEHORNOY, lambda p: p["response"].update(n=8),
+            "response is on 8 strands, not n + 1 = 5",
+        ),
+        "commitment-x-off-n": (
+            DEHORNOY, lambda p: p["commitment"][0].update(n=8),
+            "commitment x is on 8 strands, not n + 1 = 5",
+        ),
+        "commitment-x-prime-off-n": (
+            DEHORNOY, lambda p: p["commitment"][1].update(n=8),
+            "commitment x' is on 8 strands, not n + 2 = 6",
         ),
     }
 
@@ -289,7 +337,9 @@ class TestSolve:
         assert record["status"] == "solved"
 
     def test_missing_input(self, tmp_path):
-        assert run_cli("solve", "--out", str(tmp_path)) == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("solve", "--out", str(tmp_path))
+        assert exc.value.code == 2
 
     def test_malformed_input(self, tmp_path):
         fractional_letter = {

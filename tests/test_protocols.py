@@ -185,7 +185,3 @@ class TestDehornoyScheme:
         keys = self.keys()
         with pytest.raises(ProtocolError):
             dehornoy_respond(keys, self.nonce(), challenge=2)
-
-    def test_public_record_hides_secret(self):
-        record = self.keys().public_record()
-        assert set(record) == {"n", "p", "p_pub"}
