@@ -41,7 +41,7 @@ from .extractors import (
     build_stickel_instance,
 )
 from .garside import is_trivial, nf_key, rewrite, words_equal
-from .handle import ReductionBudgetExceeded, shift_preimage
+from .handle import ReductionBudgetExceeded, handle_reduce, shift_preimage
 from .protocols import NamedCheck, PublicTranscript, SecretTranscript
 from .solvers import (
     SolutionReport,
@@ -66,7 +66,9 @@ from .words import (
     enumerate_products,
     generator,
     invert,
+    permutation,
     power,
+    reconcile,
     shift,
     shifted_conjugate,
 )
@@ -414,6 +416,11 @@ def attack_dehornoy_pair(
     and the challenge-1 response r*s then unwraps to the long-term secret
     s = unshift(r^-1.(r*s).d(r).sigma_1^-1). The solver's filter keeps a
     candidate r only when its s reproduces the public key s*base.
+
+    The response is handle-reduced once, before the search, so each
+    candidate's unwrap reduces a short word that is the same element. A
+    candidate whose s*base has another permutation than the public key is
+    turned down before the normal forms are compared.
     """
     if config.alphabet is None:
         raise ValueError("pair attack needs an explicit search alphabet")
@@ -428,12 +435,22 @@ def attack_dehornoy_pair(
     x = inst.forms[0][0]
     if not run.check("informative-instance", (x.infimum, x.factors) != (0, ())):
         return run.report()
+    try:
+        t = handle_reduce(response)
+    except ReductionBudgetExceeded:
+        t = response
     sigma_1_inv = invert(generator(response.strands, 1))
+    key_perm = permutation(public_key)
 
     def key_secret(r: BraidWord) -> BraidWord | None:
-        s_c = _lift(SHIFT_ENDO, compose_all([invert(r), response, shift(r), sigma_1_inv]))
-        keyed = s_c is not None and words_equal(shifted_conjugate(s_c, base), public_key)
-        return s_c if keyed else None
+        s_c = _lift(SHIFT_ENDO, compose_all([invert(r), t, shift(r), sigma_1_inv]))
+        if s_c is None:
+            return None
+        # Both sides on the strand count words_equal reconciles to.
+        made, key = reconcile(shifted_conjugate(s_c, base), public_key)
+        if permutation(made) != key_perm + tuple(range(len(key_perm), key.strands)):
+            return None
+        return s_c if words_equal(made, key) else None
 
     rep, s_c = _solve(inst, config, key_secret)
     if not run.solved("instance-solved", rep):

@@ -106,11 +106,13 @@ def _word_on(record, what: str, n: int, extra: int) -> BraidWord:
 def _simulate_records(args: argparse.Namespace) -> tuple[dict, dict]:
     """Public and secret records for one seeded protocol run. For dehornoy,
     --secret-len is the base length and caps the secret and the nonce at 3;
-    p is on n strands, p_pub, x and the response on n + 1, and x' on n + 2."""
+    p is on n strands, p_pub, x and the response on n + 1, and x' on n + 2,
+    so n runs from 2 to MAX_STRANDS - 2."""
     if args.preset == "dehornoy":
-        if args.n > MAX_STRANDS - 2:
-            raise ValueError(f"dehornoy needs --n at most {MAX_STRANDS - 2}, got {args.n}: "
-                             f"its commitment x' is on n + 2 strands")
+        if not 2 <= args.n <= MAX_STRANDS - 2:
+            raise ValueError(f"dehornoy needs --n from 2 to {MAX_STRANDS - 2}, got {args.n}: "
+                             f"its keys use sigma_1 .. sigma_(n-1), and its commitment x' "
+                             f"is on n + 2 strands")
         keys = dehornoy_keygen(
             strands=args.n,
             secret_length=min(args.secret_len, 3),

@@ -14,11 +14,16 @@ A configurable step budget guards against pathological blowup; exceeding
 it raises ReductionBudgetExceeded. No caller falls back to normal forms:
 the attacks' lift through the shift returns None, so the attack's check
 fails, and the benchmark's oracle counts the word as nontrivial.
+
+The shift preimage tests the word's permutation before it reduces: every
+element of the image of the shift, the subgroup generated by sigma_2..,
+fixes strand 0, so a word whose permutation moves strand 0 is turned down
+in O(len) without a reduction.
 """
 
 from __future__ import annotations
 
-from .words import BraidWord, unshift
+from .words import BraidWord, permutation, unshift
 
 DEFAULT_BUDGET = 10**6
 
@@ -73,9 +78,12 @@ def shift_preimage(a: BraidWord) -> BraidWord:
     generated by sigma_2.. is exactly one whose reduced word is
     sigma_1-free, then strip the shift letter by letter.
 
-    Raises ValueError if sigma_1 letters survive reduction, i.e. the
-    element is not in the image of the shift.
+    Raises ValueError if the element is not in the image of the shift:
+    at once if its permutation moves strand 0, else if sigma_1 letters
+    survive reduction.
     """
+    if permutation(a)[0] != 0:
+        raise ValueError("element is not in the image of the index shift")
     reduced = handle_reduce(a)
     try:
         return unshift(reduced)

@@ -169,6 +169,22 @@ def delta(strands: int) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
+def permutation(a: BraidWord) -> tuple[int, ...]:
+    """The image of a word in the symmetric group on its strands, in the
+    convention of `garside`: one-line images of positions, first letter
+    applied first. Equal braids have equal permutations, so a difference
+    proves two words unequal. O(len a + n): each letter swaps two entries
+    of the inverse permutation, which is inverted once at the end."""
+    inverse = list(range(a.strands))
+    for x in a.letters:
+        i = abs(x)
+        inverse[i - 1], inverse[i] = inverse[i], inverse[i - 1]
+    perm = [0] * a.strands
+    for image, position in enumerate(inverse):
+        perm[position] = image
+    return tuple(perm)
+
+
 def shift(a: BraidWord) -> BraidWord:
     """Dehornoy's shift endomorphism d: every index up by one, strands up by one."""
     sign = lambda x: 1 if x > 0 else -1

@@ -45,6 +45,7 @@ from braidwork.extractors import (
     build_stickel_instance,
 )
 from braidwork.garside import rewrite
+from braidwork.handle import ReductionBudgetExceeded, shift_preimage
 from braidwork.protocols import (
     DehornoyKeys,
     dehornoy_commit,
@@ -243,6 +244,29 @@ def dehornoy_records():
     ).to_record()
 
 
+# Instances 123 and 1139 of the auth benchmark workload on seed 1, as (key
+# seed, nonce letters). Many candidates satisfy their conjugacy relation, so
+# the pair attack's filter lifts 135 and 173 of them.
+MANY_MATCH_CASES = (((2577888341, (-2, -3, 2)), 135), ((76993924, (-3, 2, 1)), 173))
+
+
+def many_match_records():
+    for (key_seed, nonce_letters), _ in MANY_MATCH_CASES:
+        keys = dehornoy_keygen(strands=4, secret_length=3, base_length=4, seed=key_seed)
+        nonce = BraidWord(4, nonce_letters)
+        x, x_prime = dehornoy_commit(keys, nonce)
+        response = dehornoy_respond(keys, nonce, challenge=1)
+        yield attack_dehornoy_pair(
+            x,
+            x_prime,
+            keys.base,
+            keys.public_key,
+            response,
+            SolverConfig(max_length=3, alphabet=interval_generators(4, 1, 3), budget=500_000),
+            oracle_s=keys.secret,
+        ).to_record()
+
+
 def partial_factor_records():
     # Acceptance criterion 10's planted and random peels, then completion.
     head_alphabet = interval_generators(8, 6, 7)
@@ -348,6 +372,28 @@ def test_dehornoy_records_unchanged(solved_instances):
     assert digest(solved_instances) == DEHORNOY_INSTANCES_DIGEST
 
 
+def test_many_match_records_unchanged(monkeypatch):
+    lifts = []
+
+    def counting_preimage(word):
+        lifts.append(word)
+        return shift_preimage(word)
+
+    monkeypatch.setattr(attacks, "shift_preimage", counting_preimage)
+    assert digest(many_match_records()) == MANY_MATCH_DIGEST
+    assert len(lifts) == sum(count for _, count in MANY_MATCH_CASES)
+
+
+def test_unreduced_response_gives_the_same_records(monkeypatch):
+    # When reducing the response runs over budget, the filter lifts the
+    # response as given; each candidate is then the same element.
+    def over_budget(word):
+        raise ReductionBudgetExceeded("over budget")
+
+    monkeypatch.setattr(attacks, "handle_reduce", over_budget)
+    assert digest(many_match_records()) == MANY_MATCH_DIGEST
+
+
 def test_partial_factor_records_unchanged(solved_instances):
     records = list(partial_factor_records())
     assert digest(records) == PARTIAL_FACTOR_DIGEST
@@ -439,6 +485,8 @@ EDL_INSTANCES_DIGEST = "4292281555d6d89d46e60d6e1164864c8da1a15b6aa7ceaa94f95d53
 GTCP_DIGEST = "472999af80c2f5a7d25aacf465603c2ffaa7bfe1ecf3c06dd887c8618f0ee253"
 DEHORNOY_DIGEST = "0e9ff8c02d5bf3e3c8501f0bf4a757b966844a8913e4270fd0c5c4bdd1d4c872"
 DEHORNOY_INSTANCES_DIGEST = "7239b74be7e531ffe60437af978e88efbe27bce720876ac31acfe1c000b2a336"
+# Taken at 81a01fb, before the pair attack reduced the response once.
+MANY_MATCH_DIGEST = "c72c34b393378fc05db78de9c3852ca861eee4e054fbdb15b27f7c420c4549f9"
 PARTIAL_FACTOR_DIGEST = "d67ddd9ed1066d31838b6085b9568fb8ca6d4eb2b8f1e574873a35d01933934a"
 PARTIAL_FACTOR_INSTANCES_DIGEST = "77b9143845d00ca7debae637ac83d6581c4fb968daa8c4da570e9920d63f4cf2"
 STICKEL_DIGEST = "fdeec6ae4fe4995c3e398c1195dc54b60beee03ca20195a89990f55ad1e80509"

@@ -396,6 +396,24 @@ class TestDehornoyAttacks:
                 compose(shifted_conjugate(s, keys.base), invert(keys.public_key))
             )
 
+    def test_pair_attack_compares_keys_on_the_larger_strand_count(self):
+        # p, s and r on 3 strands put the public key on 4, while the
+        # 4-strand alphabet puts each candidate's s * p on 5: the filter's
+        # permutation test must compare both on 5 strands, as words_equal does.
+        p, s, r = BraidWord(3, (-1, 2, -2, 1)), BraidWord(3, (1, 2, 2)), BraidWord(3, (2, 1, -2))
+        p_pub = rewrite(shifted_conjugate(s, p))
+        report = attack_dehornoy_pair(
+            rewrite(shifted_conjugate(r, p)),
+            rewrite(shifted_conjugate(r, p_pub)),
+            p,
+            p_pub,
+            rewrite(shifted_conjugate(r, s)),
+            SolverConfig(max_length=3, alphabet=interval_generators(4, 1, 3), budget=500_000),
+            oracle_s=s,
+        )
+        assert p_pub.strands == 4
+        assert report.success and report.harness_verdict is True
+
     def test_pair_attack_flags_degenerate_keys(self):
         base = BraidWord(3, (1, 2))
         keys = DehornoyKeys(3, base, base, identity(3))

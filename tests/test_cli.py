@@ -96,7 +96,7 @@ class TestSimulate:
         reads every record that simulate writes."""
         code = run_cli("simulate", "--preset", "dehornoy", "--n", "63", "--out", str(tmp_path))
         assert code == 2
-        assert "dehornoy needs --n at most 62" in capsys.readouterr().err
+        assert "dehornoy needs --n from 2 to 62" in capsys.readouterr().err
         assert not (tmp_path / "public.json").exists()
         assert run_cli(
             "simulate", "--preset", "dehornoy", "--n", "62", "--secret-len", "1",
@@ -109,6 +109,16 @@ class TestSimulate:
         assert code == 1
         record = json.loads((tmp_path / "attack_report.json").read_text())
         assert record["solver_reports"][0]["status"] == "exhausted"
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_dehornoy_strand_floor(self, tmp_path, capsys, n):
+        """The keys are drawn from sigma_1 .. sigma_(n-1), so dehornoy needs
+        --n of at least 2, and a smaller one is a configuration error."""
+        code = run_cli("simulate", "--preset", "dehornoy", "--n", n, "--out", str(tmp_path))
+        assert code == 2
+        assert f"dehornoy needs --n from 2 to 62, got {n}" in capsys.readouterr().err
+        assert not (tmp_path / "public.json").exists()
+        assert run_cli("sweep", "--preset", "dehornoy", "--n", n, "--out", str(tmp_path)) == 2
 
     def test_config_error_exit_code(self, tmp_path):
         assert run_cli("simulate", "--preset", "klchkp", "--n", "3",

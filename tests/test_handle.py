@@ -8,7 +8,7 @@ from braidwork.handle import (
     is_trivial_handle_reduction,
     shift_preimage,
 )
-from braidwork.words import BraidWord, compose, identity, invert, shift, unshift
+from braidwork.words import BraidWord, compose, compose_all, identity, invert, shift, unshift
 
 
 def words(n: int, max_len: int = 10):
@@ -92,6 +92,43 @@ class TestShiftPreimage:
     def test_rejects_non_image(self):
         with pytest.raises(ValueError):
             shift_preimage(BraidWord(3, (1,)))
+
+    @staticmethod
+    def assert_agrees_with_reduction(w):
+        # The permutation pre-check turns a word down exactly when full
+        # reduction would, and otherwise the result is the same element.
+        try:
+            expected = unshift(handle_reduce(w))
+        except ValueError:
+            with pytest.raises(ValueError):
+                shift_preimage(w)
+            return
+        assert words_equal(shift_preimage(w), expected)
+
+    @given(st.integers(min_value=3, max_value=6).flatmap(lambda n: words(n, 20)))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_reduction(self, w):
+        self.assert_agrees_with_reduction(w)
+
+    @given(
+        st.integers(min_value=3, max_value=6).flatmap(
+            lambda n: st.tuples(words(n - 1, 12), words(n, 8), st.integers(0, 12))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_reduction_on_disguised_members(self, case):
+        # Members of the shift image spelt with sigma_1 letters: the normal
+        # form's spelling, and a trivial word u . rewrite(u)^-1 inserted.
+        w, u, k = case
+        image = shift(w)
+        head = BraidWord(image.strands, image.letters[:k])
+        tail = BraidWord(image.strands, image.letters[k:])
+        for member in (
+            rewrite(image),
+            compose_all([head, u, invert(rewrite(u)), tail]),
+        ):
+            self.assert_agrees_with_reduction(member)
+            assert words_equal(shift_preimage(member), w)
 
     def test_unshift_is_syntactic_counterpart(self):
         w = BraidWord(4, (2, 3))

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from braidwork.garside import words_equal
+from braidwork.garside import normal_form, perm_identity, perm_longest, words_equal
 from braidwork.words import (
     BraidWord,
     Endomorphism,
@@ -17,6 +17,7 @@ from braidwork.words import (
     identity,
     inner_endo,
     invert,
+    permutation,
     power,
     random_word,
     shift,
@@ -118,6 +119,40 @@ class TestPowerAndDelta:
         d = delta(4)
         lhs = compose_all([d, generator(4, 1), invert(d)])
         assert words_equal(lhs, generator(4, 3))
+
+
+def strands_and_words(count: int):
+    """n from 2 to 8 and `count` words on n strands of length up to 30."""
+    return st.integers(min_value=2, max_value=8).flatmap(
+        lambda n: st.tuples(*[letters(n, 30)] * count)
+    )
+
+
+def then(p, q):
+    """The permutation of a word for p followed by a word for q."""
+    return tuple(q[x] for x in p)
+
+
+class TestPermutation:
+    @given(strands_and_words(1))
+    def test_matches_normal_form(self, ws):
+        # The Garside layer is the oracle: Delta's permutation to the power
+        # of the infimum, then each factor in order.
+        (w,) = ws
+        nf = normal_form(w)
+        p = perm_longest(w.strands) if nf.infimum % 2 else perm_identity(w.strands)
+        for factor in nf.factors:
+            p = then(p, factor)
+        assert permutation(w) == p
+
+    @given(strands_and_words(2))
+    def test_is_a_homomorphism(self, ab):
+        a, b = ab
+        assert permutation(compose(a, b)) == then(permutation(a), permutation(b))
+
+    def test_generator_and_identity(self):
+        assert permutation(generator(4, -2)) == (0, 2, 1, 3)
+        assert permutation(identity(3)) == (0, 1, 2)
 
 
 class TestShift:
