@@ -6,9 +6,10 @@ The key agreement works over four subgroup specs L_A, R_A, L_B, R_B and a
 public base element z. Alice samples (a1, a2) from (L_A, R_A) and
 publishes K_A = a1 z a2; Bob does the same on his side; the shared key is
 kappa = a1 K_B a2 = b1 K_A b2, which agree exactly when the cross-party
-commutation conditions hold. Public tokens are re-expanded from normal
-form before exposure, so an attacker never sees the literal letters the
-secrets were typed with.
+commutation conditions hold. The round multiplies normal forms, each secret
+and z normalised once (klchkp's a2 = a1^-1 inverted in closed form), and
+spells K_A, K_B and kappa as canonical words once each, so an attacker never
+sees the literal letters the secrets were typed with.
 
 Presets: "generalized" (decomposition with all commutation conditions of
 the z != e mode), "klchkp" (conjugacy shape, a2 = a1^-1), "cklhc"
@@ -28,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
-from .garside import rewrite, words_equal
+from .garside import inverse, normal_form, product, rewrite, words_equal
 from .subgroups import (
     SubgroupSpec,
     centralizer_search,
@@ -38,7 +39,6 @@ from .subgroups import (
 )
 from .words import (
     BraidWord,
-    compose,
     expect_list,
     expect_object,
     expect_secret_length,
@@ -278,7 +278,6 @@ def ka_run(config: KaConfig, seed: int) -> ProtocolTranscript:
         raise ProtocolError(f"commutation conditions failed: {', '.join(failed)}")
 
     rng = random.Random(seed)
-    z = config.base
     inverses = not config.positive_only
 
     if config.preset == "stickel":
@@ -301,16 +300,19 @@ def ka_run(config: KaConfig, seed: int) -> ProtocolTranscript:
         b2 = random_word(config.right_b.generators, config.secret_length, rng, inverses)
         exponents = None
 
-    token_a = rewrite(compose(compose(a1, z), a2))
-    token_b = rewrite(compose(compose(b1, z), b2))
-    kappa_a = compose(compose(a1, token_b), a2)
-    kappa_b = compose(compose(b1, token_a), b2)
-    if not words_equal(kappa_a, kappa_b):
+    nf_a1, nf_b1, nf_z = normal_form(a1), normal_form(b1), normal_form(config.base)
+    if config.conjugate_secrets:
+        nf_a2, nf_b2 = inverse(nf_a1), inverse(nf_b1)
+    else:
+        nf_a2, nf_b2 = normal_form(a2), normal_form(b2)
+    token_a = product(product(nf_a1, nf_z), nf_a2)
+    token_b = product(product(nf_b1, nf_z), nf_b2)
+    kappa = product(product(nf_a1, token_b), nf_a2)
+    if kappa != product(product(nf_b1, token_a), nf_b2):
         raise ProtocolError("parties disagree on the shared key; bad configuration")
-    kappa = rewrite(kappa_a)
 
-    public = PublicTranscript(config, token_a, token_b)
-    secret = SecretTranscript(a1, a2, b1, b2, kappa, exponents)
+    public = PublicTranscript(config, token_a.to_word(), token_b.to_word())
+    secret = SecretTranscript(a1, a2, b1, b2, kappa.to_word(), exponents)
     return ProtocolTranscript(public, secret)
 
 

@@ -77,22 +77,34 @@ def interval_generators(strands: int, lo: int, hi: int) -> SubgroupSpec:
     )
 
 
+def _commute(a: BraidWord, b: BraidWord, support_a: set[int], support_b: set[int]) -> bool:
+    far = all(abs(i - j) >= 2 for i in support_a for j in support_b)
+    return far or words_equal(compose(a, b), compose(b, a))
+
+
 def elements_commute(a: BraidWord, b: BraidWord) -> bool:
-    return words_equal(compose(a, b), compose(b, a))
+    """Whether ab = ba. Since sigma_i sigma_j = sigma_j sigma_i for
+    |i - j| >= 2, words whose letter indices are all at least 2 apart
+    commute, with no normal form computed; any other pair is decided by
+    comparing the normal forms of ab and ba."""
+    return _commute(a, b, letter_support(a), letter_support(b))
 
 
 def sets_commute(a: SubgroupSpec, b: SubgroupSpec) -> bool:
-    """[A, B] = 1, decided pairwise on generators (which suffices)."""
+    """[A, B] = 1, decided pairwise on generators (which suffices) as in `elements_commute`."""
     return noncommuting_witness(a, b) is None
 
 
 def noncommuting_witness(
     a: SubgroupSpec, b: SubgroupSpec
 ) -> tuple[BraidWord, BraidWord] | None:
-    """First generator pair (in enumeration order) failing to commute, if any."""
+    """First generator pair (in enumeration order) failing to commute, if
+    any. Each generator's letter support is taken once."""
+    supports_b = [letter_support(gb) for gb in b.generators]
     for ga in a.generators:
-        for gb in b.generators:
-            if not elements_commute(ga, gb):
+        support_a = letter_support(ga)
+        for gb, support_b in zip(b.generators, supports_b):
+            if not _commute(ga, gb, support_a, support_b):
                 return ga, gb
     return None
 

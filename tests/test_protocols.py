@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidwork.garside import words_equal
+from braidwork.garside import rewrite, words_equal
 from braidwork.protocols import (
     KA_PRESETS,
     MIN_STRANDS,
@@ -19,6 +19,7 @@ from braidwork.protocols import (
     make_preset,
     validate_conditions,
 )
+from braidwork.subgroups import interval_generators
 from braidwork.words import (
     compose,
     compose_all,
@@ -115,6 +116,34 @@ class TestKaRun:
         assert words_equal(key_a, s.kappa)
         assert words_equal(key_b, s.kappa)
         assert words_equal(run.public.token_a, compose_all([s.a1, z, s.a2]))
+
+    @pytest.mark.parametrize("name", KA_PRESETS)
+    @pytest.mark.parametrize("at_minimum", [True, False], ids=["min-strands", "10-strands"])
+    @pytest.mark.parametrize("positive_only", [False, True], ids=["inverses", "positive"])
+    def test_matches_the_word_path(self, name, at_minimum, positive_only):
+        # The word path: compose each value as a word and normalise it with
+        # rewrite. Normal forms are unique, so it spells the same letters as
+        # the normal-form products of ka_run.
+        strands = MIN_STRANDS[name] if at_minimum else 10
+        for seed in range(5):
+            config = dataclasses.replace(
+                make_preset(name, strands=strands, seed=seed), positive_only=positive_only
+            )
+            run = ka_run(config, seed=seed)
+            s, z = run.secret, config.base
+            token_a = rewrite(compose_all([s.a1, z, s.a2]))
+            token_b = rewrite(compose_all([s.b1, z, s.b2]))
+            assert run.public.token_a == token_a
+            assert run.public.token_b == token_b
+            assert s.kappa == rewrite(compose_all([s.a1, token_b, s.a2]))
+            assert words_equal(s.kappa, compose_all([s.b1, token_a, s.b2]))
+
+    def test_failed_commutation_condition_raises(self):
+        config = dataclasses.replace(
+            make_preset("klchkp", strands=9), left_b=interval_generators(9, 4, 8)
+        )
+        with pytest.raises(ProtocolError, match=r"commutation conditions failed: \[L_A,L_B\]=1$"):
+            ka_run(config, seed=0)
 
     def test_conjugacy_shape(self):
         config = make_preset("klchkp", strands=6, secret_length=3)

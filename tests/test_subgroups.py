@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
-from braidwork.garside import nf_key, words_equal
+from braidwork.garside import nf_key, normal_form, words_equal
 from braidwork.subgroups import (
     SubgroupSpec,
     centralizer_search,
@@ -9,11 +10,24 @@ from braidwork.subgroups import (
     noncommuting_witness,
     sets_commute,
 )
-from braidwork.words import BraidWord, delta, generator, identity, power
+from braidwork.words import BraidWord, compose, delta, generator, identity, power
 
 
 def singleton(name: str, w: BraidWord) -> SubgroupSpec:
     return SubgroupSpec(name, w.strands, (w,))
+
+
+@st.composite
+def windowed_words(draw):
+    """A word on 2..8 strands, of length <= 8 with inverses, whose letters lie
+    in a drawn window of indices: two such words often have far, adjacent
+    or overlapping supports, and the empty word is the identity."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    lo = draw(st.integers(min_value=1, max_value=n - 1))
+    hi = draw(st.integers(min_value=lo, max_value=n - 1))
+    index = st.integers(min_value=lo, max_value=hi)
+    letters = draw(st.lists(st.tuples(index, st.booleans()), max_size=8))
+    return BraidWord(n, tuple(-i if inv else i for i, inv in letters))
 
 
 class TestSubgroupSpec:
@@ -59,6 +73,20 @@ class TestCommutation:
         assert witness is not None
         a, b = witness
         assert not elements_commute(a, b)
+
+    @given(windowed_words(), windowed_words())
+    @example(BraidWord(8, (1, -2, 1)), BraidWord(5, (4, -4)))  # far, 4 and 8 strands
+    @example(BraidWord(4, (1, 1)), BraidWord(4, (-2,)))  # adjacent
+    @example(BraidWord(5, (2, 3)), BraidWord(5, (3,)))  # overlapping
+    @example(BraidWord(3, (1, 2, 1)), BraidWord(3, (1,)))  # overlapping, commuting
+    @example(identity(2), BraidWord(6, (5, -1)))
+    def test_matches_normal_forms(self, a, b):
+        assert elements_commute(a, b) == words_equal(compose(a, b), compose(b, a))
+
+    def test_far_intervals_need_no_normal_form(self):
+        before = normal_form.cache_info()
+        assert sets_commute(interval_generators(9, 1, 3), interval_generators(9, 5, 8))
+        assert normal_form.cache_info() == before  # no call, so no miss
 
     def test_commuting_sets_have_no_witness(self):
         assert (
