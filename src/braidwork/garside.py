@@ -55,10 +55,17 @@ in pair steps, for normal forms of canonical lengths l and m:
     comb that carries a remainder down the factors and stops at the first
     pair left unchanged, O(l).
   - `conjugate(a, s)`: per letter of s, one right and one left
-    multiplication, O(l) pair steps. A sigma_i^-1 is Delta^-1 . (Delta
-    sigma_i^-1): on the left its Delta^-1 joins the Delta power, on the
-    right it flips the l factors unless sigma_i can be cancelled from the
-    last one.
+    multiplication, O(l) pair steps. The inverse letter cancels at its end
+    when it can: on the left, sigma_i^-1 passes the Delta power (as
+    sigma_(n-i)^-1 if it is odd) and leaves the first factor if it starts
+    it, and the comb carries the rest of that factor; on the right,
+    sigma_i^-1 leaves the last factor if sigma_i ends it. Only otherwise is
+    it written Delta^-1 . (Delta sigma^-1): on the left its Delta^-1 joins
+    the Delta power, on the right it flips the l factors.
+
+The permutations of the identity, Delta, each sigma_i and each Delta
+sigma_i^-1, and the letters of Delta and its inverse, are built once per
+strand count (functools caches, which empty with the library's others).
 
 Values that leave the library (protocol tokens, extractor instances,
 recovered keys in reports) are exposed as canonical words: their letters
@@ -80,11 +87,12 @@ import functools
 import itertools
 from typing import Sequence
 
-from .words import BraidWord, reconcile
+from .words import BraidWord, delta, invert, reconcile
 
 Perm = tuple[int, ...]
 
 
+@functools.cache
 def perm_identity(n: int) -> Perm:
     return tuple(range(n))
 
@@ -97,6 +105,7 @@ def perm_inv(p: Sequence[int]) -> Perm:
     return tuple(inv)
 
 
+@functools.cache
 def perm_transposition(n: int, i: int) -> Perm:
     """The adjacent transposition underlying sigma_i (1-indexed)."""
     assert 1 <= i <= n - 1
@@ -105,6 +114,20 @@ def perm_transposition(n: int, i: int) -> Perm:
     return tuple(p)
 
 
+@functools.cache
+def _delta_sigma_inverse(n: int, i: int) -> Perm:
+    """The permutation braid Delta sigma_i^-1: sigma_i after the reversal."""
+    return perm_transposition(n, i)[::-1]
+
+
+@functools.cache
+def _twist(n: int, positive: bool) -> tuple[int, ...]:
+    """The letters of Delta_n as `words.delta` spells them, or of its inverse."""
+    twist = delta(n)
+    return twist.letters if positive else invert(twist).letters
+
+
+@functools.cache
 def perm_longest(n: int) -> Perm:
     """The order-reversing permutation, underlying Delta."""
     return tuple(range(n - 1, -1, -1))
@@ -160,11 +183,7 @@ class GarsideNormalForm:
     def to_word(self) -> BraidWord:
         """Re-expand to a braid word equal to the original element."""
         n, k = self.strands, self.infimum
-        letters: list[int] = []
-        if k:
-            # Delta = (s1)(s2 s1)...(s_{n-1} ... s1), as `words.delta` spells it.
-            twist = [x for i in range(1, n) for x in range(i, 0, -1)]
-            letters = (twist if k > 0 else [-x for x in reversed(twist)]) * abs(k)
+        letters = list(_twist(n, k > 0) * abs(k)) if k else []
         for p in self.factors:
             letters.extend(factor_word(p))
         return BraidWord(n, tuple(letters))
@@ -343,9 +362,13 @@ def inverse(a: GarsideNormalForm) -> GarsideNormalForm:
 
 def conjugate(a: GarsideNormalForm, s: BraidWord) -> GarsideNormalForm:
     """The normal form of s^-1 . a . s, one letter of s at a time, each with
-    one comb on either side. A sigma_i^-1 is written Delta^-1 . (Delta
-    sigma_i^-1); its Delta^-1 passes a's factors only on the right, and not
-    at all when sigma_i ends the last factor and can be cancelled there.
+    one comb on either side. The letter's inverse cancels at its end of a
+    when it can: on the left, sigma_i^-1 passes the Delta power as sigma_j^-1
+    (j = i, or n-i for an odd power) and cancels from the first factor when
+    sigma_j starts it; on the right, sigma_i^-1 cancels from the last factor
+    when sigma_i ends it. Otherwise it is written Delta^-1 . (Delta
+    sigma^-1), whose Delta^-1 joins the Delta power on the left and flips
+    a's factors on the right.
     s may have fewer strands than a, but not more."""
     n = a.strands
     if s.strands > n:
@@ -358,12 +381,20 @@ def conjugate(a: GarsideNormalForm, s: BraidWord) -> GarsideNormalForm:
         i = abs(letter)
         if letter > 0:
             # sigma_i^-1 . a . sigma_i, and sigma_i^-1 . Delta^k is
-            # Delta^(k-1) . flip^k(Delta sigma_i^-1), where
-            # flip(Delta sigma_i^-1) = Delta sigma_(n-i)^-1.
+            # Delta^k . sigma_j^-1 with j = i, or n-i when k is odd.
             power += _comb_right(factors, perm_transposition(n, i), ident, w0)
             j = n - i if power % 2 else i
-            power -= 1
-            power += _comb_left(factors, perm_transposition(n, j)[::-1], ident, w0)
+            if factors and factors[0][j - 1] > factors[0][j]:
+                # sigma_j starts the first factor: cancelling it there leaves
+                # a permutation braid, which one comb left-multiplies into
+                # the rest; a trivial one is dropped.
+                first = list(factors.pop(0))
+                first[j - 1], first[j] = first[j], first[j - 1]
+                power += _comb_left(factors, tuple(first), ident, w0)
+            else:
+                # sigma_j^-1 = Delta^-1 . (Delta sigma_j^-1).
+                power -= 1
+                power += _comb_left(factors, _delta_sigma_inverse(n, j), ident, w0)
             continue
         # sigma_i . a . sigma_i^-1
         if factors and factors[-1].index(i - 1) > factors[-1].index(i):
@@ -377,7 +408,7 @@ def conjugate(a: GarsideNormalForm, s: BraidWord) -> GarsideNormalForm:
         else:
             factors = [perm_flip(p) for p in factors]
             power -= 1
-            power += _comb_right(factors, perm_transposition(n, i)[::-1], ident, w0)
+            power += _comb_right(factors, _delta_sigma_inverse(n, i), ident, w0)
         j = n - i if power % 2 else i
         power += _comb_left(factors, perm_transposition(n, j), ident, w0)
     return GarsideNormalForm(n, power, tuple(factors))

@@ -331,12 +331,15 @@ def _grow(symbols: list[BraidWord], level: Iterable[_Node], keep: list[_Node] | 
                 yield node
 
 
-def _cost_term(z: GarsideNormalForm, x_inv: GarsideNormalForm, functional: str) -> tuple[int, int]:
+def _cost_term(
+    z: GarsideNormalForm, x: GarsideNormalForm, x_inv: GarsideNormalForm, functional: str
+) -> tuple[int, int]:
     """One pair's term of the descent cost of a state, whose cost is the sum
     over its pairs: the primary length of the pair's side z, with the
     canonical length of the quotient z.x^-1 as a target-aware tie-break
-    (zero exactly at success, so flat-length plateaus still give a signal)."""
-    gap = len(product(z, x_inv).factors)
+    (zero exactly at success, so flat-length plateaus still give a signal).
+    At a matched pair, z == x, the gap is 0 and no product is formed."""
+    gap = 0 if z == x else len(product(z, x_inv).factors)
     if functional == "difference":
         return (gap, gap)
     if functional == "letters":
@@ -391,7 +394,7 @@ def solve_length_descent(
         for p, z in enumerate(zs):
             term = terms.get((p, z))
             if term is None:
-                term = terms[p, z] = _cost_term(z, x_invs[p], config.length_functional)
+                term = terms[p, z] = _cost_term(z, xs[p], x_invs[p], config.length_functional)
             primary += term[0]
             gap += term[1]
         return (primary, gap)

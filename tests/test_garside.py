@@ -201,6 +201,32 @@ class TestArithmetic:
         assert sum(y == perm_longest(9) for y in steps) == 0
         assert len(steps) == 33
 
+    def test_conjugate_cancels_a_starting_letter(self, monkeypatch):
+        # a starts with sigma_4, so sigma_4^-1 . a . sigma_4 cancels it from
+        # the first factor and combs the rest of that factor in. Writing
+        # sigma_4^-1 as Delta^-1 . (Delta sigma_4^-1) instead takes one more
+        # pair step: the one that turns the first factor into Delta.
+        rng = random.Random(3)
+        w = BraidWord(9, (4,) + tuple(rng.randint(1, 8) for _ in range(60)))
+        a, s = normal_form(w), generator(9, 4)
+        expected = normal_form(compose(invert(s), compose(w, s)))
+        ident, w0 = perm_identity(9), perm_longest(9)
+        steps = []
+        kernel = garside._left_weight_pair
+        monkeypatch.setattr(
+            garside, "_left_weight_pair", lambda x, y: steps.append(y) or kernel(x, y)
+        )
+        assert conjugate(a, s) == expected
+        cancelling = len(steps)
+        steps.clear()
+        factors = list(a.factors)
+        infimum = a.infimum + garside._comb_right(factors, perm_transposition(9, 4), ident, w0)
+        infimum -= 1
+        infimum += garside._comb_left(factors, garside._delta_sigma_inverse(9, 4), ident, w0)
+        assert GarsideNormalForm(9, infimum, tuple(factors)) == expected
+        assert cancelling == 10
+        assert len(steps) == cancelling + 1
+
     def test_product_rejects_other_strand_counts(self):
         a, b = normal_form(BraidWord(4, (1, -3))), normal_form(BraidWord(6, (5, 2)))
         with pytest.raises(ValueError, match="4 and 6 strands"):

@@ -7,7 +7,7 @@ import itertools
 
 import garside_reference as reference
 from garside_reference import is_left_weighted, perm_mul
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidwork.garside import (
     GarsideNormalForm,
@@ -65,6 +65,20 @@ def words_and_letters(draw):
     n = draw(st.integers(min_value=2, max_value=12))
     i = draw(st.integers(min_value=1, max_value=n - 1))
     return draw(words(n, 60)), draw(st.sampled_from([i, -i]))
+
+
+@st.composite
+def starting_letters(draw):
+    """A word Delta^k sigma_j P, for a positive word P, and the letter i
+    with j = i, or n-i for odd k: sigma_i^-1 passes Delta^k as sigma_j^-1,
+    and sigma_j starts the first factor, so `conjugate` by sigma_i cancels
+    it there unless the right comb makes a Delta and changes the parity."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    k = draw(st.integers(min_value=-2, max_value=2))
+    i = draw(st.integers(min_value=1, max_value=n - 1))
+    j = n - i if k % 2 else i
+    tail = draw(st.lists(st.integers(min_value=1, max_value=n - 1), max_size=40))
+    return compose_all([power(delta(n), k), BraidWord(n, (j, *tail))]), i
 
 
 def perms(n: int):
@@ -182,7 +196,15 @@ class TestArithmeticOnNormalForms:
         assert nf == reference.normal_form(invert(w))
         assert is_left_weighted(nf)
 
-    @given(words_and_letters())
+    @given(st.one_of(words_and_letters(), starting_letters()))
+    # Left cancellation at an even and an odd Delta power (j = i and
+    # j = n-i); at a first factor equal to sigma_j, which it empties and
+    # drops; and after a right comb that makes a Delta, so that j is taken
+    # after it.
+    @example((BraidWord(5, (1,)), 1))
+    @example((BraidWord(5, (-1,)), 2))
+    @example((BraidWord(4, (2,)), 2))
+    @example((BraidWord(3, (2, 2, 1)), 2))
     @settings(deadline=None)
     def test_conjugate_by_letter(self, case):
         w, letter = case

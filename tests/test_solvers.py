@@ -318,11 +318,13 @@ class TestSolveLengthDescent:
     def test_no_repeated_work(self, monkeypatch, n, secret, probes, restarts, conjugations):
         # Within one solve no normal form is conjugated twice by a symbol,
         # no conjugate is conjugated back by the inverse symbol, and each
-        # pair's gap product runs once per normal form of that pair.
+        # pair's gap product runs once per normal form of that pair, and
+        # never at the pair's own x.
         inst = self.repeat_instance(n, secret, probes)
         symbols = solvers._symbols(inst.alphabet)
-        x_invs = [inverse(normal_form(x)) for x, _ in inst.pairs]
-        assert len(set(x_invs)) == len(x_invs)
+        xs = {inverse(normal_form(x)): normal_form(x) for x, _ in inst.pairs}
+        x_invs = list(xs)
+        assert len(x_invs) == len(inst.pairs)
         conjugated, undone = [], set()
         gaps = {x_inv: [] for x_inv in x_invs}
 
@@ -336,6 +338,7 @@ class TestSolveLengthDescent:
 
         def counting_product(a, b):
             if b in gaps:
+                assert a != xs[b]
                 gaps[b].append(a)
             return product(a, b)
 
@@ -348,6 +351,20 @@ class TestSolveLengthDescent:
         assert len(set(conjugated)) == len(conjugated) == conjugations
         for zs in gaps.values():
             assert zs and len(set(zs)) == len(zs)
+
+    @pytest.mark.parametrize("functional", ["canonical", "letters", "difference"])
+    def test_matched_pair_costs_no_product(self, monkeypatch, functional):
+        # At z == x the quotient z.x^-1 is trivial, so the gap is 0 without
+        # forming it; elsewhere the product gives the gap.
+        x = normal_form(BraidWord(5, (1, -3, 2, 2, 4)))
+        z = normal_form(BraidWord(5, (2, -4)))
+        monkeypatch.setattr(solvers, "product", lambda a, b: pytest.fail("product formed"))
+        primary = {"canonical": len(x.factors), "letters": x.word_length, "difference": 0}[functional]
+        assert solvers._cost_term(x, x, inverse(x), functional) == (primary, 0)
+        monkeypatch.setattr(solvers, "product", product)
+        gap = len(product(z, inverse(x)).factors)
+        assert gap > 0
+        assert solvers._cost_term(z, x, inverse(x), functional)[1] == gap
 
     @pytest.mark.parametrize("n, secret, probes, restarts, conjugations", REPEATS)
     def test_memo_is_per_solve(self, monkeypatch, n, secret, probes, restarts, conjugations):
