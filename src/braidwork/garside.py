@@ -13,17 +13,21 @@ Under this convention
   - the starting set of a factor B is {i : B[i-1] > B[i]},
   - the finishing set of A is the starting set of A^-1.
 
-The normal form is built left-greedily, as in Epstein et al., *Word
-Processing in Groups* (1992), ch. 9:
+The normal form is built as in Epstein et al., *Word Processing in Groups*
+(1992), ch. 9:
 
-  - Packing. The word is split into runs of same-sign letters. A positive
-    run is packed greedily into permutation braids: the next letter starts
-    a new factor exactly when it is in the finishing set of the current
-    one. A negative run is P^-1 for a positive word P; P is packed into
-    B_1 ... B_m, and each B^-1 is written Delta^-1 . (Delta B^-1), so a
-    literal Delta^-k leaves only a Delta power and no factor. The Delta
-    powers are then moved to the front, each factor they pass being
-    conjugated by Delta (`perm_flip`).
+  - Packing, in one right-to-left pass over the letters. A positive letter
+    is put in front of the factor being packed, or starts a new one when it
+    is in that factor's starting set. A negative run is P^-1 for a positive
+    word P, which the pass reads left to right: a letter starts a new
+    factor of P exactly when it is in the finishing set of the current one,
+    and each factor B is closed as Delta^-1 . (Delta B^-1), so a literal
+    Delta^-k leaves only a Delta power and no factor. The Delta power to
+    the right of a factor is carried, not applied: conjugation by Delta
+    maps sigma_i to sigma_(n-i), so a factor under an odd power is packed
+    from mirrored letters and comes out flipped. When a Delta^-1 changes
+    the power, the pending letter is mirrored again. The factors are then
+    multiplied in from the left end, one comb each.
   - Right multiplication (`_comb_right`). A normal form times one
     permutation braid is normalised by a single backward comb: left-weight
     the last pair, then the pair before it, stopping at the first pair left
@@ -84,7 +88,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from typing import Sequence
 
 from .words import BraidWord, delta, invert, reconcile
@@ -222,21 +225,6 @@ def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:
     return perm_inv(u), tuple(v), True
 
 
-def _pack(n: int, letters: Sequence[int]) -> list[list[int]]:
-    """Split a positive word greedily into permutation braids, each given by
-    its inverse permutation: a letter starts a new factor exactly when it is
-    in the finishing set of the current one."""
-    packed: list[list[int]] = []
-    inv = list(range(n))
-    for i in letters:
-        if inv[i - 1] > inv[i]:
-            packed.append(inv)
-            inv = list(range(n))
-        inv[i - 1], inv[i] = inv[i], inv[i - 1]
-    packed.append(inv)
-    return packed
-
-
 def _comb_right(factors: list[Perm], p: Perm, ident: Perm, w0: Perm) -> int:
     """Right-multiply left-weighted factors by the permutation braid p, in
     place: one backward comb, which stops at the first pair it leaves
@@ -300,30 +288,42 @@ def _comb_left(factors: list[Perm], p: Perm, ident: Perm, w0: Perm) -> int:
 
 @functools.lru_cache(maxsize=1 << 14)
 def normal_form(a: BraidWord) -> GarsideNormalForm:
-    """The left Garside normal form of a word."""
+    """The left Garside normal form of a word: one right-to-left pass packs
+    the letters into permutation braids, with each factor's Delta power
+    carried as mirrored letters, and the factors are combed in one by one."""
     n = a.strands
     if n == 1:
         return GarsideNormalForm(1, 0, ())
-    # Read the runs of same-sign letters right to left, so that `power` is
-    # the Delta exponent to the right of each factor: f . Delta^E equals
-    # Delta^E . flip^E(f).
-    factors: list[Perm] = []
-    power = 0
-    runs = [list(run) for _, run in itertools.groupby(a.letters, lambda x: x > 0)]
-    for run in reversed(runs):
-        if run[0] > 0:
-            for inv in reversed(_pack(n, run)):
-                p = perm_inv(inv)
-                factors.append(perm_flip(p) if power % 2 else p)
-        else:
-            # The run is (B_1 ... B_m)^-1 = B_m^-1 ... B_1^-1 for the packed
-            # positive word B_1 ... B_m, and B^-1 = Delta^-1 . (Delta B^-1).
-            for inv in _pack(n, [-x for x in reversed(run)]):
-                p = tuple(reversed(inv))
-                factors.append(perm_flip(p) if power % 2 else p)
-                power -= 1
     ident = perm_identity(n)
     w0 = perm_longest(n)
+    # `power` is the Delta exponent to the right of the factor q being
+    # packed; f . Delta^E = Delta^E . flip^E(f), so under an odd power the
+    # letters are mirrored. In a negative run q is the inverse of a factor
+    # B of the reversed, negated run, and closes as Delta B^-1, whose
+    # Delta^-1 changes `power` and so the pending letter's mirroring.
+    factors: list[Perm] = []
+    power = 0
+    q = list(ident)
+    negative = False
+    for x in reversed(a.letters):
+        i = x if x > 0 else -x
+        if power % 2:
+            i = n - i
+        # sigma_i joins q unless it starts q (for a negative run, finishes
+        # B) or changes the sign; an empty q closes as the identity.
+        if (x < 0) != negative or q[i - 1] > q[i]:
+            if negative:
+                q.reverse()
+                power -= 1
+                i = n - i
+            factors.append(tuple(q))
+            q = list(ident)
+            negative = x < 0
+        q[i - 1], q[i] = q[i], q[i - 1]
+    if negative:
+        q.reverse()
+        power -= 1
+    factors.append(tuple(q))
     result: list[Perm] = []
     for p in reversed(factors):
         power += _comb_right(result, p, ident, w0)

@@ -187,8 +187,7 @@ def permutation(a: BraidWord) -> tuple[int, ...]:
 
 def shift(a: BraidWord) -> BraidWord:
     """Dehornoy's shift endomorphism d: every index up by one, strands up by one."""
-    sign = lambda x: 1 if x > 0 else -1
-    return BraidWord(a.strands + 1, tuple(x + sign(x) for x in a.letters))
+    return BraidWord(a.strands + 1, tuple([x + 1 if x > 0 else x - 1 for x in a.letters]))
 
 
 def unshift(a: BraidWord) -> BraidWord:
@@ -201,8 +200,7 @@ def unshift(a: BraidWord) -> BraidWord:
     for x in a.letters:
         if abs(x) == 1:
             raise ValueError("word contains sigma_1^{+-1}, not in the image of shift")
-    sign = lambda x: 1 if x > 0 else -1
-    return BraidWord(a.strands - 1, tuple(x - sign(x) for x in a.letters))
+    return BraidWord(a.strands - 1, tuple([x - 1 if x > 0 else x + 1 for x in a.letters]))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,14 +2,16 @@
 Reference Garside normal form: the letter-per-factor algorithm that
 `braidwork.garside` used before it packed letters into simple factors.
 
-Every letter becomes its own permutation-braid factor, the sequence is
+Every letter becomes its own permutation-braid factor, the Delta powers are
+moved to the front by flipping each factor they pass, the sequence is
 combed one generator at a time, and a fixpoint pass re-checks every pair at
-the end. It is slow but simple, and the differential tests compare the
-packed implementation against it. `factor_word` is the rescanning version
-of the re-expansion, whose letters the public words are made of. The
-permutation product, starting and finishing sets and the left-weighted
-check are the definitions the reference and the tests are written in. Not
-part of the library.
+the end. It is slow but simple, and the differential tests compare against
+it the library's single right-to-left pass, which packs letters into
+factors and carries the Delta parity as mirrored letters. `factor_word` is
+the rescanning version of the re-expansion, whose letters the public words
+are made of. The permutation product, starting and finishing sets and the
+left-weighted check are the definitions the reference and the tests are
+written in. Not part of the library.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +105,38 @@ class TestNormalForm:
     def test_negative_generator(self):
         nf = normal_form(generator(3, -1))
         assert nf.infimum == -1 and nf.canonical_length == 1
+
+    def test_packing_carries_the_parity_as_mirrored_letters(self, monkeypatch):
+        # A factor packed under an odd Delta power is packed from mirrored
+        # letters, and a negative factor closes as the reversed list, so
+        # normal_form itself neither flips nor inverts a permutation. The
+        # combs it calls still do.
+        rng = random.Random(5)
+        callers = {"perm_flip": [], "perm_inv": []}
+
+        def counting(kernel, calls):
+            def call(p):
+                # The calling function, past any comprehension's frame.
+                frame = sys._getframe(1)
+                while frame.f_code.co_name.startswith("<"):
+                    frame = frame.f_back
+                calls.append(frame.f_code.co_name)
+                return kernel(p)
+
+            return call
+
+        for name, calls in callers.items():
+            monkeypatch.setattr(garside, name, counting(getattr(garside, name), calls))
+        normal_form.cache_clear()
+        garside._left_weight_pair.cache_clear()
+        for n in (3, 5, 6, 9):
+            for k in (-1, 0, 1):
+                for _ in range(20):
+                    letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(30)]
+                    normal_form(compose(power(delta(n), k), BraidWord(n, tuple(letters))))
+        assert "normal_form" not in callers["perm_flip"] + callers["perm_inv"]
+        assert set(callers["perm_flip"]) == {"_comb_right"}
+        assert set(callers["perm_inv"]) == {"_left_weight_pair"}
 
     @given(words(4))
     @settings(max_examples=60)

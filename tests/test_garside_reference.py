@@ -1,7 +1,7 @@
-"""Differential tests: the packed normal form, and the arithmetic on normal
-forms, against the letter-per-factor reference in `garside_reference`,
-against normal forms of the concatenated words, and against handle
-reduction."""
+"""Differential tests: the normal form packed in one right-to-left pass, and
+the arithmetic on normal forms, against the letter-per-factor reference in
+`garside_reference`, against normal forms of the concatenated words, and
+against handle reduction."""
 
 import itertools
 
@@ -81,6 +81,25 @@ def starting_letters(draw):
     return compose_all([power(delta(n), k), BraidWord(n, (j, *tail))]), i
 
 
+@st.composite
+def run_structured_words(draw):
+    """Alternating same-sign runs of 1 to 2n letters, with literal Delta and
+    Delta^-1 spellings spliced in between them: the packing opens and closes
+    factors within runs and at sign changes, and a literal Delta^-1 changes
+    the Delta power, and with it the mirroring, on its own."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    sign = draw(st.sampled_from([1, -1]))
+    letters = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        twist = draw(st.sampled_from([0, 0, 1, -1]))
+        if twist:
+            letters.extend(power(delta(n), twist).letters)
+        run = draw(st.lists(st.integers(min_value=1, max_value=n - 1), min_size=1, max_size=2 * n))
+        letters.extend(sign * i for i in run)
+        sign = -sign
+    return BraidWord(n, tuple(letters))
+
+
 def perms(n: int):
     return st.permutations(range(n)).map(tuple)
 
@@ -122,6 +141,25 @@ class TestNormalFormAgainstReference:
     @settings(max_examples=80, deadline=None)
     def test_rewrite_shaped_words(self, w):
         assert normal_form(w) == reference.normal_form(w)
+
+    @given(run_structured_words())
+    # A negative run that splits into two factors under an odd Delta power,
+    # after a positive letter and after a literal Delta^-1; a sign change
+    # right after a negative factor closes, whose letter is mirrored again;
+    # a positive run under an odd power; n = 2, the empty word and n = 1.
+    @example(BraidWord(3, (-1, -1, 2, -1)))
+    @example(compose(BraidWord(4, (-1, -1, -2)), power(delta(4), -1)))
+    @example(BraidWord(3, (1, -1)))
+    @example(BraidWord(5, (2, 1, -3, -3)))
+    @example(BraidWord(4, (1, 2, 3, -1)))
+    @example(BraidWord(2, (1, -1, -1, 1, 1, -1)))
+    @example(BraidWord(5, ()))
+    @example(BraidWord(1, ()))
+    @settings(deadline=None)
+    def test_run_structured_words(self, w):
+        nf = normal_form(w)
+        assert nf == reference.normal_form(w)
+        assert is_left_weighted(nf)
 
     def test_delta_powers_only(self):
         for n in (2, 3, 6):

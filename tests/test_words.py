@@ -170,6 +170,17 @@ class TestShift:
     def test_unshift_identity(self):
         assert unshift(identity(3)) == identity(2)
 
+    @given(strands_and_words(1))
+    def test_shift_moves_each_letter_away_from_zero(self, ws):
+        (w,) = ws
+        shifted = shift(w)
+        assert shifted.strands == w.strands + 1
+        assert len(shifted) == len(w)
+        for x, y in zip(w.letters, shifted.letters):
+            assert abs(y) == abs(x) + 1
+            assert (y > 0) == (x > 0)
+        assert unshift(shifted) == w
+
     @given(letters(4), letters(4))
     def test_shift_is_homomorphism(self, a, b):
         assert words_equal(shift(compose(a, b)), compose(shift(a), shift(b)))
