@@ -13,16 +13,19 @@ and is evaluated there alone, on the enumerated secret: only extractors
 and solvers know an instance's post_transform. `_solve` keeps the value
 the filter derived from the accepted secret, so none is derived twice. A
 report names only the checks that can still fail once the solver has
-answered. `_Run` collects the checks,
-recovered values and solver reports of one run and builds its
-AttackReport. A pipeline solves only the instances whose answers it uses,
-and what its solver's filter or its own construction already guarantees
-is not checked again. So each key-recovery pipeline runs one search:
-decomposition derives its right factor from the left solution and the
-token, and stickel reads its b-power off the token's quotient by the
-a-power. Success is claimed only when all public checks pass; the harness
-verdict (comparison against a supplied secret) is informational and never
-gates success.
+answered. `_Run` collects the checks, recovered values and solver
+reports of one run and builds its AttackReport; `_Run.recover` is the
+shared tail of the filtered secret searches. A pipeline solves only the
+instances whose answers it uses, and what its solver's filter or its own
+construction already guarantees is not checked again. So each
+key-recovery pipeline runs one search: decomposition derives its right
+factor from the left solution and the token, and stickel reads its
+b-power off the token's quotient by the a-power. Success is claimed only
+when all public checks pass.
+
+Pipelines take public data only. A caller that holds the secret judges a
+report with `AttackReport.with_verdict`; that harness verdict is
+informational and never gates success.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .extractors import (
 )
 from .garside import is_trivial, nf_key, rewrite, words_equal
 from .handle import ReductionBudgetExceeded, handle_reduce, shift_preimage
-from .protocols import NamedCheck, PublicTranscript, SecretTranscript
+from .protocols import NamedCheck, PublicTranscript
 from .solvers import (
     SolutionReport,
     SolverConfig,
@@ -91,6 +94,16 @@ class AttackReport:
     def recovered_dict(self) -> dict[str, BraidWord]:
         return dict(self.recovered)
 
+    def with_verdict(self, name: str, truth: BraidWord) -> AttackReport:
+        """This report judged against a secret the caller holds: the harness
+        verdict says whether the value recovered as `name` equals `truth`,
+        and stays None when nothing was recovered under that name."""
+        # `is None`: the identity word is a valid candidate but falsy.
+        candidate = self.recovered_dict().get(name)
+        if candidate is None:
+            return self
+        return dataclasses.replace(self, harness_verdict=words_equal(candidate, truth))
+
     def to_record(self) -> dict:
         return {
             "attack": self.attack,
@@ -118,18 +131,19 @@ class _Run:
         self.checks.append(NamedCheck(name, ok))
         return ok
 
-    def report(
-        self, candidate: BraidWord | None = None, truth: BraidWord | None = None
-    ) -> AttackReport:
-        # `is not None`: the identity word is a valid secret but falsy.
-        verdict = words_equal(candidate, truth) if truth is not None else None
+    def report(self) -> AttackReport:
         return AttackReport(
-            self.attack,
-            tuple(self.recovered),
-            tuple(self.checks),
-            tuple(self.reports),
-            verdict,
+            self.attack, tuple(self.recovered), tuple(self.checks), tuple(self.reports)
         )
+
+    def recover(
+        self, rep: SolutionReport, derived: BraidWord | None, name: str
+    ) -> AttackReport:
+        """Record a filtered search as `instance-solved` and, when it
+        solved, the value its filter `derived`, rewritten, as `name`."""
+        if self.solved("instance-solved", rep):
+            self.recovered.append((name, rewrite(derived)))
+        return self.report()
 
 
 def _solve(
@@ -167,7 +181,6 @@ def attack_decomposition(
     config: SolverConfig,
     party: str = "a",
     method: str = "exhaustive",
-    oracle: SecretTranscript | None = None,
 ) -> AttackReport:
     """
     Key recovery against a decomposition-style key agreement.
@@ -210,7 +223,7 @@ def attack_decomposition(
     )
     key_cand = rewrite(compose_all([left_cand, peer_token, right_cand]))
     run.recovered.append(("key-candidate", key_cand))
-    return run.report(key_cand, oracle.kappa if oracle is not None else None)
+    return run.report()
 
 
 def attack_stickel(
@@ -219,7 +232,6 @@ def attack_stickel(
     token_a: BraidWord,
     token_b: BraidWord,
     exponent_bound: int,
-    oracle: SecretTranscript | None = None,
 ) -> AttackReport:
     """
     Key recovery against the commuting-powers scheme with tokens of the
@@ -247,7 +259,7 @@ def attack_stickel(
 
     key_cand = rewrite(compose_all([a_pow, token_b, b_pow]))
     run.recovered += [("b-power-candidate", b_pow), ("key-candidate", key_cand)]
-    return run.report(key_cand, oracle.kappa if oracle is not None else None)
+    return run.report()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -325,7 +337,6 @@ def solve_gtcp(
     mode: str,
     secret_spec: SubgroupSpec,
     config: SolverConfig,
-    oracle_r: BraidWord | None = None,
 ) -> AttackReport:
     """
     Recover the secret r behind tokens y_i = u(r).v(p_i).w(r^-1). The
@@ -351,12 +362,7 @@ def solve_gtcp(
         return r if reproduces else None
 
     run = _Run(f"gtcp-{mode}")
-    rep, r_c = _solve(inst, config, reproducing_r)
-    if not run.solved("instance-solved", rep):
-        return run.report()
-    r_cand = rewrite(r_c)
-    run.recovered.append(("r-candidate", r_cand))
-    return run.report(r_cand, oracle_r)
+    return run.recover(*_solve(inst, config, reproducing_r), "r-candidate")
 
 
 def attack_dehornoy_centralizer(
@@ -365,7 +371,6 @@ def attack_dehornoy_centralizer(
     commitment: BraidWord,
     config: SolverConfig,
     probes: tuple[BraidWord, ...] | None = None,
-    oracle_r: BraidWord | None = None,
 ) -> AttackReport:
     """
     Recover the nonce r behind a shifted-conjugacy commitment x = r*p when
@@ -392,12 +397,7 @@ def attack_dehornoy_centralizer(
         return r if commits else None
 
     run = _Run("dehornoy-centralizer")
-    rep, r_c = _solve(inst, config, committing_r)
-    if not run.solved("instance-solved", rep):
-        return run.report()
-    r_cand = rewrite(r_c)
-    run.recovered.append(("r-candidate", r_cand))
-    return run.report(r_cand, oracle_r)
+    return run.recover(*_solve(inst, config, committing_r), "r-candidate")
 
 
 def attack_dehornoy_pair(
@@ -407,7 +407,6 @@ def attack_dehornoy_pair(
     public_key: BraidWord,
     response: BraidWord,
     config: SolverConfig,
-    oracle_s: BraidWord | None = None,
 ) -> AttackReport:
     """
     Full secret recovery from one authentication round: the two
@@ -453,11 +452,9 @@ def attack_dehornoy_pair(
         return s_c if words_equal(made, key) else None
 
     rep, s_c = _solve(inst, config, key_secret)
-    if not run.solved("instance-solved", rep):
-        return run.report()
-    s_cand = rewrite(s_c)
-    run.recovered += [("r-candidate", rep.raw_word), ("s-candidate", s_cand)]
-    return run.report(s_cand, oracle_s)
+    if rep.solved:
+        run.recovered.append(("r-candidate", rep.raw_word))  # recorded before s
+    return run.recover(rep, s_c, "s-candidate")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -154,6 +154,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _attack_from_records(
     public: dict, secret: dict | None, args: argparse.Namespace
 ) -> AttackReport:
+    """The preset's attack on the public record, then, with a secret record,
+    its harness verdict: the key candidate against kappa, or the dehornoy
+    s candidate against s. Both records are read before any search."""
     config = SolverConfig(max_length=args.max_len, budget=args.budget)
     if public.get("scheme") == "dehornoy":
         n = expect_type(public["n"], int, "n")
@@ -163,28 +166,29 @@ def _attack_from_records(
         if expect_type(public["challenge"], int, "challenge") != 1:
             raise ValueError(f"challenge must be 1, the only challenge the pair attack "
                              f"reads; got {public['challenge']}")
-        return attack_dehornoy_pair(
+        words = (
             _word_on(commitment[0], "commitment x", n, 1),
             _word_on(commitment[1], "commitment x'", n, 2),
             _word_on(public["p"], "p", n, 0),
             _word_on(public["p_pub"], "p_pub", n, 1),
             _word_on(public["response"], "response", n, 1),
-            dataclasses.replace(config, alphabet=interval_generators(n, 1, n - 1)),
-            oracle_s=BraidWord.from_record(secret["s"]) if secret else None,
         )
-    transcript = PublicTranscript.from_record(public)
-    oracle = SecretTranscript.from_record(secret) if secret else None
-    if transcript.config.preset == "stickel":
-        a, b = transcript.config.stickel_pair
-        return attack_stickel(
-            a,
-            b,
-            transcript.token_a,
-            transcript.token_b,
-            transcript.config.exponent_bound,
-            oracle=oracle,
-        )
-    return attack_decomposition(transcript, config, oracle=oracle)
+        config = dataclasses.replace(config, alphabet=interval_generators(n, 1, n - 1))
+        name = "s-candidate"
+        truth = BraidWord.from_record(secret["s"]) if secret else None
+        report = attack_dehornoy_pair(*words, config)
+    else:
+        transcript = PublicTranscript.from_record(public)
+        name = "key-candidate"
+        truth = SecretTranscript.from_record(secret).kappa if secret else None
+        if transcript.config.preset == "stickel":
+            a, b = transcript.config.stickel_pair
+            report = attack_stickel(
+                a, b, transcript.token_a, transcript.token_b, transcript.config.exponent_bound
+            )
+        else:
+            report = attack_decomposition(transcript, config)
+    return report.with_verdict(name, truth) if truth is not None else report
 
 
 def cmd_attack(args: argparse.Namespace) -> int:

@@ -133,8 +133,8 @@ class TestAcceptance:
                 make_preset(preset, strands=strands, secret_length=length), seed=seed
             )
             report = attack_decomposition(
-                run.public, SolverConfig(max_length=3), oracle=run.secret
-            )
+                run.public, SolverConfig(max_length=3)
+            ).with_verdict("key-candidate", run.secret.kappa)
             cases += 1
             ok = ok and report.success and report.harness_verdict is True
         assert cases == 50
@@ -170,8 +170,7 @@ class TestAcceptance:
                 run.public.token_a,
                 run.public.token_b,
                 exponent_bound=8,
-                oracle=run.secret,
-            )
+            ).with_verdict("key-candidate", run.secret.kappa)
             ok = ok and report.success and report.harness_verdict is True
         report_line(6, "commuting-powers key recovery 50/50", ok)
 
@@ -256,8 +255,7 @@ class TestAcceptance:
                 keys.public_key,
                 response,
                 SolverConfig(max_length=3, alphabet=alphabet, budget=500_000),
-                oracle_s=keys.secret,
-            )
+            ).with_verdict("s-candidate", keys.secret)
             ok = ok and rep.success and rep.harness_verdict is True
 
         for seed in range(25):
@@ -268,8 +266,8 @@ class TestAcceptance:
             r = power(generator(4, gen_index), sub_rng.randrange(0, 3))
             commitment = rewrite(shifted_conjugate(r, base))
             rep = attack_dehornoy_centralizer(
-                r_spec, base, commitment, SolverConfig(max_length=2), oracle_r=r
-            )
+                r_spec, base, commitment, SolverConfig(max_length=2)
+            ).with_verdict("r-candidate", r)
             ok = ok and rep.success and rep.harness_verdict is True
         report_line(8, "self-distributivity, pair attack 50/50, centralizer attack 25/25", ok)
 

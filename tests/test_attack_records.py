@@ -159,7 +159,7 @@ GTCP_MAPS = {
 
 
 def gtcp_cases():
-    """(samples, endos, mode, oracle) over every mode and map pair."""
+    """(samples, endos, mode, r) over every mode and map pair."""
     rng = random.Random(9)
     ps = (generator(4, 1), generator(4, 3), BraidWord(4, (2, 3)))
     for k, mode in enumerate(GTCP_MODES):
@@ -174,8 +174,8 @@ def gtcp_records():
     spec = interval_generators(4, 1, 3)
     for samples, endos, mode, r in gtcp_cases():
         yield solve_gtcp(
-            samples, endos, mode, spec, SolverConfig(max_length=3), oracle_r=r
-        ).to_record()
+            samples, endos, mode, spec, SolverConfig(max_length=3)
+        ).with_verdict("r-candidate", r).to_record()
     # A secret out of reach, and a non-identity v.
     endos = (inner_endo(generator(4, 1)), IDENTITY_ENDO, inner_endo(generator(4, 2)))
     r = BraidWord(4, (1, 2, 1, 2))
@@ -204,8 +204,7 @@ def dehornoy_records():
             keys.public_key,
             response,
             SolverConfig(max_length=3, alphabet=alphabet, budget=500_000),
-            oracle_s=keys.secret,
-        ).to_record()
+        ).with_verdict("s-candidate", keys.secret).to_record()
     base = BraidWord(3, (1, 2))
     x, x_prime = dehornoy_commit(DehornoyKeys(3, base, base, identity(3)), generator(3, 1))
     yield attack_dehornoy_pair(
@@ -225,23 +224,22 @@ def dehornoy_records():
         r = power(generator(4, gen_index), sub_rng.randrange(0, 3))
         commitment = rewrite(shifted_conjugate(r, base))
         yield attack_dehornoy_centralizer(
-            r_spec, base, commitment, SolverConfig(max_length=2), oracle_r=r
-        ).to_record()
+            r_spec, base, commitment, SolverConfig(max_length=2)
+        ).with_verdict("r-candidate", r).to_record()
     r_spec = interval_generators(4, 1, 2)
     base = BraidWord(4, (3, 1))
     r = BraidWord(4, (1, 2))
     commitment = rewrite(shifted_conjugate(r, base))
     yield attack_dehornoy_centralizer(
-        r_spec, base, commitment, SolverConfig(max_length=2), oracle_r=r
-    ).to_record()
+        r_spec, base, commitment, SolverConfig(max_length=2)
+    ).with_verdict("r-candidate", r).to_record()
     yield attack_dehornoy_centralizer(
         r_spec,
         base,
         commitment,
         SolverConfig(max_length=2),
         probes=(generator(4, 3), BraidWord(4, (1, 2, 1, 1, 2, 1))),
-        oracle_r=r,
-    ).to_record()
+    ).with_verdict("r-candidate", r).to_record()
 
 
 # Instances 123 and 1139 of the auth benchmark workload on seed 1, as (key
@@ -263,8 +261,7 @@ def many_match_records():
             keys.public_key,
             response,
             SolverConfig(max_length=3, alphabet=interval_generators(4, 1, 3), budget=500_000),
-            oracle_s=keys.secret,
-        ).to_record()
+        ).with_verdict("s-candidate", keys.secret).to_record()
 
 
 def partial_factor_records():
@@ -306,8 +303,8 @@ def stickel_records():
         run = ka_run(config, seed=seed)
         for bound in (8, 1):
             yield attack_stickel(
-                a, b, run.public.token_a, run.public.token_b, bound, oracle=run.secret
-            ).to_record()
+                a, b, run.public.token_a, run.public.token_b, bound
+            ).with_verdict("key-candidate", run.secret.kappa).to_record()
 
 
 def decomposition_records():
@@ -316,8 +313,8 @@ def decomposition_records():
             run = ka_run(make_preset(preset, strands=strands, secret_length=length), seed=seed)
             for party in ("a", "b"):
                 yield attack_decomposition(
-                    run.public, SolverConfig(max_length=3), party=party, oracle=run.secret
-                ).to_record()
+                    run.public, SolverConfig(max_length=3), party=party
+                ).with_verdict("key-candidate", run.secret.kappa).to_record()
     config = dataclasses.replace(
         make_preset("klchkp", strands=8, secret_length=3), positive_only=True
     )
@@ -329,13 +326,14 @@ def decomposition_records():
                 SolverConfig(max_length=3, restarts=6, length_functional="difference"),
                 party=party,
                 method="descent",
-                oracle=run.secret,
-            ).to_record()
+            ).with_verdict("key-candidate", run.secret.kappa).to_record()
     run = ka_run(make_preset("klchkp", strands=6, secret_length=2), seed=3)
     tampered = dataclasses.replace(
         run.public, token_a=rewrite(compose(run.public.token_a, generator(6, 3)))
     )
-    yield attack_decomposition(tampered, SolverConfig(max_length=2), oracle=run.secret).to_record()
+    yield attack_decomposition(tampered, SolverConfig(max_length=2)).with_verdict(
+        "key-candidate", run.secret.kappa
+    ).to_record()
 
 
 def extractor_records():

@@ -1,10 +1,14 @@
+import ast
 import dataclasses
+import inspect
+import pathlib
 import random
 
 import pytest
 
 from braidwork import attacks
 from braidwork.attacks import (
+    AttackReport,
     attack_decomposition,
     attack_dehornoy_centralizer,
     attack_dehornoy_pair,
@@ -50,16 +54,16 @@ class TestDecomposition:
     def test_recovers_key(self, preset, party):
         run = ka_run(make_preset(preset, strands=6, secret_length=2), seed=0)
         report = attack_decomposition(
-            run.public, SolverConfig(max_length=3), party=party, oracle=run.secret
-        )
+            run.public, SolverConfig(max_length=3), party=party
+        ).with_verdict("key-candidate", run.secret.kappa)
         assert report.success
         assert report.harness_verdict is True
 
     def test_generalized_preset(self):
         run = ka_run(make_preset("generalized", strands=8, secret_length=2), seed=1)
         report = attack_decomposition(
-            run.public, SolverConfig(max_length=2), oracle=run.secret
-        )
+            run.public, SolverConfig(max_length=2)
+        ).with_verdict("key-candidate", run.secret.kappa)
         assert report.success and report.harness_verdict is True
 
     def test_trivial_secrets(self):
@@ -67,8 +71,8 @@ class TestDecomposition:
             make_preset("klchkp", strands=6, secret_length=0, base_length=2), seed=0
         )
         report = attack_decomposition(
-            run.public, SolverConfig(max_length=1), oracle=run.secret
-        )
+            run.public, SolverConfig(max_length=1)
+        ).with_verdict("key-candidate", run.secret.kappa)
         assert report.success and report.harness_verdict is True
 
     def test_descent_method(self):
@@ -80,8 +84,7 @@ class TestDecomposition:
             run.public,
             SolverConfig(max_length=3, restarts=6, length_functional="difference"),
             method="descent",
-            oracle=run.secret,
-        )
+        ).with_verdict("key-candidate", run.secret.kappa)
         assert report.success and report.harness_verdict is True
 
     @pytest.mark.parametrize("seed", range(5))
@@ -92,8 +95,8 @@ class TestDecomposition:
             run.public, token_a=rewrite(compose(run.public.token_a, mid))
         )
         report = attack_decomposition(
-            tampered, SolverConfig(max_length=2), oracle=run.secret
-        )
+            tampered, SolverConfig(max_length=2)
+        ).with_verdict("key-candidate", run.secret.kappa)
         assert not (report.success and report.harness_verdict)
 
     def test_failure_reports_unsolved_check(self):
@@ -112,8 +115,8 @@ class TestDecomposition:
     def test_report_record_shape(self):
         run = ka_run(make_preset("klchkp", strands=6, secret_length=2), seed=0)
         record = attack_decomposition(
-            run.public, SolverConfig(max_length=3), oracle=run.secret
-        ).to_record()
+            run.public, SolverConfig(max_length=3)
+        ).with_verdict("key-candidate", run.secret.kappa).to_record()
         assert set(record) == {
             "attack",
             "recovered",
@@ -135,8 +138,7 @@ class TestStickel:
             run.public.token_a,
             run.public.token_b,
             exponent_bound=4,
-            oracle=run.secret,
-        )
+        ).with_verdict("key-candidate", run.secret.kappa)
         assert report.success
         assert report.harness_verdict is True
 
@@ -236,8 +238,8 @@ class TestGtcp:
         ps = (generator(4, 1), generator(4, 3), BraidWord(4, (2, 3)))
         samples = self.samples_for(endos, r, ps)
         report = solve_gtcp(
-            samples, endos, mode, self.spec, SolverConfig(max_length=2), oracle_r=r
-        )
+            samples, endos, mode, self.spec, SolverConfig(max_length=2)
+        ).with_verdict("r-candidate", r)
         assert report.success
         assert report.harness_verdict is True
 
@@ -248,8 +250,8 @@ class TestGtcp:
         ps = (generator(4, 1), generator(4, 2), BraidWord(4, (3, 2)))
         samples = self.samples_for(endos, r, ps)
         report = solve_gtcp(
-            samples, endos, mode, self.spec, SolverConfig(max_length=2), oracle_r=r
-        )
+            samples, endos, mode, self.spec, SolverConfig(max_length=2)
+        ).with_verdict("r-candidate", r)
         assert report.success
         assert report.harness_verdict is True
 
@@ -263,8 +265,7 @@ class TestGtcp:
             assert words_equal(y, compose_all([r, p, invert(r)]))
         report = solve_gtcp(
             samples, endos, "pairwise-ce1", self.spec, SolverConfig(max_length=1),
-            oracle_r=r,
-        )
+        ).with_verdict("r-candidate", r)
         assert report.success and report.harness_verdict is True
 
     def test_failure_when_secret_out_of_reach(self):
@@ -290,8 +291,8 @@ def pair_round():
     response = dehornoy_respond(keys, r, challenge=1)
     config = SolverConfig(max_length=3, alphabet=interval_generators(4, 1, 3))
     return attack_dehornoy_pair(
-        x, x_prime, keys.base, keys.public_key, response, config, oracle_s=keys.secret
-    )
+        x, x_prime, keys.base, keys.public_key, response, config
+    ).with_verdict("s-candidate", keys.secret)
 
 
 def gtcp_shift_round():
@@ -304,8 +305,8 @@ def gtcp_shift_round():
     )
     spec = interval_generators(4, 1, 3)
     return solve_gtcp(
-        samples, endos, "pairwise-ce1", spec, SolverConfig(max_length=2), oracle_r=r
-    )
+        samples, endos, "pairwise-ce1", spec, SolverConfig(max_length=2)
+    ).with_verdict("r-candidate", r)
 
 
 def centralizer_round():
@@ -314,8 +315,8 @@ def centralizer_round():
     r = BraidWord(4, (1, 2))
     commitment = rewrite(shifted_conjugate(r, base))
     return attack_dehornoy_centralizer(
-        r_spec, base, commitment, SolverConfig(max_length=2), oracle_r=r
-    )
+        r_spec, base, commitment, SolverConfig(max_length=2)
+    ).with_verdict("r-candidate", r)
 
 
 class TestDehornoyAttacks:
@@ -334,8 +335,7 @@ class TestDehornoyAttacks:
             SolverConfig(
                 max_length=3, alphabet=interval_generators(4, 1, 3), budget=500_000
             ),
-            oracle_s=keys.secret,
-        )
+        ).with_verdict("s-candidate", keys.secret)
         assert report.success
         assert report.harness_verdict is True
         s_cand = report.recovered_dict()["s-candidate"]
@@ -409,8 +409,7 @@ class TestDehornoyAttacks:
             p_pub,
             rewrite(shifted_conjugate(r, s)),
             SolverConfig(max_length=3, alphabet=interval_generators(4, 1, 3), budget=500_000),
-            oracle_s=s,
-        )
+        ).with_verdict("s-candidate", s)
         assert p_pub.strands == 4
         assert report.success and report.harness_verdict is True
 
@@ -440,8 +439,7 @@ class TestDehornoyAttacks:
             base,
             commitment,
             SolverConfig(max_length=2),
-            oracle_r=r,
-        )
+        ).with_verdict("r-candidate", r)
         assert report.success
         assert report.harness_verdict is True
 
@@ -467,8 +465,8 @@ class TestDehornoyAttacks:
         base = BraidWord(4, (2, 3))
         commitment = rewrite(shifted_conjugate(identity(4), base))
         report = attack_dehornoy_centralizer(
-            r_spec, base, commitment, SolverConfig(max_length=1), oracle_r=identity(4)
-        )
+            r_spec, base, commitment, SolverConfig(max_length=1)
+        ).with_verdict("r-candidate", identity(4))
         assert report.success and report.harness_verdict is True
 
 
@@ -638,3 +636,79 @@ class TestTamperedTranscripts:
                 assert handle_equal(shifted_conjugate(r_cand, base), commitment)
             refusals += refused(report)
         assert refusals > 0
+
+
+# The protocol types that carry a secret: an attack may not name them.
+SECRET_TYPES = {"SecretTranscript", "ProtocolTranscript", "DehornoyKeys"}
+
+
+class TestPublicDataOnly:
+    """Attacks read public data only. The harness verdict is the caller's:
+    whoever holds the secret judges a report with `with_verdict`."""
+
+    def test_no_attack_takes_a_secret(self):
+        public = [
+            obj
+            for name, obj in vars(attacks).items()
+            if not name.startswith("_") and getattr(obj, "__module__", "") == attacks.__name__
+        ]
+        functions = [f for f in public if inspect.isfunction(f)] + [
+            m for cls in public if inspect.isclass(cls)
+            for m in vars(cls).values() if inspect.isfunction(m)
+        ]
+        assert attack_decomposition in functions
+        for f in functions:
+            for param in inspect.signature(f).parameters.values():
+                where = f"{f.__qualname__}({param.name}: {param.annotation})"
+                assert not param.name.startswith("oracle"), where
+                annotated = set(str(param.annotation).replace("|", " ").split())
+                assert not SECRET_TYPES & annotated, where
+
+    def test_attacks_module_imports_no_secret_type(self):
+        tree = ast.parse(pathlib.Path(attacks.__file__).read_text())
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert not SECRET_TYPES & imported
+
+
+class TestWithVerdict:
+    def test_no_verdict_when_pair_attack_is_unsolved(self):
+        keys = dehornoy_keygen(strands=4, secret_length=3, base_length=3, seed=0)
+        r = random_word([generator(4, i) for i in range(1, 4)], 3, random.Random("nonce:0"))
+        x, x_prime = dehornoy_commit(keys, r)
+        response = dehornoy_respond(keys, r, challenge=1)
+        config = SolverConfig(max_length=1, alphabet=interval_generators(4, 1, 3))
+        report = attack_dehornoy_pair(x, x_prime, keys.base, keys.public_key, response, config)
+        assert ("instance-solved", False) in [(c.name, c.passed) for c in report.checks]
+        judged = report.with_verdict("s-candidate", keys.secret)
+        assert judged == report and judged.harness_verdict is None
+
+    def test_no_verdict_when_stickel_finds_no_b_power(self):
+        # token_a = a.b^3: the a-power is found, but b^3 is past the bound.
+        a, b = BraidWord(6, (1, 2)), BraidWord(6, (2, 3))
+        token_a = rewrite(compose(a, power(b, 3)))
+        token_b = rewrite(compose(a, b))
+        report = attack_stickel(a, b, token_a, token_b, exponent_bound=2)
+        assert [(c.name, c.passed) for c in report.checks] == [
+            ("a-power-found", True),
+            ("b-power-found", False),
+        ]
+        key = compose_all([a, token_b, power(b, 3)])
+        assert report.with_verdict("key-candidate", key).harness_verdict is None
+
+    def test_compares_the_named_candidate_as_braids(self):
+        report = AttackReport("test", (("r-candidate", BraidWord(4, (1, 2, 1))),), (), ())
+        assert report.with_verdict("r-candidate", BraidWord(4, (2, 1, 2))).harness_verdict is True
+        assert report.with_verdict("r-candidate", generator(4, 1)).harness_verdict is False
+        assert report.with_verdict("s-candidate", generator(4, 1)).harness_verdict is None
+
+    def test_identity_candidate_is_judged(self):
+        # The identity word is falsy; it is still a recovered candidate.
+        report = AttackReport("test", (("r-candidate", identity(4)),), (), ())
+        assert not report.recovered_dict()["r-candidate"]
+        assert report.with_verdict("r-candidate", identity(4)).harness_verdict is True
+        assert report.with_verdict("r-candidate", BraidWord(4, (1, -1))).harness_verdict is True

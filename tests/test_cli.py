@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from braidwork import cli
 from braidwork.attacks import AttackReport, NamedCheck
 from braidwork.cli import build_parser, main, summarize
 from braidwork.solvers import SolutionReport
@@ -287,6 +288,30 @@ class TestAttack:
         )
         assert code == 2
         assert "exponent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset,n,field", [("klchkp", "6", "kappa"), ("dehornoy", "4", "s")])
+    def test_malformed_oracle_stops_before_the_attack(
+        self, tmp_path, capsys, monkeypatch, preset, n, field
+    ):
+        # The secret record is read before the attack runs on the public one.
+        def no_attack(*args, **kwargs):
+            raise AssertionError("the attack ran")
+
+        for name in ("attack_decomposition", "attack_stickel", "attack_dehornoy_pair"):
+            monkeypatch.setattr(cli, name, no_attack)
+        assert run_cli("simulate", "--preset", preset, "--n", n, "--out", str(tmp_path)) == 0
+        path = tmp_path / "secret.json"
+        secret = json.loads(path.read_text())
+        secret[field] = {"n": int(n), "word": [int(n)]}
+        path.write_text(json.dumps(secret))
+        out = tmp_path / "report"
+        code = run_cli(
+            "attack", "--in", str(tmp_path / "public.json"),
+            "--oracle", str(path), "--out", str(out),
+        )
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stickel_route(self, tmp_path):
         assert run_cli(

@@ -210,10 +210,6 @@ class TestDhdpExtractor:
         inst = build_mscsp_dhdp(run.public, "a")
         assert inst.post_transform is None
 
-    def test_rejects_probe_outside_commutant(self, run):
-        with pytest.raises(ValueError):
-            build_mscsp_dhdp(run.public, "a", probes=(generator(8, 1),))
-
     def test_rejects_unknown_target(self, run):
         with pytest.raises(ValueError):
             build_mscsp_dhdp(run.public, "z")
