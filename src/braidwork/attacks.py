@@ -53,12 +53,7 @@ from .solvers import (
     solve_length_descent,
     solve_power,
 )
-from .subgroups import (
-    SubgroupSpec,
-    centralizer_search,
-    elements_commute,
-    interval_generators,
-)
+from .subgroups import SubgroupSpec, centralizer_search, elements_commute
 from .words import (
     SHIFT_ENDO,
     BraidWord,
@@ -382,13 +377,9 @@ def attack_dehornoy_centralizer(
     commitment, so a solved instance is a recovered r. Without given
     probes, they come from a centralizer search over words of length <= 2.
     """
-    n = commitment.strands
     if probes is None:
-        ambient = interval_generators(r_spec.strands, 1, r_spec.strands - 1)
-        elements = centralizer_search(r_spec, 2, ambient)
-        probes = tuple(p.embed(n) for p in elements if len(p) > 0)
-    if not probes:
-        raise ValueError("no probes available for the centralizer instance")
+        elements = centralizer_search(r_spec, 2)
+        probes = tuple(p.embed(commitment.strands) for p in elements if len(p) > 0)
     inst = build_dehornoy_centralizer_instance(commitment, probes, r_spec, base)
 
     def committing_r(candidate: BraidWord) -> BraidWord | None:

@@ -18,6 +18,7 @@ codes: 0 success, 1 attack or solve incomplete, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import pathlib
@@ -31,7 +32,6 @@ from .garside import normal_form, words_equal
 from .handle import is_trivial_handle_reduction
 from .protocols import (
     KA_PRESETS,
-    ProtocolError,
     PublicTranscript,
     SecretTranscript,
     dehornoy_commit,
@@ -151,36 +151,50 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _fields_of(path: str, kind: str):
+    """A missing field is a configuration error naming the file and record kind."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path} is not a {kind} record: it has no field {exc}") from None
+
+
 def _attack_from_records(
     public: dict, secret: dict | None, args: argparse.Namespace
 ) -> AttackReport:
-    """The preset's attack on the public record, then, with a secret record,
-    its harness verdict: the key candidate against kappa, or the dehornoy
-    s candidate against s. Both records are read before any search."""
+    """The preset's attack on the public record (args.in_path), then, with a
+    secret record (args.oracle), its harness verdict: the key candidate
+    against kappa, or the dehornoy s candidate against s. Both records are
+    read before any search."""
     config = SolverConfig(max_length=args.max_len, budget=args.budget)
     if public.get("scheme") == "dehornoy":
-        n = expect_type(public["n"], int, "n")
-        commitment = expect_list(public["commitment"], "a commitment")
-        if len(commitment) != 2:
-            raise ValueError(f"commitment must hold two words (x, x'), got {len(commitment)}")
-        if expect_type(public["challenge"], int, "challenge") != 1:
-            raise ValueError(f"challenge must be 1, the only challenge the pair attack "
-                             f"reads; got {public['challenge']}")
-        words = (
-            _word_on(commitment[0], "commitment x", n, 1),
-            _word_on(commitment[1], "commitment x'", n, 2),
-            _word_on(public["p"], "p", n, 0),
-            _word_on(public["p_pub"], "p_pub", n, 1),
-            _word_on(public["response"], "response", n, 1),
-        )
+        with _fields_of(args.in_path, "dehornoy public"):
+            n = expect_type(public["n"], int, "n")
+            commitment = expect_list(public["commitment"], "a commitment")
+            if len(commitment) != 2:
+                raise ValueError(f"commitment must hold two words (x, x'), got {len(commitment)}")
+            if expect_type(public["challenge"], int, "challenge") != 1:
+                raise ValueError(f"challenge must be 1, the only challenge the pair attack "
+                                 f"reads; got {public['challenge']}")
+            words = (
+                _word_on(commitment[0], "commitment x", n, 1),
+                _word_on(commitment[1], "commitment x'", n, 2),
+                _word_on(public["p"], "p", n, 0),
+                _word_on(public["p_pub"], "p_pub", n, 1),
+                _word_on(public["response"], "response", n, 1),
+            )
         config = dataclasses.replace(config, alphabet=interval_generators(n, 1, n - 1))
         name = "s-candidate"
-        truth = BraidWord.from_record(secret["s"]) if secret else None
+        with _fields_of(args.oracle, "dehornoy secret"):
+            truth = BraidWord.from_record(secret["s"]) if secret else None
         report = attack_dehornoy_pair(*words, config)
     else:
-        transcript = PublicTranscript.from_record(public)
+        with _fields_of(args.in_path, "key-agreement public"):
+            transcript = PublicTranscript.from_record(public)
         name = "key-candidate"
-        truth = SecretTranscript.from_record(secret).kappa if secret else None
+        with _fields_of(args.oracle, "key-agreement secret"):
+            truth = SecretTranscript.from_record(secret).kappa if secret else None
         if transcript.config.preset == "stickel":
             a, b = transcript.config.stickel_pair
             report = attack_stickel(
@@ -301,7 +315,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     reports: list[AttackReport] = []
     for offset in range(args.reps):
-        run_args = argparse.Namespace(**{**vars(args), "seed": args.seed + offset})
+        run_args = argparse.Namespace(**{**vars(args), "seed": args.seed + offset,
+                                         "in_path": "the simulated public record",
+                                         "oracle": "the simulated secret record"})
         public, secret = _simulate_records(run_args)
         reports.append(_attack_from_records(public, secret, run_args))
     summary = summarize(reports)
@@ -352,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         if "max_len" in args and args.max_len > MAX_SECRET_LENGTH:
             raise ValueError(f"--max-len {args.max_len} is above the cap of {MAX_SECRET_LENGTH}")
         return args.handler(args)
-    except (ProtocolError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

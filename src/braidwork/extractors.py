@@ -30,7 +30,7 @@ import dataclasses
 
 from .garside import GarsideNormalForm, inverse, normal_form, product, rewrite, words_equal
 from .protocols import PublicTranscript
-from .subgroups import SubgroupSpec, centralizer_search, interval_generators
+from .subgroups import SubgroupSpec, centralizer_search
 from .words import (
     BraidWord,
     Endomorphism,
@@ -294,13 +294,9 @@ def build_gtcp_instances(
         ce3 = mode == "centralizer-ce3"
         cancelled_spec = _endo_image_spec("gtcp-cancelled", w if ce3 else u, secret_spec)
         # Probes must commute with the cancelled side's image of the secret.
-        n = max(max(y.strands for y in ys), max(vp.strands for vp in vps))
-        elements = centralizer_search(
-            cancelled_spec, 1, interval_generators(n, 1, n - 1)
-        )
+        n = max(cancelled_spec.strands, *(y.strands for y in ys), *(vp.strands for vp in vps))
+        elements = centralizer_search(dataclasses.replace(cancelled_spec, strands=n), 1)
         probes = tuple(p for p in elements if len(p) > 0)
-        if not probes:
-            raise ValueError("empty centralizer report; cannot build instance")
         alphabet = _endo_image_spec(f"gtcp-{mode}", u if ce3 else w, secret_spec)
         # secret-side factor = solution . post (cf. right-multiplying by z^-1)
         vp = vps[sample_index]

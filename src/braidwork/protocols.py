@@ -19,9 +19,10 @@ subgroups of two fixed non-commuting words, z = e), "shpilrain-central"
 elements), and "dehornoy" for the authentication scheme. The table
 MIN_STRANDS is the one list of the key-agreement presets, with the fewest
 strands each needs. The rest of a preset's shape is derived, not stored:
-only stickel runs the conditions-3 mode, and only klchkp has conjugate
-secrets. make_preset chooses a preset's subgroup specs, and every KaConfig,
-built or read from a record, passes the one check in its __post_init__.
+only stickel runs the conditions-3 mode, only klchkp has conjugate
+secrets, and stickel's words (a, b) generate L_A = L_B and R_A = R_B.
+make_preset chooses a preset's subgroup specs, and every KaConfig, built
+or read from a record, passes the one check in its __post_init__.
 """
 
 from __future__ import annotations
@@ -87,24 +88,20 @@ class KaConfig:
     base: BraidWord  # the public element z
     secret_length: int = 8
     positive_only: bool = False
-    stickel_pair: tuple[BraidWord, BraidWord] | None = None
     exponent_bound: int = 5
 
     def __post_init__(self):
         _check_preset(self.preset, self.strands)
         expect_secret_length(self.secret_length)
-        pair = self.stickel_pair or ()
-        if pair and len(pair) != 2:
-            raise ProtocolError(f"stickel_pair must hold two words, got {len(pair)}")
         for what in ("left_a", "right_a", "left_b", "right_b", "base"):
             _check_strands(what, getattr(self, what), self.strands)
-        for word in pair:
-            _check_strands("stickel_pair", word, self.strands)
         if self.preset == "stickel":
             if len(self.base) != 0:
                 raise ProtocolError("conditions-3 requires the base element z = e")
-            if not pair:
-                raise ProtocolError("stickel preset needs its public word pair")
+            for side in ("left", "right"):
+                spec_a, spec_b = getattr(self, f"{side}_a"), getattr(self, f"{side}_b")
+                if spec_b != spec_a or len(spec_a.generators) != 1:
+                    raise ProtocolError(f"stickel needs {side}_b = {side}_a, one generator each")
 
     @property
     def condition_mode(self) -> str:
@@ -114,6 +111,13 @@ class KaConfig:
     def conjugate_secrets(self) -> bool:
         """a2 = a1^-1 and b2 = b1^-1 (the conjugacy shape of klchkp)."""
         return self.preset == "klchkp"
+
+    @property
+    def stickel_pair(self) -> tuple[BraidWord, BraidWord] | None:
+        """Stickel's (a, b), the generators of L_A = L_B and R_A = R_B; else None."""
+        if self.preset != "stickel":
+            return None
+        return self.left_a.generators[0], self.right_a.generators[0]
 
     def to_record(self) -> dict:
         return {
@@ -134,12 +138,9 @@ class KaConfig:
 
     @staticmethod
     def from_record(record: dict) -> KaConfig:
-        """The config a record holds. Its condition_mode and
-        conjugate_secrets must be the values its preset fixes."""
+        """The config a record holds. Its condition_mode, conjugate_secrets
+        and stickel_pair must be the values its preset and specs fix."""
         expect_object(record, "a protocol config record")
-        pair = record.get("stickel_pair")
-        if pair:
-            pair = tuple(BraidWord.from_record(w) for w in expect_list(pair, "stickel_pair"))
         config = KaConfig(
             preset=expect_type(record["preset"], str, "preset"),
             strands=expect_strands(expect_type(record["n"], int, "n")),
@@ -150,14 +151,13 @@ class KaConfig:
             base=BraidWord.from_record(record["z"]),
             secret_length=expect_type(record["secret_length"], int, "secret_length"),
             positive_only=expect_type(record["positive_only"], bool, "positive_only"),
-            stickel_pair=pair or None,
             exponent_bound=expect_type(record["exponent_bound"], int, "exponent_bound"),
         )
-        for key in ("condition_mode", "conjugate_secrets"):
-            fixed = getattr(config, key)
-            if type(record[key]) is not type(fixed) or record[key] != fixed:
+        fixed = config.to_record()
+        for key in ("condition_mode", "conjugate_secrets", "stickel_pair"):
+            if type(record[key]) is not type(fixed[key]) or record[key] != fixed[key]:
                 raise ProtocolError(f"{key} {record[key]!r} contradicts the "
-                                    f"{config.preset} preset, which fixes {fixed!r}")
+                                    f"{config.preset} config, which fixes {fixed[key]!r}")
         return config
 
 
@@ -280,8 +280,7 @@ def ka_run(config: KaConfig, seed: int) -> ProtocolTranscript:
     rng = random.Random(seed)
     inverses = not config.positive_only
 
-    if config.preset == "stickel":
-        assert config.stickel_pair is not None
+    if config.stickel_pair:
         a, b = config.stickel_pair
         r, s, t, u = (rng.randint(0, config.exponent_bound) for _ in range(4))
         a1, a2 = power(a, r), power(b, s)
@@ -330,11 +329,9 @@ def make_preset(
     exponent_bound: int = 5,
 ) -> KaConfig:
     """Build the KaConfig for a named preset at desk scale: each preset
-    chooses the four subgroup specs (L_A, R_A, L_B, R_B), and stickel its
-    public word pair."""
+    chooses the four subgroup specs (L_A, R_A, L_B, R_B)."""
     n = strands
     _check_preset(name, n)
-    pair = None
     if name == "generalized":
         specs = [interval_generators(n, lo, hi) for lo, hi in ((1, 2), (2, 3), (5, 6), (5, 5))]
     elif name in ("klchkp", "cklhc"):
@@ -343,8 +340,8 @@ def make_preset(
         upper = interval_generators(n, mid, n - 1)
         specs = [lower, lower, upper, upper]
     elif name == "stickel":
-        pair = (BraidWord(n, (1, 2)), BraidWord(n, (2, 3)))
-        spec_a, spec_b = (SubgroupSpec(f"<{c}>", n, (w,)) for c, w in zip("ab", pair))
+        spec_a = SubgroupSpec("<a>", n, (BraidWord(n, (1, 2)),))
+        spec_b = SubgroupSpec("<b>", n, (BraidWord(n, (2, 3)),))
         specs = [spec_a, spec_b, spec_a, spec_b]
     else:  # shpilrain-central
         rng = random.Random(f"commit:{seed}")
@@ -355,32 +352,25 @@ def make_preset(
             committed_2 = random_word(upper_src.generators, 2, rng)
             if not elements_commute(committed_1, committed_2):  # so neither is e
                 break
-        ambient = interval_generators(n, 1, n - 1)
         specs = [
             SubgroupSpec("<a1>", n, (committed_1,)),
             SubgroupSpec("<a2>", n, (committed_2,)),
-            _centralizer_spec("L_B", committed_1, ambient),
-            _centralizer_spec("R_B", committed_2, ambient),
+            _centralizer_spec("L_B", committed_1),
+            _centralizer_spec("R_B", committed_2),
         ]
     if base_length is None:
         base_length = secret_length
     base = identity(n) if name == "stickel" else _seeded_base(n, base_length, seed)
     return KaConfig(name, n, *specs, base, secret_length=secret_length,
-                    stickel_pair=pair, exponent_bound=exponent_bound)
+                    exponent_bound=exponent_bound)
 
 
-def _centralizer_spec(
-    name: str, committed: BraidWord, alphabet: SubgroupSpec
-) -> SubgroupSpec:
-    """Peer subgroup from a length-bounded centralizer search of a committed element,
-    keeping only short nontrivial elements so runs stay desk-scale."""
+def _centralizer_spec(name: str, committed: BraidWord) -> SubgroupSpec:
+    """Peer subgroup from a length-bounded centralizer search of a committed
+    element, keeping only short nontrivial elements so runs stay desk-scale.
+    Never empty: at n >= 8, sigma_5 .. sigma_(n-1) are far from sigma_1 .. sigma_3."""
     target = SubgroupSpec("committed", committed.strands, (committed,))
-    short = [
-        w for w in centralizer_search(target, max_length=1, alphabet=alphabet)
-        if 1 <= len(w) <= 2
-    ]
-    if not short:
-        raise ProtocolError(f"centralizer search found no usable generators for {name}")
+    short = [w for w in centralizer_search(target, max_length=1) if 1 <= len(w) <= 2]
     return SubgroupSpec(name, committed.strands, tuple(short))
 
 
@@ -392,10 +382,13 @@ def _centralizer_spec(
 class DehornoyKeys:
     """Key material: public braid p, public key p' = s*p, secret s."""
 
-    strands: int
     base: BraidWord  # p
     public_key: BraidWord  # p' = s*p
     secret: BraidWord  # s
+
+    @property
+    def strands(self) -> int:
+        return self.base.strands
 
 
 def dehornoy_keygen(
@@ -411,7 +404,7 @@ def dehornoy_keygen(
     p = random_word(gens, base_length, rng)
     s = random_word(gens, secret_length, rng)
     p_pub = rewrite(shifted_conjugate(s, p))
-    return DehornoyKeys(strands, p, p_pub, s)
+    return DehornoyKeys(p, p_pub, s)
 
 
 def dehornoy_commit(

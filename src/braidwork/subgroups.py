@@ -6,8 +6,8 @@ A SubgroupSpec is just a named, ordered list of generator words; the order
 matters because enumeration (and hence every solver and search built on
 top) is deterministic in it. Centralizer search combines rule-based seeds
 (the central element Delta^2, generators of disjoint support) with an
-exhaustive sweep over short alphabet words, filtered by exact commutation,
-and returns the elements it found.
+exhaustive sweep over short words in the ambient Artin generators,
+filtered by exact commutation, and returns the elements it found.
 """
 
 from __future__ import annotations
@@ -114,23 +114,21 @@ def letter_support(*words: BraidWord) -> set[int]:
     return {abs(x) for w in words for x in w.letters}
 
 
-def centralizer_search(
-    target: SubgroupSpec, max_length: int, alphabet: SubgroupSpec
-) -> tuple[BraidWord, ...]:
+def centralizer_search(target: SubgroupSpec, max_length: int) -> tuple[BraidWord, ...]:
     """
-    Rule-based seeds plus exhaustive search for elements commuting with
-    every target generator.
+    Rule-based seeds plus exhaustive search for elements of B_n,
+    n = target.strands, commuting with every target generator.
 
-    Rules: Delta^2 of the ambient group (central), and every ambient Artin
-    generator whose index support is distance >= 2 from every target
-    generator's support. Search: all alphabet words of length <= max_length,
-    filtered by exact commutation, deduplicated by normal form. Results are
-    in canonical order: rules first, then search in enumeration order.
+    Rules: Delta^2 (central), and every Artin generator whose index support
+    is distance >= 2 from every target generator's support. Search: all
+    words of length <= max_length in the Artin generators of B_n, filtered
+    by exact commutation, deduplicated by normal form. Results are in
+    canonical order: rules first (so Delta^2 first for n >= 2), then search
+    in enumeration order.
     """
     if max_length < 0:
         raise ValueError("max_length must be nonnegative")
-    n = max(target.strands, alphabet.strands)
-    targets = [t.embed(n) for t in target.generators]
+    n, targets = target.strands, target.generators
     support = letter_support(*targets)
 
     found: dict[tuple, BraidWord] = {}  # by normal form; the first word stays
@@ -143,7 +141,7 @@ def centralizer_search(
     for i in range(1, n):
         if all(abs(i - s) >= 2 for s in support):
             add(generator(n, i))
-    for w in enumerate_products(alphabet.generators, max_length):
+    for w in enumerate_products([generator(n, i) for i in range(1, n)], max_length):
         if all(elements_commute(w, t) for t in targets):
             add(w)
     return tuple(found.values())

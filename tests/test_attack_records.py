@@ -206,7 +206,7 @@ def dehornoy_records():
             SolverConfig(max_length=3, alphabet=alphabet, budget=500_000),
         ).with_verdict("s-candidate", keys.secret).to_record()
     base = BraidWord(3, (1, 2))
-    x, x_prime = dehornoy_commit(DehornoyKeys(3, base, base, identity(3)), generator(3, 1))
+    x, x_prime = dehornoy_commit(DehornoyKeys(base, base, identity(3)), generator(3, 1))
     yield attack_dehornoy_pair(
         x,
         x_prime,

@@ -415,7 +415,7 @@ class TestDehornoyAttacks:
 
     def test_pair_attack_flags_degenerate_keys(self):
         base = BraidWord(3, (1, 2))
-        keys = DehornoyKeys(3, base, base, identity(3))
+        keys = DehornoyKeys(base, base, identity(3))
         x, x_prime = dehornoy_commit(keys, generator(3, 1))
         report = attack_dehornoy_pair(
             x,

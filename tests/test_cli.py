@@ -209,10 +209,27 @@ class TestAttack:
             (), lambda c: c.update(secret_length=-4), "secret length -4 is negative"
         ),
         "one-word-stickel-pair": (
-            STICKEL, lambda c: c["stickel_pair"].pop(), "stickel_pair must hold two words"
+            STICKEL, lambda c: c["stickel_pair"].pop(),
+            "stickel_pair [{'n': 6, 'word': [1, 2]}] contradicts",
         ),
         "null-stickel-pair": (
-            STICKEL, lambda c: c.update(stickel_pair=None), "needs its public word pair"
+            STICKEL, lambda c: c.update(stickel_pair=None), "stickel_pair None contradicts"
+        ),
+        "stickel-pair-off-the-specs": (
+            STICKEL, lambda c: c["stickel_pair"][0].update(word=[1, 1]),
+            "stickel_pair [{'n': 6, 'word': [1, 1]}, {'n': 6, 'word': [2, 3]}] contradicts",
+        ),
+        "stickel-left-b-off-left-a": (
+            STICKEL, lambda c: c["left_b"]["generators"][0].update(word=[2, 3]),
+            "stickel needs left_b = left_a",
+        ),
+        "config-without-right_b": (
+            (), lambda c: c.pop("right_b"),
+            "public.json is not a key-agreement public record: it has no field 'right_b'",
+        ),
+        "dehornoy-without-response": (
+            DEHORNOY, lambda p: p.pop("response"),
+            "public.json is not a dehornoy public record: it has no field 'response'",
         ),
         "one-word-commitment": (
             DEHORNOY, lambda p: p["commitment"].pop(), "commitment must hold two words"
@@ -312,6 +329,25 @@ class TestAttack:
         assert code == 2
         assert "error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("public_preset, public_n, secret_preset, secret_n, message", [
+        ("klchkp", "6", "dehornoy", "4", "not a key-agreement secret record: it has no field 'a1'"),
+        ("dehornoy", "4", "klchkp", "6", "not a dehornoy secret record: it has no field 's'"),
+    ])
+    def test_oracle_of_the_other_scheme_is_config_error(
+        self, tmp_path, capsys, public_preset, public_n, secret_preset, secret_n, message
+    ):
+        for preset, n in ((public_preset, public_n), (secret_preset, secret_n)):
+            assert run_cli("simulate", "--preset", preset, "--n", n,
+                           "--out", str(tmp_path / preset)) == 0
+        oracle = tmp_path / secret_preset / "secret.json"
+        code = run_cli(
+            "attack", "--in", str(tmp_path / public_preset / "public.json"),
+            "--oracle", str(oracle), "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert f"error: {oracle} is {message}" in capsys.readouterr().err
+        assert not (tmp_path / "attack_report.json").exists()
 
     def test_stickel_route(self, tmp_path):
         assert run_cli(

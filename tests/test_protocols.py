@@ -21,6 +21,7 @@ from braidwork.protocols import (
 )
 from braidwork.subgroups import interval_generators
 from braidwork.words import (
+    BraidWord,
     compose,
     compose_all,
     generator,
@@ -68,10 +69,14 @@ class TestPresets:
     def test_preset_fixes_mode_and_shape(self, name):
         config = make_preset(name, strands=8, secret_length=2)
         fields = {f.name for f in dataclasses.fields(KaConfig)}
-        assert len(fields) == 11
-        assert not fields & {"condition_mode", "conjugate_secrets"}
+        assert len(fields) == 10
+        assert not fields & {"condition_mode", "conjugate_secrets", "stickel_pair"}
         assert config.condition_mode == ("conditions-3" if name == "stickel" else "conditions-2")
         assert config.conjugate_secrets is (name == "klchkp")
+        if name == "stickel":
+            assert config.stickel_pair == (BraidWord(8, (1, 2)), BraidWord(8, (2, 3)))
+        else:
+            assert config.stickel_pair is None
 
     @pytest.mark.parametrize("change, message", [
         ({"preset": "rsa"}, "unknown preset 'rsa'"),
@@ -83,6 +88,15 @@ class TestPresets:
         config = make_preset("klchkp", strands=6, secret_length=2)
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(config, **change)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_stickel_shape_is_checked(self, side):
+        stickel = make_preset("stickel", strands=6)
+        two = interval_generators(6, 1, 2)
+        with pytest.raises(ProtocolError, match=f"needs {side}_b = {side}_a"):
+            dataclasses.replace(stickel, **{f"{side}_b": two})
+        with pytest.raises(ProtocolError, match="one generator each"):
+            dataclasses.replace(stickel, **{f"{side}_a": two, f"{side}_b": two})
 
     def test_config_record_roundtrip(self):
         for name in KA_PRESETS:
