@@ -438,7 +438,7 @@ def attack_dehornoy_pair(
             return None
         # Both sides on the strand count words_equal reconciles to.
         made, key = reconcile(shifted_conjugate(s_c, base), public_key)
-        if permutation(made) != key_perm + tuple(range(len(key_perm), key.strands)):
+        if permutation(made) != key_perm + bytes(range(len(key_perm), key.strands)):
             return None
         return s_c if words_equal(made, key) else None
 

@@ -5,7 +5,10 @@ Every braid is written uniquely as Delta^k A_1 ... A_l where Delta is the
 half twist, each A_t is a nontrivial permutation braid different from
 Delta, and adjacent factors are left-weighted: the starting set of A_{t+1}
 is contained in the finishing set of A_t. Permutation braids are stored as
-one-line permutations of {0..n-1} (images of positions).
+one-line permutations of {0..n-1} (images of positions) in bytes, so n is at
+most 256, far above MAX_STRANDS = 64. A factor hashes once and compares by
+memcmp; inverting it (the identity translated by the table p -> identity)
+and flipping it by Delta (reversed, translated by x -> n-1-x) are C calls.
 
 Convention: a word read left to right maps to the permutation product
 "apply first letter first", i.e. perm(ab)[i] = perm(b)[perm(a)[i]].
@@ -68,8 +71,8 @@ in pair steps, for normal forms of canonical lengths l and m:
     the Delta power, on the right it flips the l factors.
 
 The permutations of the identity, Delta, each sigma_i and each Delta
-sigma_i^-1, and the letters of Delta and its inverse, are built once per
-strand count (functools caches, which empty with the library's others).
+sigma_i^-1, the mirror table, and the letters of Delta and its inverse,
+are built once per strand count (functools caches, emptied with the rest).
 
 Values that leave the library (protocol tokens, extractor instances,
 recovered keys in reports) are exposed as canonical words: their letters
@@ -88,33 +91,30 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Sequence
 
 from .words import BraidWord, delta, invert, reconcile
 
-Perm = tuple[int, ...]
+Perm = bytes
 
 
 @functools.cache
 def perm_identity(n: int) -> Perm:
-    return tuple(range(n))
+    return bytes(range(n))
 
 
-def perm_inv(p: Sequence[int]) -> Perm:
-    """The inverse permutation."""
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
+def perm_inv(p: Perm) -> Perm:
+    """The inverse permutation: the identity read through the table p -> identity."""
+    ident = perm_identity(len(p))
+    return ident.translate(bytes.maketrans(p, ident))
 
 
 @functools.cache
 def perm_transposition(n: int, i: int) -> Perm:
     """The adjacent transposition underlying sigma_i (1-indexed)."""
     assert 1 <= i <= n - 1
-    p = list(range(n))
+    p = bytearray(range(n))
     p[i - 1], p[i] = p[i], p[i - 1]
-    return tuple(p)
+    return bytes(p)
 
 
 @functools.cache
@@ -133,13 +133,18 @@ def _twist(n: int, positive: bool) -> tuple[int, ...]:
 @functools.cache
 def perm_longest(n: int) -> Perm:
     """The order-reversing permutation, underlying Delta."""
-    return tuple(range(n - 1, -1, -1))
+    return bytes(range(n - 1, -1, -1))
+
+
+@functools.cache
+def _mirror(n: int) -> bytes:
+    """The translation table x -> n-1-x."""
+    return bytes.maketrans(perm_identity(n), perm_longest(n))
 
 
 def perm_flip(p: Perm) -> Perm:
     """Conjugation by the longest element: Delta^-1 . p . Delta at braid level."""
-    m = len(p) - 1
-    return tuple([m - x for x in reversed(p)])
+    return p[::-1].translate(_mirror(len(p)))
 
 
 def factor_word(p: Perm) -> list[int]:
@@ -197,6 +202,7 @@ def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:
     """Transfer generators from the front of b to the back of a until the
     pair (a, b) is left-weighted. Returns (a', b', changed)."""
     n = len(a)
+    ident = perm_identity(n)
     # Position i holds the pair (u[i], v[i]) of a^-1 and b. sigma_j moves
     # when it starts b (v[j-1] > v[j]) and does not finish a (u[j-1] <
     # u[j]), and moving it swaps the pairs at j-1 and j. So one insertion
@@ -204,9 +210,7 @@ def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:
     # pair it lands beside and the one it passed last cannot move against
     # it, so the pass ends with none movable: a maximal sequence of moves,
     # which transfers the meet of b and the complement of a, as any does.
-    u = [0] * n
-    for i, x in enumerate(a):
-        u[x] = i
+    u = list(ident.translate(bytes.maketrans(a, ident)))
     v = list(b)
     changed = False
     for i in range(1, n):
@@ -222,7 +226,7 @@ def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:
             changed = True
     if not changed:
         return a, b, False
-    return perm_inv(u), tuple(v), True
+    return ident.translate(bytes.maketrans(bytes(u), ident)), bytes(v), True
 
 
 def _comb_right(factors: list[Perm], p: Perm, ident: Perm, w0: Perm) -> int:
@@ -303,7 +307,8 @@ def normal_form(a: BraidWord) -> GarsideNormalForm:
     # Delta^-1 changes `power` and so the pending letter's mirroring.
     factors: list[Perm] = []
     power = 0
-    q = list(ident)
+    start = list(ident)
+    q = start.copy()
     negative = False
     for x in reversed(a.letters):
         i = x if x > 0 else -x
@@ -316,14 +321,14 @@ def normal_form(a: BraidWord) -> GarsideNormalForm:
                 q.reverse()
                 power -= 1
                 i = n - i
-            factors.append(tuple(q))
-            q = list(ident)
+            factors.append(bytes(q))
+            q = start.copy()
             negative = x < 0
         q[i - 1], q[i] = q[i], q[i - 1]
     if negative:
         q.reverse()
         power -= 1
-    factors.append(tuple(q))
+    factors.append(bytes(q))
     result: list[Perm] = []
     for p in reversed(factors):
         power += _comb_right(result, p, ident, w0)
@@ -352,11 +357,12 @@ def inverse(a: GarsideNormalForm) -> GarsideNormalForm:
     is left-weighted as it stands."""
     n = a.strands
     k = a.infimum
+    mirror = _mirror(n)
     factors = []
     for t in range(len(a.factors), 0, -1):
         inv = perm_inv(a.factors[t - 1])
         # flip(A^-1 Delta) is Delta A^-1, the reversed inverse.
-        factors.append(inv[::-1] if (k + t) % 2 else tuple(n - 1 - x for x in inv))
+        factors.append(inv[::-1] if (k + t) % 2 else inv.translate(mirror))
     return GarsideNormalForm(n, -k - len(a.factors), tuple(factors))
 
 
@@ -388,9 +394,9 @@ def conjugate(a: GarsideNormalForm, s: BraidWord) -> GarsideNormalForm:
                 # sigma_j starts the first factor: cancelling it there leaves
                 # a permutation braid, which one comb left-multiplies into
                 # the rest; a trivial one is dropped.
-                first = list(factors.pop(0))
+                first = bytearray(factors.pop(0))
                 first[j - 1], first[j] = first[j], first[j - 1]
-                power += _comb_left(factors, tuple(first), ident, w0)
+                power += _comb_left(factors, bytes(first), ident, w0)
             else:
                 # sigma_j^-1 = Delta^-1 . (Delta sigma_j^-1).
                 power -= 1
@@ -400,7 +406,7 @@ def conjugate(a: GarsideNormalForm, s: BraidWord) -> GarsideNormalForm:
         if factors and factors[-1].index(i - 1) > factors[-1].index(i):
             # sigma_i ends the last factor: cancelling it there keeps the
             # factors left-weighted, since the starting set can only shrink.
-            last = tuple(i - 1 if x == i else i if x == i - 1 else x for x in factors[-1])
+            last = factors[-1].translate(bytes.maketrans(bytes((i - 1, i)), bytes((i, i - 1))))
             if last == ident:
                 factors.pop()
             else:
@@ -426,7 +432,7 @@ def embed(a: GarsideNormalForm, n: int) -> GarsideNormalForm:
         raise ValueError(f"cannot embed a normal form on {m} strands into B_{n}")
     if n == m:
         return a
-    pad = tuple(range(m, n))
+    pad = bytes(range(m, n))
     factors = tuple(p + pad for p in a.factors)
     twists = (perm_longest(m) + pad,) * abs(a.infimum)
     if a.infimum >= 0:

@@ -169,20 +169,18 @@ def delta(strands: int) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def permutation(a: BraidWord) -> tuple[int, ...]:
+def permutation(a: BraidWord) -> bytes:
     """The image of a word in the symmetric group on its strands, in the
-    convention of `garside`: one-line images of positions, first letter
-    applied first. Equal braids have equal permutations, so a difference
-    proves two words unequal. O(len a + n): each letter swaps two entries
-    of the inverse permutation, which is inverted once at the end."""
-    inverse = list(range(a.strands))
-    for x in a.letters:
+    convention of `garside`: one-line images of positions, one byte each,
+    first letter applied first. Equal braids have equal permutations, so a
+    difference proves two words unequal. O(len a + n): sigma_i in front of
+    a word swaps its images at positions i-1 and i, so the letters, read
+    right to left, each swap two entries."""
+    perm = list(range(a.strands))
+    for x in reversed(a.letters):
         i = abs(x)
-        inverse[i - 1], inverse[i] = inverse[i], inverse[i - 1]
-    perm = [0] * a.strands
-    for image, position in enumerate(inverse):
-        perm[position] = image
-    return tuple(perm)
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return bytes(perm)
 
 
 def shift(a: BraidWord) -> BraidWord:

@@ -11,23 +11,62 @@ factors and carries the Delta parity as mirrored letters. `factor_word` is
 the rescanning version of the re-expansion, whose letters the public words
 are made of. The permutation product, starting and finishing sets and the
 left-weighted check are the definitions the reference and the tests are
-written in. Not part of the library.
+written in.
+
+The reference computes on permutations as tuples, with its own loops for
+the identity, transpositions, Delta, inverse and flip, so it does not share
+the library's byte-level kernels; it converts to `bytes` only where it
+builds a `GarsideNormalForm`. Not part of the library.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
-from braidwork.garside import (
-    GarsideNormalForm,
-    Perm,
-    perm_flip,
-    perm_identity,
-    perm_inv,
-    perm_longest,
-    perm_transposition,
-)
+from braidwork.garside import GarsideNormalForm
 from braidwork.words import BraidWord
+
+Perm = tuple[int, ...]
+
+
+@functools.cache
+def perm_identity(n: int) -> Perm:
+    return tuple(range(n))
+
+
+def perm_inv(p: Sequence[int]) -> Perm:
+    """The inverse permutation."""
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+@functools.cache
+def perm_transposition(n: int, i: int) -> Perm:
+    """The adjacent transposition underlying sigma_i (1-indexed)."""
+    assert 1 <= i <= n - 1
+    p = list(range(n))
+    p[i - 1], p[i] = p[i], p[i - 1]
+    return tuple(p)
+
+
+@functools.cache
+def perm_longest(n: int) -> Perm:
+    """The order-reversing permutation, underlying Delta."""
+    return tuple(range(n - 1, -1, -1))
+
+
+def perm_flip(p: Perm) -> Perm:
+    """Conjugation by the longest element: Delta^-1 . p . Delta at braid level."""
+    m = len(p) - 1
+    return tuple([m - x for x in reversed(p)])
+
+
+def as_form(n: int, power: int, factors) -> GarsideNormalForm:
+    """A normal form with the library's factor type."""
+    return GarsideNormalForm(n, power, tuple(bytes(p) for p in factors))
 
 
 def perm_mul(p: Perm, q: Perm) -> Perm:
@@ -49,10 +88,11 @@ def is_left_weighted(nf: GarsideNormalForm) -> bool:
     """Check the structural invariants of a normal form at the permutation level."""
     ident = perm_identity(nf.strands)
     w0 = perm_longest(nf.strands)
-    for p in nf.factors:
+    factors = [tuple(p) for p in nf.factors]
+    for p in factors:
         if p == ident or p == w0:
             return False
-    for a, b in zip(nf.factors, nf.factors[1:]):
+    for a, b in zip(factors, factors[1:]):
         if not starting_set(b) <= finishing_set(a):
             return False
     return True
@@ -134,7 +174,7 @@ def normal_form(a: BraidWord) -> GarsideNormalForm:
     """The left Garside normal form of a word."""
     n = a.strands
     if n == 1:
-        return GarsideNormalForm(1, 0, ())
+        return as_form(1, 0, ())
     w0 = perm_longest(n)
     factors: list[Perm] = []
     dpows: list[int] = []
@@ -154,4 +194,17 @@ def normal_form(a: BraidWord) -> GarsideNormalForm:
             factors[i] = perm_flip(factors[i])
         trailing += dpows[i]
     extra, normalised = _normalise_factors(n, factors)
-    return GarsideNormalForm(n, trailing + extra, normalised)
+    return as_form(n, trailing + extra, normalised)
+
+
+def inverse(a: GarsideNormalForm) -> GarsideNormalForm:
+    """The normal form of a^-1, in closed form: Delta^(-k-l) times the
+    factors A_t^-1 Delta for t = l..1, each flipped k+t times."""
+    n = a.strands
+    k = a.infimum
+    factors = []
+    for t in range(len(a.factors), 0, -1):
+        inv = perm_inv(a.factors[t - 1])
+        # flip(A^-1 Delta) is Delta A^-1, the reversed inverse.
+        factors.append(inv[::-1] if (k + t) % 2 else tuple(n - 1 - x for x in inv))
+    return as_form(n, -k - len(a.factors), factors)

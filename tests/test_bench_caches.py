@@ -18,6 +18,7 @@ MEMOISED_CONSTANTS = [
     garside.perm_longest,
     garside.perm_transposition,
     garside._delta_sigma_inverse,
+    garside._mirror,
     garside._twist,
 ]
 

@@ -39,7 +39,7 @@ def words(n: int, max_len: int = 8):
 
 
 def all_permutation_braids(n: int):
-    return [tuple(p) for p in itertools.permutations(range(n))]
+    return [bytes(p) for p in itertools.permutations(range(n))]
 
 
 def oracle_is_permutation_factor_pair_left_weighted(a, b) -> bool:
@@ -57,7 +57,7 @@ class TestPermOps:
 
     def test_inverse(self):
         for p in all_permutation_braids(4):
-            assert perm_mul(p, perm_inv(p)) == perm_identity(4)
+            assert bytes(perm_mul(p, perm_inv(p))) == perm_identity(4)
 
     def test_flip_is_delta_conjugation(self):
         d = delta(4)
@@ -76,7 +76,7 @@ class TestPermOps:
             q = perm_identity(4)
             for i in factor_word(p):
                 q = perm_mul(q, perm_transposition(4, i))
-            assert q == p
+            assert bytes(q) == p
 
 
 class TestNormalForm:
@@ -110,7 +110,8 @@ class TestNormalForm:
         # A factor packed under an odd Delta power is packed from mirrored
         # letters, and a negative factor closes as the reversed list, so
         # normal_form itself neither flips nor inverts a permutation. The
-        # combs it calls still do.
+        # right comb still flips; the pair step inverts by translation
+        # tables of its own, so nothing on this path calls perm_inv.
         rng = random.Random(5)
         callers = {"perm_flip": [], "perm_inv": []}
 
@@ -136,7 +137,7 @@ class TestNormalForm:
                     normal_form(compose(power(delta(n), k), BraidWord(n, tuple(letters))))
         assert "normal_form" not in callers["perm_flip"] + callers["perm_inv"]
         assert set(callers["perm_flip"]) == {"_comb_right"}
-        assert set(callers["perm_inv"]) == {"_left_weight_pair"}
+        assert callers["perm_inv"] == []
 
     @given(words(4))
     @settings(max_examples=60)
@@ -303,3 +304,71 @@ class TestEmbed:
     def test_rejects_fewer_strands(self):
         with pytest.raises(ValueError, match="4 strands into B_3"):
             embed(normal_form(BraidWord(4, (3,))), 3)
+
+
+def assert_factors_are_bytes(nf: GarsideNormalForm) -> GarsideNormalForm:
+    # A tuple factor never equals a bytes factor, so one would make equal
+    # braids compare unequal.
+    assert all(type(p) is bytes and len(p) == nf.strands for p in nf.factors)
+    return nf
+
+
+@st.composite
+def cancelling_conjugations(draw):
+    """Delta^k sigma_j P sigma_i and the letter i or -i, with j = i, or n-i
+    for odd k: conjugating by sigma_i can cancel sigma_j from the first
+    factor, and by sigma_i^-1 can cancel sigma_i from the last."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    k = draw(st.integers(min_value=-2, max_value=2))
+    i = draw(st.integers(min_value=1, max_value=n - 1))
+    j = n - i if k % 2 else i
+    tail = draw(st.lists(st.integers(min_value=1, max_value=n - 1), max_size=30))
+    w = compose(power(delta(n), k), BraidWord(n, (j, *tail, i)))
+    return w, BraidWord(n, (draw(st.sampled_from([i, -i])),))
+
+
+class TestFactorsAreBytes:
+    # Example counts follow the hypothesis profile (see conftest.py).
+    @given(st.integers(min_value=2, max_value=12).flatmap(
+        lambda n: st.tuples(words(n, 40), words(n, 40), st.integers(min_value=-3, max_value=3))
+    ))
+    @settings(deadline=None)
+    def test_normal_form_product_and_inverse(self, case):
+        w, u, k = case
+        a = assert_factors_are_bytes(normal_form(compose(power(delta(w.strands), k), w)))
+        b = assert_factors_are_bytes(normal_form(u))
+        assert_factors_are_bytes(product(a, b))
+        assert_factors_are_bytes(product(b, a))
+        assert_factors_are_bytes(inverse(a))
+
+    @given(cancelling_conjugations())
+    @settings(deadline=None)
+    def test_conjugate(self, case):
+        w, s = case
+        assert_factors_are_bytes(conjugate(normal_form(w), s))
+
+    @given(embeddings())
+    @settings(deadline=None)
+    def test_embed(self, case):
+        w, n = case
+        assert_factors_are_bytes(embed(normal_form(w), n))
+
+    def test_round_trip_at_65_strands(self):
+        # One index shift above MAX_STRANDS = 64.
+        rng = random.Random(65)
+
+        def random_word(n, length):
+            letters = (rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length))
+            return BraidWord(n, tuple(letters))
+
+        a = normal_form(compose(power(delta(65), -1), random_word(65, 400)))
+        assert_factors_are_bytes(a)
+        assert normal_form(a.to_word()) == a
+        assert assert_factors_are_bytes(inverse(a)) == normal_form(invert(a.to_word()))
+        assert product(a, inverse(a)) == GarsideNormalForm(65, 0, ())
+        s = BraidWord(65, (3, -64, 1))
+        assert assert_factors_are_bytes(conjugate(a, s)) == normal_form(
+            compose(invert(s), compose(a.to_word(), s))
+        )
+        b = normal_form(random_word(64, 200))
+        assert assert_factors_are_bytes(embed(b, 65)) == normal_form(b.to_word().embed(65))

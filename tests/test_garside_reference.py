@@ -1,14 +1,24 @@
-"""Differential tests: the normal form packed in one right-to-left pass, and
-the arithmetic on normal forms, against the letter-per-factor reference in
-`garside_reference`, against normal forms of the concatenated words, and
-against handle reduction."""
+"""Differential tests: the normal form packed in one right-to-left pass, the
+arithmetic on normal forms, and the byte-level permutation kernels, against
+the letter-per-factor reference in `garside_reference` with its own tuple
+permutations, against normal forms of the concatenated words, and against
+handle reduction."""
 
 import itertools
 
 import garside_reference as reference
-from garside_reference import is_left_weighted, perm_mul
+from garside_reference import (
+    is_left_weighted,
+    perm_flip,
+    perm_identity,
+    perm_inv,
+    perm_longest,
+    perm_mul,
+    perm_transposition,
+)
 from hypothesis import example, given, settings, strategies as st
 
+from braidwork import garside
 from braidwork.garside import (
     GarsideNormalForm,
     _left_weight_pair,
@@ -16,11 +26,6 @@ from braidwork.garside import (
     factor_word,
     inverse,
     normal_form,
-    perm_flip,
-    perm_identity,
-    perm_inv,
-    perm_longest,
-    perm_transposition,
     product,
     rewrite,
 )
@@ -169,13 +174,20 @@ class TestNormalFormAgainstReference:
                 assert normal_form(w).factors == ()
 
 
+def assert_pair_step_matches(a, b):
+    """The library's pair step on the bytes of a and b gives the reference's
+    result on the tuples, as bytes."""
+    a2, b2, moved = reference._left_weight_pair(a, b)
+    assert _left_weight_pair(bytes(a), bytes(b)) == (bytes(a2), bytes(b2), moved)
+
+
 class TestLeftWeightPairAgainstReference:
     def test_all_pairs_up_to_five_strands(self):
         for n in range(1, 6):
             all_perms = list(itertools.permutations(range(n)))
             for a in all_perms:
                 for b in all_perms:
-                    assert _left_weight_pair(a, b) == reference._left_weight_pair(a, b)
+                    assert_pair_step_matches(a, b)
 
     @given(st.integers(min_value=6, max_value=16).flatmap(
         lambda n: st.tuples(perms(n), perms(n))
@@ -183,7 +195,7 @@ class TestLeftWeightPairAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_random_pairs(self, pair):
         a, b = pair
-        assert _left_weight_pair(a, b) == reference._left_weight_pair(a, b)
+        assert_pair_step_matches(a, b)
 
     @given(pairs_that_transfer_much())
     @settings(max_examples=300, deadline=None)
@@ -193,13 +205,50 @@ class TestLeftWeightPairAgainstReference:
         # pairs.
         a, right_factors = case
         for b in right_factors:
-            assert _left_weight_pair(a, b) == reference._left_weight_pair(a, b)
+            assert_pair_step_matches(a, b)
 
 
 def test_factor_word_matches_reference_up_to_six_strands():
     for n in range(1, 7):
         for p in itertools.permutations(range(n)):
-            assert factor_word(p) == reference.factor_word(p)
+            assert factor_word(bytes(p)) == reference.factor_word(p)
+
+
+class TestPermutationKernelsAgainstReference:
+    """The library inverts and flips permutations with byte translations; the
+    reference does it with loops over tuples."""
+
+    def test_every_permutation_up_to_five_strands(self):
+        for n in range(1, 6):
+            for p in itertools.permutations(range(n)):
+                assert garside.perm_inv(bytes(p)) == bytes(perm_inv(p))
+                assert garside.perm_flip(bytes(p)) == bytes(perm_flip(p))
+
+    @given(st.integers(min_value=1, max_value=65).flatmap(perms))
+    @settings(deadline=None)
+    def test_random_permutations_up_to_65_strands(self, p):
+        assert garside.perm_inv(bytes(p)) == bytes(perm_inv(p))
+        assert garside.perm_flip(bytes(p)) == bytes(perm_flip(p))
+
+    def test_inverse_of_every_factor_up_to_five_strands(self):
+        # Delta^k A for every permutation braid A other than the identity
+        # and Delta, at both parities of k.
+        for n in range(2, 6):
+            for p in itertools.permutations(range(n)):
+                if p in (perm_identity(n), perm_longest(n)):
+                    continue
+                for k in (-1, 0, 1, 2):
+                    nf = GarsideNormalForm(n, k, (bytes(p),))
+                    assert inverse(nf) == reference.inverse(nf)
+                    w = compose(power(delta(n), k), BraidWord(n, tuple(reference.factor_word(p))))
+                    assert inverse(nf) == reference.normal_form(invert(w))
+
+    @given(sized_words(2, 65, 60), st.integers(min_value=-3, max_value=3))
+    @settings(deadline=None)
+    def test_inverse_up_to_65_strands(self, w, k):
+        nf = normal_form(w)
+        nf = GarsideNormalForm(nf.strands, nf.infimum + k, nf.factors)
+        assert inverse(nf) == reference.inverse(nf)
 
 
 # Example counts follow the hypothesis profile (see conftest.py), so these

@@ -130,7 +130,7 @@ def strands_and_words(count: int):
 
 def then(p, q):
     """The permutation of a word for p followed by a word for q."""
-    return tuple(q[x] for x in p)
+    return bytes(q[x] for x in p)
 
 
 class TestPermutation:
@@ -151,8 +151,8 @@ class TestPermutation:
         assert permutation(compose(a, b)) == then(permutation(a), permutation(b))
 
     def test_generator_and_identity(self):
-        assert permutation(generator(4, -2)) == (0, 2, 1, 3)
-        assert permutation(identity(3)) == (0, 1, 2)
+        assert permutation(generator(4, -2)) == bytes((0, 2, 1, 3))
+        assert permutation(identity(3)) == bytes((0, 1, 2))
 
 
 class TestShift:
