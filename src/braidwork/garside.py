@@ -62,13 +62,12 @@ in pair steps, for normal forms of canonical lengths l and m:
     comb that carries a remainder down the factors and stops at the first
     pair left unchanged, O(l).
   - `conjugate(a, s)`: per letter of s, one right and one left
-    multiplication, O(l) pair steps. The inverse letter cancels at its end
-    when it can: on the left, sigma_i^-1 passes the Delta power (as
-    sigma_(n-i)^-1 if it is odd) and leaves the first factor if it starts
-    it, and the comb carries the rest of that factor; on the right,
-    sigma_i^-1 leaves the last factor if sigma_i ends it. Only otherwise is
-    it written Delta^-1 . (Delta sigma^-1): on the left its Delta^-1 joins
-    the Delta power, on the right it flips the l factors.
+    multiplication, O(l) pair steps. Only the left end cancels: there
+    sigma_i^-1 passes the Delta power (as sigma_(n-i)^-1 if it is odd) and
+    leaves the first factor if it starts it, and the comb carries the rest
+    of that factor. Otherwise the inverse letter is written Delta^-1 .
+    (Delta sigma^-1): on the left its Delta^-1 joins the Delta power, on
+    the right it flips the l factors.
 
 The permutations of the identity, Delta, each sigma_i and each Delta
 sigma_i^-1, the mirror table, and the letters of Delta and its inverse,
@@ -296,8 +295,6 @@ def normal_form(a: BraidWord) -> GarsideNormalForm:
     the letters into permutation braids, with each factor's Delta power
     carried as mirrored letters, and the factors are combed in one by one."""
     n = a.strands
-    if n == 1:
-        return GarsideNormalForm(1, 0, ())
     ident = perm_identity(n)
     w0 = perm_longest(n)
     # `power` is the Delta exponent to the right of the factor q being
@@ -368,13 +365,12 @@ def inverse(a: GarsideNormalForm) -> GarsideNormalForm:
 
 def conjugate(a: GarsideNormalForm, s: BraidWord) -> GarsideNormalForm:
     """The normal form of s^-1 . a . s, one letter of s at a time, each with
-    one comb on either side. The letter's inverse cancels at its end of a
-    when it can: on the left, sigma_i^-1 passes the Delta power as sigma_j^-1
-    (j = i, or n-i for an odd power) and cancels from the first factor when
-    sigma_j starts it; on the right, sigma_i^-1 cancels from the last factor
-    when sigma_i ends it. Otherwise it is written Delta^-1 . (Delta
-    sigma^-1), whose Delta^-1 joins the Delta power on the left and flips
-    a's factors on the right.
+    one comb on either side. Only the left end cancels: there sigma_i^-1
+    passes the Delta power as sigma_j^-1 (j = i, or n-i for an odd power)
+    and cancels from the first factor when sigma_j starts it. Otherwise
+    the inverse letter is written Delta^-1 . (Delta sigma^-1), whose
+    Delta^-1 joins the Delta power on the left and flips a's factors on
+    the right.
     s may have fewer strands than a, but not more."""
     n = a.strands
     if s.strands > n:
@@ -402,19 +398,10 @@ def conjugate(a: GarsideNormalForm, s: BraidWord) -> GarsideNormalForm:
                 power -= 1
                 power += _comb_left(factors, _delta_sigma_inverse(n, j), ident, w0)
             continue
-        # sigma_i . a . sigma_i^-1
-        if factors and factors[-1].index(i - 1) > factors[-1].index(i):
-            # sigma_i ends the last factor: cancelling it there keeps the
-            # factors left-weighted, since the starting set can only shrink.
-            last = factors[-1].translate(bytes.maketrans(bytes((i - 1, i)), bytes((i, i - 1))))
-            if last == ident:
-                factors.pop()
-            else:
-                factors[-1] = last
-        else:
-            factors = [perm_flip(p) for p in factors]
-            power -= 1
-            power += _comb_right(factors, _delta_sigma_inverse(n, i), ident, w0)
+        # sigma_i . a . sigma_i^-1, with sigma_i^-1 = Delta^-1 . (Delta sigma_i^-1).
+        factors = [perm_flip(p) for p in factors]
+        power -= 1
+        power += _comb_right(factors, _delta_sigma_inverse(n, i), ident, w0)
         j = n - i if power % 2 else i
         power += _comb_left(factors, perm_transposition(n, j), ident, w0)
     return GarsideNormalForm(n, power, tuple(factors))

@@ -398,8 +398,8 @@ class TestDehornoyAttacks:
 
     def test_pair_attack_compares_keys_on_the_larger_strand_count(self):
         # p, s and r on 3 strands put the public key on 4, while the
-        # 4-strand alphabet puts each candidate's s * p on 5: the filter's
-        # permutation test must compare both on 5 strands, as words_equal does.
+        # 4-strand alphabet puts each candidate's s * p on 5: the filter
+        # must compare both on 5 strands, as words_equal does.
         p, s, r = BraidWord(3, (-1, 2, -2, 1)), BraidWord(3, (1, 2, 2)), BraidWord(3, (2, 1, -2))
         p_pub = rewrite(shifted_conjugate(s, p))
         report = attack_dehornoy_pair(

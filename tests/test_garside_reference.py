@@ -292,6 +292,12 @@ class TestArithmeticOnNormalForms:
     @example((BraidWord(5, (-1,)), 2))
     @example((BraidWord(4, (2,)), 2))
     @example((BraidWord(3, (2, 2, 1)), 2))
+    # A negative letter whose sigma_i ends the last factor, at an even and
+    # an odd Delta power, and last factors that are exactly sigma_i.
+    @example((BraidWord(4, (1, 2)), -2))
+    @example((BraidWord(4, (1, 2, 1, 3, 2, 1, 1, 2)), -2))
+    @example((BraidWord(5, (3,)), -3))
+    @example((BraidWord(4, (1, 2, 1, 3, 2, 1, 3)), -3))
     @settings(deadline=None)
     def test_conjugate_by_letter(self, case):
         w, letter = case
