@@ -43,7 +43,7 @@ from .extractors import (
     build_mscsp_dhdp,
     build_stickel_instance,
 )
-from .garside import is_trivial, nf_key, rewrite, words_equal
+from .garside import nf_key, rewrite, words_equal
 from .handle import ReductionBudgetExceeded, handle_reduce, shift_preimage
 from .protocols import NamedCheck, PublicTranscript
 from .solvers import (
@@ -172,49 +172,39 @@ def _lift(f: Endomorphism, word: BraidWord) -> BraidWord | None:
 def attack_decomposition(
     transcript: PublicTranscript,
     config: SolverConfig,
-    party: str = "a",
     method: str = "exhaustive",
 ) -> AttackReport:
     """
-    Key recovery against a decomposition-style key agreement.
+    Key recovery against a decomposition-style key agreement, from party
+    a's token (either party's token gives the key).
 
-    Extracts the left-side conjugacy instance from the attacked party's
-    token and solves it: the enumerated word is the left candidate, and the
-    solution g = left.z fixes right = g^-1.token, so the two rebuild the
-    token around z (Hofheinz & Steinwandt, PKC 2003). Public checks: each
-    candidate commutes with the peer's matching subgroup; with the token
-    rebuilt, those conditions alone force the assembled key to equal the
-    shared one.
+    Extracts the left-side conjugacy instance from that token and solves
+    it: the enumerated word is the left candidate, and the solution g =
+    left.z fixes right = g^-1.token, so the two rebuild the token around z
+    (Hofheinz & Steinwandt, PKC 2003). Public checks: each candidate
+    commutes with the peer's matching subgroup; with the token rebuilt,
+    those conditions alone force the assembled key to equal the shared one.
     """
-    if party not in ("a", "b"):
-        raise ValueError(f"party must be 'a' or 'b', got {party!r}")
     solve = {"exhaustive": solve_exhaustive, "descent": solve_length_descent}.get(method)
     if solve is None:
         raise ValueError(f"unknown solver method {method!r}")
     cfg = transcript.config
-    if party == "a":
-        target, own_token, peer_token = "a", transcript.token_a, transcript.token_b
-        peer_left, peer_right = cfg.left_b, cfg.right_b
-    else:
-        target, own_token, peer_token = "c", transcript.token_b, transcript.token_a
-        peer_left, peer_right = cfg.left_a, cfg.right_a
-
     run = _Run("decomposition")
-    rep = solve(build_mscsp_dhdp(transcript, target), config)
+    rep = solve(build_mscsp_dhdp(transcript, "a"), config)
     if not run.solved("left-instance-solved", rep):
         return run.report()
     left_cand = rewrite(rep.raw_word)
-    right_cand = rewrite(compose(invert(rep.solution), own_token))
+    right_cand = rewrite(compose(invert(rep.solution), transcript.token_a))
     run.recovered += [("left-candidate", left_cand), ("right-candidate", right_cand)]
     run.check(
         "left-commutes-with-peer-left",
-        all(elements_commute(left_cand, g) for g in peer_left.generators),
+        all(elements_commute(left_cand, g) for g in cfg.left_b.generators),
     )
     run.check(
         "right-commutes-with-peer-right",
-        all(elements_commute(right_cand, g) for g in peer_right.generators),
+        all(elements_commute(right_cand, g) for g in cfg.right_b.generators),
     )
-    key_cand = rewrite(compose_all([left_cand, peer_token, right_cand]))
+    key_cand = rewrite(compose_all([left_cand, transcript.token_b, right_cand]))
     run.recovered.append(("key-candidate", key_cand))
     return run.report()
 
@@ -363,7 +353,6 @@ def attack_dehornoy_centralizer(
     base: BraidWord,
     commitment: BraidWord,
     config: SolverConfig,
-    probes: tuple[BraidWord, ...] | None = None,
 ) -> AttackReport:
     """
     Recover the nonce r behind a shifted-conjugacy commitment x = r*p when
@@ -372,12 +361,11 @@ def attack_dehornoy_centralizer(
     shifted R generators against the fixed public factor d(p).sigma_1, so
     the raw solution is d(r), which unshifts to r. The solver's filter
     unshifts each candidate and keeps it only when it reproduces the
-    commitment, so a solved instance is a recovered r. Without given
-    probes, they come from a centralizer search over words of length <= 2.
+    commitment, so a solved instance is a recovered r. The probes come
+    from a centralizer search of R over words of length <= 2.
     """
-    if probes is None:
-        elements = centralizer_search(r_spec, 2)
-        probes = tuple(p.embed(commitment.strands) for p in elements if len(p) > 0)
+    elements = centralizer_search(r_spec, 2)
+    probes = tuple(p.embed(commitment.strands) for p in elements if len(p) > 0)
     inst = build_dehornoy_centralizer_instance(commitment, probes, r_spec, base)
 
     def committing_r(candidate: BraidWord) -> BraidWord | None:
@@ -441,24 +429,18 @@ def attack_dehornoy_pair(
 
 @dataclasses.dataclass(frozen=True)
 class PartialFactorResult:
-    """One peel step: probe, recovered head, and the residual base suffix."""
+    """One peel: probe, recovered head, and the residual base suffix."""
 
     probe: BraidWord
     solver_report: SolutionReport
     residual: BraidWord | None
-    depth: int
-    remaining_token: BraidWord | None
-    certificate_commute: bool = False
+    certificate_commute: bool
 
     def to_record(self) -> dict:
         return {
             "probe": self.probe.to_record(),
             "solver_report": self.solver_report.to_record(),
             "residual": self.residual.to_record() if self.residual is not None else None,
-            "depth": self.depth,
-            "remaining_token": (
-                self.remaining_token.to_record() if self.remaining_token is not None else None
-            ),
             "certificate_commute": self.certificate_commute,
         }
 
@@ -467,46 +449,27 @@ def partial_factor_attack(
     token: BraidWord,
     probes: tuple[BraidWord, ...],
     config: SolverConfig,
-    depth: int = 1,
 ) -> list[PartialFactorResult]:
     """
     Peel partial base information off a token u = h.z (h in the search
-    subgroup): conjugating a probe S by u and solving the conjugacy pair
-    (S, u.S.u^-1) yields a head candidate s; the residual s^-1.u is the
-    part of z commuting with S when the peel is exact. The product
-    s.residual = u holds by construction, so the one certificate is
-    commutation, which flags exact peels. Iteration continues on the head
-    s = u.residual^-1.
+    subgroup), one level per probe: conjugating a probe S by u and solving
+    the conjugacy pair (S, u.S.u^-1) yields a head candidate s; the
+    residual s^-1.u is the part of z commuting with S when the peel is
+    exact. The product s.residual = u holds by construction, so the one
+    certificate is commutation, which flags exact peels. A caller peels the
+    next level by calling again on the head, rewrite(s).
     """
     if config.alphabet is None:
         raise ValueError("partial-factor attack needs an explicit search alphabet")
     results: list[PartialFactorResult] = []
     for probe in probes:
-        current = token
-        for level in range(depth):
-            inst = build_conjugation_instance(
-                current,
-                (probe,),
-                "left",
-                config.alphabet,
-                meta=(("extractor", "partial-factor"), ("depth", str(level))),
-            )
-            rep = solve_exhaustive(inst, config)
-            if not rep.solved:
-                results.append(
-                    PartialFactorResult(probe, rep, None, level, None)
-                )
-                break
-            residual = rewrite(compose(invert(rep.solution), current))
-            nxt = rewrite(rep.solution)
-            results.append(
-                PartialFactorResult(
-                    probe, rep, residual, level, nxt, elements_commute(residual, probe)
-                )
-            )
-            if is_trivial(residual):
-                break
-            current = nxt
+        inst = build_conjugation_instance(
+            token, (probe,), "left", config.alphabet, meta=(("extractor", "partial-factor"),)
+        )
+        rep = solve_exhaustive(inst, config)
+        residual = rewrite(compose(invert(rep.solution), token)) if rep.solved else None
+        exact = residual is not None and elements_commute(residual, probe)
+        results.append(PartialFactorResult(probe, rep, residual, exact))
     return results
 
 

@@ -153,11 +153,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 @contextlib.contextmanager
 def _fields_of(path: str, kind: str):
-    """A missing field is a configuration error naming the file and record kind."""
+    """A missing field is a configuration error naming the file and record
+    kind; a malformed one, an error naming the file."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{path} is not a {kind} record: it has no field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _attack_from_records(
@@ -186,8 +189,11 @@ def _attack_from_records(
             )
         config = dataclasses.replace(config, alphabet=interval_generators(n, 1, n - 1))
         name = "s-candidate"
-        with _fields_of(args.oracle, "dehornoy secret"):
-            truth = BraidWord.from_record(secret["s"]) if secret else None
+        truth = None
+        if secret:
+            with _fields_of(args.oracle, "dehornoy secret"):
+                truth = BraidWord.from_record(secret["s"])
+                _word_on(secret["r"], "r", n, 0)  # checked, not used: the attack finds r
         report = attack_dehornoy_pair(*words, config)
     else:
         with _fields_of(args.in_path, "key-agreement public"):

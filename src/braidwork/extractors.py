@@ -252,7 +252,6 @@ def build_gtcp_instances(
     endos: tuple[Endomorphism, Endomorphism, Endomorphism],
     mode: str,
     secret_spec: SubgroupSpec,
-    sample_index: int = 0,
 ) -> CspInstance:
     """
     Conjugacy instance for twisted-conjugacy style tokens y_i = u(r) v(p_i) w(r^-1).
@@ -261,12 +260,13 @@ def build_gtcp_instances(
     "pairwise-ce1" targets u(r) with pairs (v(p_i).v(p_j)^-1, y_i.y_j^-1),
     "pairwise-ce2" targets w(r^-1)^-1 with pairs (v(p_j)^-1.v(p_i), y_j^-1.y_i).
     Centralizer modes conjugate probes commuting with the cancelled side
-    (found by a centralizer search over words of length <= 1) by a single
-    token: "centralizer-ce3" targets u(r).v(p_i) with probes from the
-    centralizer of w's images of the secret subgroup; "centralizer-ce4"
-    targets w(r^-1)^-1.v(p_i)^-1 with probes from the centralizer of u's
-    images. `samples` holds (y_i, p_i); the secret r is sampled from
-    secret_spec, whose generator images define the enumeration alphabet.
+    (found by a centralizer search over words of length <= 1) by the first
+    sample's token, i = 0: "centralizer-ce3" targets u(r).v(p_i) with probes
+    from the centralizer of w's images of the secret subgroup;
+    "centralizer-ce4" targets w(r^-1)^-1.v(p_i)^-1 with probes from the
+    centralizer of u's images. `samples` holds (y_i, p_i); the secret r is
+    sampled from secret_spec, whose generator images define the enumeration
+    alphabet.
     """
     u, v, w = endos
     ys = [y for y, _ in samples]
@@ -299,15 +299,13 @@ def build_gtcp_instances(
         probes = tuple(p for p in elements if len(p) > 0)
         alphabet = _endo_image_spec(f"gtcp-{mode}", u if ce3 else w, secret_spec)
         # secret-side factor = solution . post (cf. right-multiplying by z^-1)
-        vp = vps[sample_index]
-        post = rewrite(invert(vp)) if ce3 else rewrite(vp)
+        post = rewrite(invert(vps[0])) if ce3 else rewrite(vps[0])
         meta = (
             ("extractor", mode),
-            ("sample_index", str(sample_index)),
             ("target", "u(r).v(p_i)" if ce3 else "w(r^-1)^-1.v(p_i)^-1"),
         )
         return build_conjugation_instance(
-            ys[sample_index], probes, "left" if ce3 else "right", alphabet, post, meta
+            ys[0], probes, "left" if ce3 else "right", alphabet, post, meta
         )
 
     raise ValueError(f"unknown GTCP mode {mode!r}")

@@ -17,6 +17,15 @@ partial-factor digests again when the checks that re-ran a solver filter's
 predicate on the recovered value (and the product certificate, true by
 construction) were deleted. `test_answers_unchanged` shows that nothing
 else in those records moved.
+
+The decomposition, dehornoy, partial-factor and extractor digests, with
+their instance digests and the answer digests of those four sets and of
+gtcp, were re-pinned when four settings that only tests set became
+constants. The records of attacking party b's token, of explicit
+centralizer probes, of a second peel level and of a later gtcp sample are
+gone, and so are the `depth`, `remaining_token` and `sample_index` fields.
+Each new pin equals the digest that the library before that change gives
+for the same calls with those three fields dropped, so no other byte moved.
 """
 
 import dataclasses
@@ -215,7 +224,7 @@ def dehornoy_records():
         identity(3),
         SolverConfig(max_length=1, alphabet=interval_generators(3, 1, 2)),
     ).to_record()
-    # Criterion 8's centralizer seeds, a two-generator R and explicit probes.
+    # Criterion 8's centralizer seeds, then a two-generator R.
     for seed in range(25):
         sub_rng = random.Random(f"centralizer:{seed}")
         gen_index = 1 + sub_rng.randrange(3)
@@ -232,13 +241,6 @@ def dehornoy_records():
     commitment = rewrite(shifted_conjugate(r, base))
     yield attack_dehornoy_centralizer(
         r_spec, base, commitment, SolverConfig(max_length=2)
-    ).with_verdict("r-candidate", r).to_record()
-    yield attack_dehornoy_centralizer(
-        r_spec,
-        base,
-        commitment,
-        SolverConfig(max_length=2),
-        probes=(generator(4, 3), BraidWord(4, (1, 2, 1, 1, 2, 1))),
     ).with_verdict("r-candidate", r).to_record()
 
 
@@ -274,7 +276,7 @@ def partial_factor_records():
         h = random_word(head_alphabet.generators, 1 + rng.randrange(2), rng)
         z = random_word(low_gens, 1 + rng.randrange(3), rng)
         token = rewrite(compose(h, z))
-        for res in partial_factor_attack(token, (generator(8, 5),), config, depth=2):
+        for res in partial_factor_attack(token, (generator(8, 5),), config):
             yield res.to_record()
     for seed in range(10):
         peel_rng = random.Random(f"peel:{seed}")
@@ -311,22 +313,19 @@ def decomposition_records():
     for preset, strands, length in (("klchkp", 6, 2), ("cklhc", 6, 2), ("generalized", 8, 2)):
         for seed in range(2):
             run = ka_run(make_preset(preset, strands=strands, secret_length=length), seed=seed)
-            for party in ("a", "b"):
-                yield attack_decomposition(
-                    run.public, SolverConfig(max_length=3), party=party
-                ).with_verdict("key-candidate", run.secret.kappa).to_record()
+            yield attack_decomposition(
+                run.public, SolverConfig(max_length=3)
+            ).with_verdict("key-candidate", run.secret.kappa).to_record()
     config = dataclasses.replace(
         make_preset("klchkp", strands=8, secret_length=3), positive_only=True
     )
     for seed in range(3):
         run = ka_run(config, seed=seed)
-        for party in ("a", "b"):
-            yield attack_decomposition(
-                run.public,
-                SolverConfig(max_length=3, restarts=6, length_functional="difference"),
-                party=party,
-                method="descent",
-            ).with_verdict("key-candidate", run.secret.kappa).to_record()
+        yield attack_decomposition(
+            run.public,
+            SolverConfig(max_length=3, restarts=6, length_functional="difference"),
+            method="descent",
+        ).with_verdict("key-candidate", run.secret.kappa).to_record()
     run = ka_run(make_preset("klchkp", strands=6, secret_length=2), seed=3)
     tampered = dataclasses.replace(
         run.public, token_a=rewrite(compose(run.public.token_a, generator(6, 3)))
@@ -348,10 +347,7 @@ def extractor_records():
         yield build_stickel_instance(a, b, run.public.token_a, alpha).to_record()
     spec = interval_generators(4, 1, 3)
     for samples, endos, mode, _ in gtcp_cases():
-        for sample_index in ((0, 2) if mode.startswith("centralizer") else (0,)):
-            yield build_gtcp_instances(
-                samples, endos, mode, spec, sample_index=sample_index
-            ).to_record()
+        yield build_gtcp_instances(samples, endos, mode, spec).to_record()
 
 
 def test_edl_records_unchanged(solved_instances):
@@ -481,21 +477,21 @@ def test_answers_unchanged(name, solved_instances):
 EDL_DIGEST = "c7fc416c2e40fea323cdf2996af72af566c17b92124f6e0581261b5787bb3213"
 EDL_INSTANCES_DIGEST = "4292281555d6d89d46e60d6e1164864c8da1a15b6aa7ceaa94f95d53a73cce6d"
 GTCP_DIGEST = "472999af80c2f5a7d25aacf465603c2ffaa7bfe1ecf3c06dd887c8618f0ee253"
-DEHORNOY_DIGEST = "0e9ff8c02d5bf3e3c8501f0bf4a757b966844a8913e4270fd0c5c4bdd1d4c872"
-DEHORNOY_INSTANCES_DIGEST = "7239b74be7e531ffe60437af978e88efbe27bce720876ac31acfe1c000b2a336"
+DEHORNOY_DIGEST = "fae4340e98c5fce49a5351af21f479c936869306f23ca88b96aef8cd1d53f92c"
+DEHORNOY_INSTANCES_DIGEST = "a3d8422b07152dfc850ab18abb0226bc0ed4a4bfc73b1f0504a0210e6c132a37"
 # Taken at 81a01fb, before the pair attack reduced the response once.
 MANY_MATCH_DIGEST = "c72c34b393378fc05db78de9c3852ca861eee4e054fbdb15b27f7c420c4549f9"
-PARTIAL_FACTOR_DIGEST = "d67ddd9ed1066d31838b6085b9568fb8ca6d4eb2b8f1e574873a35d01933934a"
-PARTIAL_FACTOR_INSTANCES_DIGEST = "77b9143845d00ca7debae637ac83d6581c4fb968daa8c4da570e9920d63f4cf2"
+PARTIAL_FACTOR_DIGEST = "cd20bb18248ddf18b5bc2d0275670a29a77e8887856d1f694643107f44f4f9b6"
+PARTIAL_FACTOR_INSTANCES_DIGEST = "404ef32f2f19f4f930cdcb3382161c158dfab80803edd4258dba6e8b08ddcbca"
 STICKEL_DIGEST = "fdeec6ae4fe4995c3e398c1195dc54b60beee03ca20195a89990f55ad1e80509"
-DECOMPOSITION_DIGEST = "af5fcc21d8d1aa70a06f9cea44fd29a310c5abc27765d9cd83cc61b50de1fca4"
-EXTRACTOR_DIGEST = "5673fa90107bb483cf81bb263251e8d77cee3e327cede0cc1f7a88883dd9f936"
+DECOMPOSITION_DIGEST = "2908756a95ce34eccdafb576383bdb5ee0cb59be776e10891bb9fd096f808aac"
+EXTRACTOR_DIGEST = "95650956978a42c071a85dc57eb9b8d290853d1315093d6b9b2957ca8f5e501c"
 ANSWER_DIGESTS = {
     "edl": "57973129e1bec9b14ea9fe2dca7f32a0846f1463c7e12e35c1109f6e3e75edf8",
-    "gtcp": "4590eddcee5cf19399d59318dfe0ec22c139bf2621132ab62937df6761f5e750",
-    "dehornoy": "4293ebd3ddbfa1d32e78d57159a700f21152eb0caece27b8789f7e00a642847d",
-    "partial-factor": "a764e8127b2d107ce516425b7b827f4562aea89db41f5f3464d230c38f557c3e",
+    "gtcp": "50f449f471f5fc21c666f9038eda3fa10126aa4bc495dfedac169e4f68338b38",
+    "dehornoy": "283c3f33433720fd9699076ac4051d5d1a1755321d5ef9488ee186cd6b4609f5",
+    "partial-factor": "34dfd5c2eff1130baf54dda1fa5841848dac074cd47dd1a1c21e7603e0ddf3b2",
     "stickel": "71593bb897d08e1ddf2077e5fcc944f11ba38b2d0d8b581da07d8bb55f4b9e79",
-    "decomposition": "5d82ade01002ecc3b16129e250970a853cfbe7a8ad70f6880562778070dab4b2",
-    "extractor": "5673fa90107bb483cf81bb263251e8d77cee3e327cede0cc1f7a88883dd9f936",
+    "decomposition": "6acef8241d12799f318c9afdff0ab1f6f86fbaf508dea4fc172c1e20dab5d33b",
+    "extractor": "95650956978a42c071a85dc57eb9b8d290853d1315093d6b9b2957ca8f5e501c",
 }

@@ -330,6 +330,34 @@ class TestAttack:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
+    # edit of a dehornoy n=4 secret record's nonce r, and what the message says
+    BAD_NONCE = {
+        "float": (lambda s: s.update(r=1.5), "braid word record must be a JSON object"),
+        "null": (lambda s: s.update(r=None), "braid word record must be a JSON object"),
+        "string": (lambda s: s.update(r="x"), "braid word record must be a JSON object"),
+        "missing": (lambda s: s.pop("r"), "not a dehornoy secret record: it has no field 'r'"),
+        "n-plus-one": (lambda s: s["r"].update(n=5), "r is on 5 strands, not n = 4"),
+    }
+
+    @pytest.mark.parametrize("edit, message", BAD_NONCE.values(), ids=BAD_NONCE)
+    def test_bad_dehornoy_oracle_nonce_is_config_error(self, tmp_path, capsys, edit, message):
+        # The attack finds r itself, but a secret record with a bad r is
+        # refused like one with a bad s.
+        assert run_cli("simulate", "--preset", "dehornoy", "--n", "4",
+                       "--secret-len", "3", "--out", str(tmp_path)) == 0
+        path = tmp_path / "secret.json"
+        secret = json.loads(path.read_text())
+        edit(secret)
+        path.write_text(json.dumps(secret))
+        code = run_cli(
+            "attack", "--max-len", "3", "--in", str(tmp_path / "public.json"),
+            "--oracle", str(path), "--out", str(tmp_path / "report"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}" in err and message in err
+        assert not (tmp_path / "report").exists()
+
     @pytest.mark.parametrize("public_preset, public_n, secret_preset, secret_n, message", [
         ("klchkp", "6", "dehornoy", "4", "not a key-agreement secret record: it has no field 'a1'"),
         ("dehornoy", "4", "klchkp", "6", "not a dehornoy secret record: it has no field 's'"),

@@ -276,10 +276,8 @@ class TestGtcpExtractors:
     def test_centralizer_ce3_solved_by_uv_product(self, setup):
         spec, endos, r, ps = setup
         u, v, _ = endos
-        inst = build_gtcp_instances(
-            self.samples(endos, r, ps), endos, "centralizer-ce3", spec, sample_index=1
-        )
-        g = compose(apply_endo(u, r), apply_endo(v, ps[1]))
+        inst = build_gtcp_instances(self.samples(endos, r, ps), endos, "centralizer-ce3", spec)
+        g = compose(apply_endo(u, r), apply_endo(v, ps[0]))
         for x, y in inst.pairs:
             assert conjugates(g, x, y)
         assert words_equal(compose(g, inst.post_transform), apply_endo(u, r))
@@ -287,9 +285,7 @@ class TestGtcpExtractors:
     def test_centralizer_ce4_solved_by_wv_product(self, setup):
         spec, endos, r, ps = setup
         _, v, w = endos
-        inst = build_gtcp_instances(
-            self.samples(endos, r, ps), endos, "centralizer-ce4", spec, sample_index=0
-        )
+        inst = build_gtcp_instances(self.samples(endos, r, ps), endos, "centralizer-ce4", spec)
         g = compose(invert(apply_endo(w, invert(r))), invert(apply_endo(v, ps[0])))
         for x, y in inst.pairs:
             assert conjugates(g, x, y)

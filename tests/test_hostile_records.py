@@ -1,12 +1,13 @@
 """Hostile input: a record with one field replaced by a wrong value, or
 deleted, must end the CLI with exit 0, 1 or 2 and never a traceback.
 
-Each record kind the CLI reads is mutated: the key-agreement and dehornoy
-public records (`attack --in`), their secret records (`attack --oracle`)
-and a stored conjugacy instance (`solve --in`). Every field down to depth
-3 (object keys and array indices) times every wrong value and a deletion
-gives 120 to 1,236 mutations per kind; a seeded sample of them runs here.
-The hand-written cases that pin a message stay in test_cli.py.
+Each record kind the CLI reads is mutated: the key-agreement public
+records of every preset and the dehornoy public record (`attack --in`),
+the klchkp and dehornoy secret records (`attack --oracle`) and a stored
+conjugacy instance (`solve --in`). Every field down to depth 3 (object
+keys and array indices) times every wrong value and a deletion gives 120
+to 1,512 mutations per kind; a seeded sample of them runs here. The
+hand-written cases that pin a message stay in test_cli.py.
 """
 
 import copy
@@ -21,7 +22,7 @@ from braidwork.protocols import ka_run, make_preset
 
 WRONG_VALUES = (None, True, False, -1, 0, 2**31, 1.5, "x", "", [], {})
 DELETE = object()
-SAMPLES_PER_KIND = 200
+SAMPLES_PER_KIND = 110
 
 
 def field_paths(record, depth=3, prefix=()):
@@ -57,12 +58,19 @@ def mutations(record, seed):
     return random.Random(seed).sample(every, min(SAMPLES_PER_KIND, len(every)))
 
 
+# Each preset with the strand count its round is simulated on.
+PRESETS = (
+    ("klchkp", "6"), ("dehornoy", "4"), ("generalized", "8"), ("cklhc", "6"),
+    ("stickel", "6"), ("shpilrain-central", "8"),
+)
+
+
 @pytest.fixture(scope="module")
 def records(tmp_path_factory):
-    """The records of one key-agreement and one dehornoy round, and one
-    stored instance, each written by the library as the CLI would."""
+    """The records of one round of each preset, and one stored instance,
+    each written by the library as the CLI would."""
     root = tmp_path_factory.mktemp("records")
-    for preset, n in (("klchkp", "6"), ("dehornoy", "4")):
+    for preset, n in PRESETS:
         assert main([
             "simulate", "--preset", preset, "--n", n, "--secret-len", "2",
             "--seed", "0", "--out", str(root / preset),
@@ -82,6 +90,9 @@ KINDS = [
     ("dehornoy-oracle", "dehornoy/secret.json",
      ["attack", "--in", "{root}/dehornoy/public.json", "--oracle", "{}"]),
     ("instance", "instance.json", ["solve", "--in", "{}"]),
+] + [
+    (f"{preset}-public", f"{preset}/public.json", ["attack", "--in", "{}"])
+    for preset, _ in PRESETS[2:]
 ]
 
 
