@@ -61,6 +61,7 @@ from .words import (
     apply_endo,
     compose,
     compose_all,
+    crossings,
     enumerate_products,
     generator,
     invert,
@@ -167,6 +168,24 @@ def _lift(f: Endomorphism, word: BraidWord) -> BraidWord | None:
         return shift_preimage(word)
     except (ValueError, ReductionBudgetExceeded):
         return None
+
+
+def _reproduces(base: BraidWord, target: BraidWord) -> Callable[[BraidWord], bool]:
+    """Whether a secret s has s*base = target, compared as words_equal
+    compares, on the larger strand count. The target's crossing image
+    (`words.crossings`) is computed once, and a side whose image differs
+    is turned down before any normal form. A side on more strands than the
+    target, as when the search alphabet is wider than the keys, has the
+    target's image taken again on that count."""
+    image = crossings(target)
+
+    def reproduces(s: BraidWord) -> bool:
+        side = shifted_conjugate(s, base)
+        n = max(side.strands, target.strands)
+        known = image if n == target.strands else crossings(target.embed(n))
+        return crossings(side.embed(n)) == known and words_equal(side, target)
+
+    return reproduces
 
 
 def attack_decomposition(
@@ -367,11 +386,11 @@ def attack_dehornoy_centralizer(
     elements = centralizer_search(r_spec, 2)
     probes = tuple(p.embed(commitment.strands) for p in elements if len(p) > 0)
     inst = build_dehornoy_centralizer_instance(commitment, probes, r_spec, base)
+    commits = _reproduces(base, commitment)
 
     def committing_r(candidate: BraidWord) -> BraidWord | None:
         r = _lift(SHIFT_ENDO, candidate)
-        commits = r is not None and words_equal(shifted_conjugate(r, base), commitment)
-        return r if commits else None
+        return r if r is not None and commits(r) else None
 
     run = _Run("dehornoy-centralizer")
     return run.recover(*_solve(inst, config, committing_r), "r-candidate")
@@ -414,12 +433,11 @@ def attack_dehornoy_pair(
     except ReductionBudgetExceeded:
         t = response
     sigma_1_inv = invert(generator(response.strands, 1))
+    keyed = _reproduces(base, public_key)
 
     def key_secret(r: BraidWord) -> BraidWord | None:
         s_c = _lift(SHIFT_ENDO, compose_all([invert(r), t, shift(r), sigma_1_inv]))
-        if s_c is None:
-            return None
-        return s_c if words_equal(shifted_conjugate(s_c, base), public_key) else None
+        return s_c if s_c is not None and keyed(s_c) else None
 
     rep, s_c = _solve(inst, config, key_secret)
     if rep.solved:

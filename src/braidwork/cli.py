@@ -222,7 +222,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    instance = CspInstance.from_record(_load(args.in_path))
+    record = _load(args.in_path)
+    with _fields_of(args.in_path, "conjugacy-search instance"):
+        instance = CspInstance.from_record(record)
     config = SolverConfig(max_length=args.max_len, budget=args.budget)
     report = solve_exhaustive(instance, config)
     _dump(_report_path(args.out, "solution.json"), report.to_record())

@@ -15,15 +15,17 @@ it raises ReductionBudgetExceeded. No caller falls back to normal forms:
 the attacks' lift through the shift returns None, so the attack's check
 fails, and the benchmark's oracle counts the word as nontrivial.
 
-The shift preimage tests the word's permutation before it reduces: every
-element of the image of the shift, the subgroup generated by sigma_2..,
-fixes strand 0, so a word whose permutation moves strand 0 is turned down
-in O(len) without a reduction.
+The shift preimage tests the word's strand crossings before it reduces:
+no word in sigma_2.. crosses strand 0, so every element of the image of
+the shift, the subgroup they generate, leaves strand 0 at position 0 with
+a net crossing count of 0 against every other strand (`words.crossings`
+is a braid invariant). A word that fails this is turned down in O(len)
+without a reduction.
 """
 
 from __future__ import annotations
 
-from .words import BraidWord, permutation, unshift
+from .words import BraidWord, crossings, unshift
 
 DEFAULT_BUDGET = 10**6
 
@@ -79,10 +81,13 @@ def shift_preimage(a: BraidWord) -> BraidWord:
     sigma_1-free, then strip the shift letter by letter.
 
     Raises ValueError if the element is not in the image of the shift:
-    at once if its permutation moves strand 0, else if sigma_1 letters
-    survive reduction.
+    before any reduction if strand 0 ends away from position 0 or crosses
+    some other strand a nonzero net number of times, else if sigma_1
+    letters survive reduction.
     """
-    if permutation(a)[0] != 0:
+    at, counts = crossings(a)
+    # Strand 0's pair with strand b is counted at index 0 * n + b.
+    if at[0] != 0 or any(counts[1 : a.strands]):
         raise ValueError("element is not in the image of the index shift")
     reduced = handle_reduce(a)
     try:

@@ -169,18 +169,32 @@ def delta(strands: int) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def permutation(a: BraidWord) -> bytes:
-    """The image of a word in the symmetric group on its strands, in the
-    convention of `garside`: one-line images of positions, one byte each,
-    first letter applied first. Equal braids have equal permutations, so a
-    difference proves two words unequal. O(len a + n): sigma_i in front of
-    a word swaps its images at positions i-1 and i, so the letters, read
-    right to left, each swap two entries."""
-    perm = list(range(a.strands))
-    for x in reversed(a.letters):
+def crossings(a: BraidWord) -> tuple[bytes, tuple[int, ...]]:
+    """The image of a word in B_n/[P_n, P_n], in one pass over its letters.
+
+    Strands are numbered by the position they start at. The first part is
+    the strand at each position after the word, one byte per position
+    (the inverse of `garside`'s one-line images of positions). The second
+    counts, for each pair of strands a < b at index a*n + b (the other
+    entries stay 0), how often they cross: +1 at each sigma_i, -1 at each
+    sigma_i^-1, summed.
+
+    Equal braids have equal images, so a difference proves two words
+    unequal. Each braid relation crosses the same pairs of strands with
+    the same signs on both sides (sigma_i sigma_j = sigma_j sigma_i with
+    |i - j| >= 2 crosses two disjoint pairs, sigma_i sigma_{i+1} sigma_i
+    = sigma_{i+1} sigma_i sigma_{i+1} crosses each pair of three strands
+    once), and a cancelling pair sigma_i^{+-1} sigma_i^{-+1} crosses one
+    pair +1 and -1. O(len a + n^2)."""
+    n = a.strands
+    at = list(range(n))
+    counts = [0] * (n * n)
+    for x in a.letters:
         i = abs(x)
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    return bytes(perm)
+        p, q = at[i - 1], at[i]
+        counts[p * n + q if p < q else q * n + p] += 1 if x > 0 else -1
+        at[i - 1], at[i] = q, p
+    return bytes(at), tuple(counts)
 
 
 def shift(a: BraidWord) -> BraidWord:

@@ -459,6 +459,22 @@ class TestSolve:
         assert run_cli("solve", "--in", str(path), "--out", str(tmp_path)) == 2
         assert "pair must be a JSON object" in capsys.readouterr().err
 
+    def test_missing_field_names_file_and_kind(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"alphabet": {}}))
+        assert run_cli("solve", "--in", str(path), "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} is not a conjugacy-search instance record: it has no field 'pairs'\n"
+        )
+
+    def test_malformed_field_names_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"pairs": [1], "alphabet": {}}))
+        assert run_cli("solve", "--in", str(path), "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: an instance pair must be a JSON object, got int\n"
+        )
+
     def test_non_object_word(self, tmp_path, capsys):
         pair = {"x": [1, 2], "y": {"n": 4, "word": [1]}}
         path = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidwork import handle
 from braidwork.garside import is_trivial, rewrite, words_equal
 from braidwork.handle import (
     ReductionBudgetExceeded,
@@ -8,7 +9,16 @@ from braidwork.handle import (
     is_trivial_handle_reduction,
     shift_preimage,
 )
-from braidwork.words import BraidWord, compose, compose_all, identity, invert, shift, unshift
+from braidwork.words import (
+    BraidWord,
+    compose,
+    compose_all,
+    generator,
+    identity,
+    invert,
+    shift,
+    unshift,
+)
 
 
 def words(n: int, max_len: int = 10):
@@ -93,9 +103,35 @@ class TestShiftPreimage:
         with pytest.raises(ValueError):
             shift_preimage(BraidWord(3, (1,)))
 
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        """The words shift_preimage hands to handle reduction."""
+        reduced = []
+
+        def counting_reduce(word):
+            reduced.append(word)
+            return handle_reduce(word)
+
+        monkeypatch.setattr(handle, "handle_reduce", counting_reduce)
+        return reduced
+
+    def test_crossings_turn_a_pure_braid_down_without_reducing(self, reductions):
+        # sigma_1^2 leaves strand 0 at position 0, but crosses it twice with
+        # strand 1, which no word in sigma_2.. does.
+        with pytest.raises(ValueError):
+            shift_preimage(BraidWord(3, (1, 1)))
+        assert reductions == []
+
+    def test_disguised_member_still_lifts(self, reductions):
+        # sigma_1 sigma_2 sigma_1 sigma_2^-1 sigma_1^-1 = sigma_2: its sigma_1
+        # letters cross strand 0 with strand 1 once each way.
+        disguised = BraidWord(3, (1, 2, 1, -2, -1))
+        assert words_equal(shift_preimage(disguised), generator(2, 1))
+        assert reductions == [disguised]
+
     @staticmethod
     def assert_agrees_with_reduction(w):
-        # The permutation pre-check turns a word down exactly when full
+        # The crossing pre-check turns a word down exactly when full
         # reduction would, and otherwise the result is the same element.
         try:
             expected = unshift(handle_reduce(w))

@@ -2,22 +2,29 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from braidwork.garside import normal_form, perm_identity, perm_longest, words_equal
+from braidwork.garside import (
+    normal_form,
+    perm_identity,
+    perm_inv,
+    perm_longest,
+    rewrite,
+    words_equal,
+)
 from braidwork.words import (
     BraidWord,
     Endomorphism,
     apply_endo,
     compose,
     compose_all,
+    crossings,
     delta,
     enumerate_products,
     generator,
     identity,
     inner_endo,
     invert,
-    permutation,
     power,
     random_word,
     shift,
@@ -133,26 +140,73 @@ def then(p, q):
     return bytes(q[x] for x in p)
 
 
-class TestPermutation:
+def strands_at(w):
+    """The strand at each position after w, the first part of its image."""
+    return crossings(w)[0]
+
+
+def pair_counts(w):
+    """The signed crossing count of each pair of strands of w, as a dict."""
+    n = w.strands
+    counts = crossings(w)[1]
+    return {(a, b): counts[a * n + b] for a in range(n) for b in range(a + 1, n)}
+
+
+class TestCrossings:
     @given(strands_and_words(1))
-    def test_matches_normal_form(self, ws):
+    def test_permutation_matches_normal_form(self, ws):
         # The Garside layer is the oracle: Delta's permutation to the power
-        # of the infimum, then each factor in order.
+        # of the infimum, then each factor in order, gives the images of
+        # positions; the strand at each position is its inverse.
         (w,) = ws
         nf = normal_form(w)
         p = perm_longest(w.strands) if nf.infimum % 2 else perm_identity(w.strands)
         for factor in nf.factors:
             p = then(p, factor)
-        assert permutation(w) == p
+        assert strands_at(w) == perm_inv(p)
 
     @given(strands_and_words(2))
     def test_is_a_homomorphism(self, ab):
+        # After a, b crosses the strands a left at its positions.
         a, b = ab
-        assert permutation(compose(a, b)) == then(permutation(a), permutation(b))
+        at_a = strands_at(a)
+        assert strands_at(compose(a, b)) == then(strands_at(b), at_a)
+        expected = pair_counts(a)
+        for (i, j), c in pair_counts(b).items():
+            p, q = sorted((at_a[i], at_a[j]))
+            expected[p, q] += c
+        assert pair_counts(compose(a, b)) == expected
 
     def test_generator_and_identity(self):
-        assert permutation(generator(4, -2)) == bytes((0, 2, 1, 3))
-        assert permutation(identity(3)) == bytes((0, 1, 2))
+        assert strands_at(generator(4, -2)) == bytes((0, 2, 1, 3))
+        assert pair_counts(generator(4, -2)) == {
+            (a, b): -1 if (a, b) == (1, 2) else 0 for a in range(4) for b in range(a + 1, 4)
+        }
+        assert crossings(identity(3)) == (bytes((0, 1, 2)), (0,) * 9)
+
+    def test_tells_a_pure_braid_from_the_identity(self):
+        # sigma_1^2 leaves every strand in place, so the permutation alone
+        # cannot tell it from the identity; its strands 0 and 1 cross twice.
+        square = BraidWord(3, (1, 1))
+        assert strands_at(square) == strands_at(identity(3))
+        assert crossings(square) != crossings(identity(3))
+        assert pair_counts(square)[0, 1] == 2
+
+    @given(
+        st.integers(min_value=2, max_value=9).flatmap(
+            lambda n: st.tuples(letters(n, 40), letters(n, 40), st.integers(0, 40))
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_is_a_braid_invariant(self, case):
+        # Equal on a word and its normal form's spelling, and on a word with
+        # a trivial u . rewrite(u)^-1 spliced in at any point.
+        w, u, k = case
+        head = BraidWord(w.strands, w.letters[:k])
+        tail = BraidWord(w.strands, w.letters[k:])
+        image = crossings(w)
+        assert crossings(rewrite(w)) == image
+        assert crossings(compose_all([head, u, invert(rewrite(u)), tail])) == image
 
 
 class TestShift:
