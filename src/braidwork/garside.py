@@ -9,6 +9,7 @@ one-line permutations of {0..n-1} (images of positions) in bytes, so n is at
 most 256, far above MAX_STRANDS = 64. A factor hashes once and compares by
 memcmp; inverting it (the identity translated by the table p -> identity)
 and flipping it by Delta (reversed, translated by x -> n-1-x) are C calls.
+A normal form, like a word, is a tuple: built, hashed and compared in C.
 
 Convention: a word read left to right maps to the permutation product
 "apply first letter first", i.e. perm(ab)[i] = perm(b)[perm(a)[i]].
@@ -88,8 +89,8 @@ group in closed form.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+from typing import NamedTuple
 
 from .words import BraidWord, delta, invert, reconcile
 
@@ -165,8 +166,7 @@ def factor_word(p: Perm) -> list[int]:
     return letters
 
 
-@dataclasses.dataclass(frozen=True)
-class GarsideNormalForm:
+class GarsideNormalForm(NamedTuple):
     """Delta power plus left-weighted permutation-braid factor sequence."""
 
     strands: int
@@ -442,12 +442,11 @@ def canonical_length(a: BraidWord) -> int:
     return normal_form(a).canonical_length
 
 
-def nf_key(a: BraidWord, strands: int | None = None) -> tuple:
-    """A hashable key identifying the braid a represents, in the given ambient group."""
+def nf_key(a: BraidWord, strands: int | None = None) -> GarsideNormalForm:
+    """The normal form of a in the given ambient group, a key for its braid."""
     if strands is not None:
         a = a.embed(strands)
-    nf = normal_form(a)
-    return (nf.strands, nf.infimum, nf.factors)
+    return normal_form(a)
 
 
 def rewrite(a: BraidWord) -> BraidWord:

@@ -148,17 +148,15 @@ class SolutionReport:
 
 
 def verify_solution(instance: CspInstance, g: BraidWord) -> list[bool]:
-    """Per-pair check of the defining relation g x g^-1 = y, by products of
-    normal forms on the largest strand count among g and the pairs: g is
-    normalised here, once, and inverted in closed form, and each pair
-    compares G . x . G^-1 with y, both read from the instance's own forms.
-    It does not read the normal forms a search carried, so each bit is a
-    check independent of the search that found g."""
+    """Per-pair check of the defining relation g x g^-1 = y as g . x = y . g,
+    by products of normal forms on the largest strand count among g and the
+    pairs, x and y read from the instance's own forms. It does not read the
+    normal forms a search carried, so each bit is a check independent of the
+    search that found g."""
     n = max([g.strands] + [f.strands for pair in instance.forms for f in pair])
     g_nf = normal_form(g.embed(n))
-    g_inv = inverse(g_nf)
     return [
-        product(product(g_nf, embed(x, n)), g_inv) == embed(y, n)
+        product(g_nf, embed(x, n)) == product(embed(y, n), g_nf)
         for x, y in instance.forms
     ]
 

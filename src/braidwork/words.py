@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Largest strand count accepted from records and the CLI, above every n the
 # tests, README and benchmark use: arithmetic and search cost grows with n.
@@ -34,22 +34,24 @@ def _letters(strands: int) -> frozenset[int]:
     return frozenset(range(1 - strands, strands)) - {0}
 
 
-@dataclasses.dataclass(frozen=True)
-class BraidWord:
+class _BraidWordFields(NamedTuple):
+    strands: int
+    letters: tuple[int, ...]
+
+
+class BraidWord(_BraidWordFields):
     """A word in the Artin generators of B_n. The empty word is the identity."""
 
-    strands: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.strands < 1:
-            raise ValueError(f"strand count must be positive, got {self.strands}")
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
-        valid = _letters(self.strands)
-        if not valid.issuperset(self.letters):
-            x = next(x for x in self.letters if x not in valid)
-            raise ValueError(f"letter {x} out of range for {self.strands} strands")
+    def __new__(cls, strands: int, letters: Iterable[int] = ()) -> BraidWord:
+        if strands < 1:
+            raise ValueError(f"strand count must be positive, got {strands}")
+        letters = tuple(letters)
+        if not _letters(strands).issuperset(letters):
+            x = next(x for x in letters if x not in _letters(strands))
+            raise ValueError(f"letter {x} out of range for {strands} strands")
+        return tuple.__new__(cls, (strands, letters))
 
     def __len__(self) -> int:
         return len(self.letters)

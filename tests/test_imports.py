@@ -1,7 +1,7 @@
 """Every name a library module imports is used in that module, every
 private top-level function or class of the library is used somewhere,
-every field of a library dataclass is read somewhere, and every defaulted
-parameter of a library function is passed somewhere.
+every field of a library dataclass or NamedTuple is read somewhere, and
+every defaulted parameter of a library function is passed somewhere.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules. For
 imports, `__init__.py` is exempt, since its imports are the package's
@@ -10,14 +10,14 @@ with a single underscore; a use inside its own definition, such as a
 recursive call, does not count. A field is read when the library, the
 tests or the bench scripts load it as an attribute (`.field`) or name it
 in a string constant (as `getattr(cfg, "left_a")` does); constructing a
-dataclass does not read its fields. A defaulted parameter is passed when
-some call to a function of that name, in the library or the bench
-scripts, names it as a keyword or gives it a positional argument (a
-method's `self` takes none). Calls in the tests do not count: a setting
-that only tests pass runs on no workload, so it should be a constant.
-The few that stay are allowlisted with a reason each, and an allowlisted
-name that some call passes, or that names no defaulted parameter, is
-reported as well, so the list cannot go stale.
+dataclass or NamedTuple does not read its fields. A defaulted parameter
+is passed when some call to a function of that name, in the library or
+the bench scripts, names it as a keyword or gives it a positional
+argument (a method's `self` takes none). Calls in the tests do not
+count: a setting that only tests pass runs on no workload, so it should
+be a constant. The few that stay are allowlisted with a reason each, and
+an allowlisted name that some call passes, or that names no defaulted
+parameter, is reported as well, so the list cannot go stale.
 """
 
 import ast
@@ -114,23 +114,25 @@ def library_and_others(*folders: str) -> tuple[dict[str, str], list[str]]:
     return library, others
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
+def _declares_fields(node: ast.ClassDef) -> bool:
+    """Whether the class is a dataclass or a NamedTuple."""
+    calls = [deco.func if isinstance(deco, ast.Call) else deco for deco in node.decorator_list]
+    for target in [*calls, *node.bases]:
         name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-        if name == "dataclass":
+        if name in ("dataclass", "NamedTuple"):
             return True
     return False
 
 
 def unread_fields(library: dict[str, str], others: list[str]) -> list[str]:
-    """The fields of the library's dataclasses, in the order the modules
-    define them, that neither the library nor the other sources read."""
+    """The fields of the library's dataclasses and NamedTuples, in the order
+    the modules define them, that neither the library nor the other
+    sources read."""
     fields: list[tuple[str, str, str, int]] = []
     reads: set[str] = set()
     for module, source in library.items():
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            if isinstance(node, ast.ClassDef) and _declares_fields(node):
                 fields += [
                     (node.name, stmt.target.id, module, stmt.lineno)
                     for stmt in node.body
@@ -160,11 +162,22 @@ def test_detects_unread_field():
             "@dataclasses.dataclass(frozen=True)\n"
             "class Point:\n    x: int\n    y: int\n    label: str = ''\n"
         ),
+        "b.py": (
+            "import typing\nfrom typing import NamedTuple\n\n\n"
+            "class Pair(NamedTuple):\n    left: int\n    right: int\n\n\n"
+            "class Span(typing.NamedTuple):\n    start: int\n    stop: int\n\n\n"
+            "class Plain:\n    width: int\n"
+        ),
     }
     others = [
-        "from a import Point\n\np = Point(1, y=2)\nprint(p.x, getattr(p, 'label'))\n"
+        "from a import Point\n\np = Point(1, y=2)\nprint(p.x, getattr(p, 'label'))\n",
+        "from b import Pair, Span\n\nprint(Pair(1, 2).left, Span(3, 4).stop)\n",
     ]
-    assert unread_fields(library, others) == ["Point.y (a.py line 7)"]
+    assert unread_fields(library, others) == [
+        "Point.y (a.py line 7)",
+        "Pair.right (b.py line 7)",
+        "Span.start (b.py line 11)",
+    ]
 
 
 def unpassed_defaults(

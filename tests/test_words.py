@@ -1,10 +1,13 @@
+import copy
 import itertools
+import pickle
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidwork.garside import (
+    nf_key,
     normal_form,
     perm_identity,
     perm_inv,
@@ -70,6 +73,68 @@ class TestBraidWord:
     def test_record_roundtrip(self):
         w = BraidWord(4, (1, -3, 2))
         assert BraidWord.from_record(w.to_record()) == w
+
+
+class TestValueSemantics:
+    """Words and normal forms are tuples. Their reprs, their hashes, which
+    equal their field tuples' so that cache keys and set and dict orders do
+    not depend on the class, frozen fields, constructor errors, length,
+    truth and copies are pinned here."""
+
+    WORD = BraidWord(4, (1, -3, 2))
+    FORM = normal_form(BraidWord(3, (1, -2)))
+
+    def test_repr(self):
+        assert repr(self.WORD) == "BraidWord(strands=4, letters=(1, -3, 2))"
+        assert repr(self.FORM) == (
+            "GarsideNormalForm(strands=3, infimum=-1, "
+            "factors=(b'\\x00\\x02\\x01', b'\\x01\\x02\\x00'))"
+        )
+
+    def test_hash_and_equality_are_the_plain_tuples(self):
+        assert hash(self.WORD) == hash((4, (1, -3, 2)))
+        assert hash(self.FORM) == hash((3, -1, self.FORM.factors))
+        # nf_key is the normal form, equal to its field tuple.
+        nf = normal_form(self.WORD)
+        fields = (nf.strands, nf.infimum, nf.factors)
+        assert nf_key(self.WORD) == fields and hash(nf_key(self.WORD)) == hash(fields)
+
+    @pytest.mark.parametrize("field", ["strands", "letters"])
+    def test_word_fields_cannot_be_assigned(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self.WORD, field, 5)
+
+    @pytest.mark.parametrize("field", ["strands", "infimum", "factors"])
+    def test_form_fields_cannot_be_assigned(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self.FORM, field, 5)
+
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match=r"^strand count must be positive, got 0$"):
+            BraidWord(0, ())
+        with pytest.raises(ValueError, match=r"^letter 3 out of range for 3 strands$"):
+            BraidWord(3, [1, 3])
+
+    def test_letters_are_coerced_to_a_tuple(self):
+        for letters in ([1, -3, 2], iter((1, -3, 2)), (x for x in (1, -3, 2))):
+            w = BraidWord(4, letters)
+            assert type(w.letters) is tuple and w == self.WORD
+        assert BraidWord(strands=4, letters=[1, -3, 2]) == self.WORD
+
+    def test_length_and_truth_count_letters(self):
+        assert len(self.WORD) == 3 and self.WORD
+        assert len(identity(5)) == 0 and not identity(5)
+        assert BraidWord(5) == identity(5)
+
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_type_and_value(self, roundtrip):
+        for value in (self.WORD, identity(3), delta(5), self.FORM):
+            copied = roundtrip(value)
+            assert type(copied) is type(value) and copied == value
 
 
 class TestCompose:
