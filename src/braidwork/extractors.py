@@ -13,10 +13,10 @@ Every instance of the library is built here, by `build_conjugation_instance`
 (differences of samples sharing a secret factor). Each instance side they
 compute is a canonical value, modelling an attacker who only sees canonical
 public values: the conjugation builder computes it by arithmetic on normal
-forms, the difference builder normalises the composed word. Both hand the
-normal forms to the solver in `CspInstance.forms` and spell them with
-`to_word` only for the instance's `pairs`, which its record writes. Their
-callers choose tokens, probes, sides and alphabets.
+forms, the difference builder normalises the composed word. An instance
+holds only these normal forms, which the solvers read; only its `pairs`,
+and so `to_record`, spell them as words. Their callers choose tokens,
+probes, sides and alphabets.
 
 Instance convention: a solution g satisfies g x_i g^-1 = y_i for every
 pair. The optional post_transform t records how to turn the recovered
@@ -27,6 +27,7 @@ sides).
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from .garside import GarsideNormalForm, inverse, normal_form, product, rewrite, words_equal
 from .protocols import PublicTranscript
@@ -51,51 +52,49 @@ class CspInstance:
     """A (multiple simultaneous) conjugacy-search instance.
 
     A single pair is a plain conjugacy search; several pairs share one
-    conjugator. `alphabet` names the subgroup the enumeration draws
-    candidates from; `post_transform` is the fixed right factor taking the
-    recovered conjugator back to the attacked secret.
+    conjugator. `forms` holds the normal forms (x, y) of each pair, the
+    only form the instance keeps; `pairs` spells them for the record, and
+    `from_words` normalises the words a record reads. `alphabet` names the
+    subgroup the enumeration draws candidates from; `post_transform` is the
+    fixed right factor taking the recovered conjugator back to the attacked
+    secret."""
 
-    `forms` holds the normal forms (x, y) of each pair, each on its word's
-    strand count or more; the solvers read these, not the words. The
-    builders below pass the forms they computed; otherwise, as in
-    `from_record`, they are normalised from the words. `pairs` keeps the
-    words, which the record writes."""
-
-    pairs: tuple[tuple[BraidWord, BraidWord], ...]
+    forms: tuple[tuple[GarsideNormalForm, GarsideNormalForm], ...]
     alphabet: SubgroupSpec
-    post_transform: BraidWord | None = None
-    meta: tuple[tuple[str, str], ...] = ()
-    forms: tuple[tuple[GarsideNormalForm, GarsideNormalForm], ...] | None = dataclasses.field(
-        default=None, compare=False, repr=False
-    )
+    post_transform: BraidWord | None
+    meta: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        if not self.pairs:
+        if not self.forms:
             raise ValueError("instance needs at least one pair")
-        if self.forms is None:
-            forms = tuple((normal_form(x), normal_form(y)) for x, y in self.pairs)
-            object.__setattr__(self, "forms", forms)
-        elif len(self.forms) != len(self.pairs):
-            raise ValueError(f"{len(self.forms)} pairs of forms for {len(self.pairs)} pairs")
+
+    @staticmethod
+    def from_words(
+        pairs: tuple[tuple[BraidWord, BraidWord], ...],
+        alphabet: SubgroupSpec,
+        post_transform: BraidWord | None,
+        meta: tuple[tuple[str, str], ...],
+    ) -> CspInstance:
+        """The instance whose pairs are these words, each normalised once."""
+        forms = tuple((normal_form(x), normal_form(y)) for x, y in pairs)
+        return CspInstance(forms, alphabet, post_transform, meta)
+
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[BraidWord, BraidWord], ...]:
+        """The forms spelt as words, which the record writes."""
+        return tuple((x.to_word(), y.to_word()) for x, y in self.forms)
 
     @property
     def strands(self) -> int:
-        n = self.alphabet.strands
-        for x, y in self.pairs:
-            n = max(n, x.strands, y.strands)
-        if self.post_transform is not None:
-            n = max(n, self.post_transform.strands)
-        return n
+        n = max([self.alphabet.strands] + [f.strands for pair in self.forms for f in pair])
+        return n if self.post_transform is None else max(n, self.post_transform.strands)
 
     def to_record(self) -> dict:
+        post = self.post_transform
         return {
             "pairs": [{"x": x.to_record(), "y": y.to_record()} for x, y in self.pairs],
             "alphabet": self.alphabet.to_record(),
-            "post_transform": (
-                self.post_transform.to_record()
-                if self.post_transform is not None
-                else None
-            ),
+            "post_transform": post.to_record() if post is not None else None,
             "meta": dict(self.meta),
         }
 
@@ -108,11 +107,9 @@ class CspInstance:
             expect_object(p, "an instance pair")
             for p in expect_list(record["pairs"], "an instance's pairs")
         ]
-        return CspInstance(
-            tuple(
-                (BraidWord.from_record(p["x"]), BraidWord.from_record(p["y"]))
-                for p in pairs
-            ),
+        words = [(BraidWord.from_record(p["x"]), BraidWord.from_record(p["y"])) for p in pairs]
+        return CspInstance.from_words(
+            tuple(words),
             SubgroupSpec.from_record(record["alphabet"]),
             BraidWord.from_record(post) if post is not None else None,
             tuple(sorted(meta.items())),
@@ -150,23 +147,21 @@ def build_conjugation_instance(
     as `ce_conjugate_sample` composes it, built by normal-form arithmetic:
     the token is normalised once and inverted in closed form, and each
     conjugate is L.NF(probe).R with (L, R) = (T, T^-1) on the left and
-    (T^-1, T) on the right. The pair's forms are (NF(probe), L.NF(probe).R);
-    only the conjugate is spelt, with `to_word`. Each pair lives on the
-    larger of the token's and the probe's strand counts."""
+    (T^-1, T) on the right. The pair's forms are (NF(probe), L.NF(probe).R),
+    both on the larger of the token's and the probe's strand counts; the
+    instance holds these forms and spells no word."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     around: dict[int, tuple[GarsideNormalForm, GarsideNormalForm]] = {}
     for n in {max(token.strands, probe.strands) for probe in probes}:
         t = normal_form(token.embed(n))
         around[n] = (t, inverse(t)) if side == "left" else (inverse(t), t)
-    pairs, forms = [], []
+    forms = []
     for probe in probes:
         left, right = around[max(token.strands, probe.strands)]
         middle = normal_form(probe.embed(left.strands))
-        y = product(product(left, middle), right)
-        pairs.append((probe, y.to_word()))
-        forms.append((middle, y))
-    return CspInstance(tuple(pairs), alphabet, post_transform, meta, tuple(forms))
+        forms.append((middle, product(product(left, middle), right)))
+    return CspInstance(tuple(forms), alphabet, post_transform, meta)
 
 
 def build_difference_instance(
@@ -178,8 +173,8 @@ def build_difference_instance(
 ) -> CspInstance:
     """One pair per (i, j) from samples (x_k, y_k) that share the factors
     around x_k: left (x_i.x_j^-1, y_i.y_j^-1), right (x_j^-1.x_i, y_j^-1.y_i).
-    Both sides are normalised, kept as the pair's forms and spelt with
-    `to_word`."""
+    Both sides are normalised; the instance holds these forms and spells no
+    word."""
     forms = tuple(
         (
             normal_form(ce_difference_pair(samples[i][0], samples[j][0], side)),
@@ -187,8 +182,7 @@ def build_difference_instance(
         )
         for i, j in index_pairs
     )
-    pairs = tuple((x.to_word(), y.to_word()) for x, y in forms)
-    return CspInstance(pairs, alphabet, None, meta, forms)
+    return CspInstance(forms, alphabet, None, meta)
 
 
 # Which token / probe source / search alphabet / conjugation side each

@@ -81,10 +81,9 @@ letters the value was built from. A value computed by the arithmetic above
 leaves through `GarsideNormalForm.to_word`; a value composed as a word
 leaves through `rewrite`, which normalises it first. The normal form is
 unique, so both give the same letters. Inside the library a value stays a
-normal form: the extractors hand each instance side to the solver as the
-normal form they computed, and spell it as a word only for the instance's
-`pairs` and its record. `embed` carries a normal form into a larger braid
-group in closed form.
+normal form: an instance holds the normal forms the extractors computed,
+and only its `pairs`, which its record writes, spell them as words.
+`embed` carries a normal form into a larger braid group in closed form.
 """
 
 from __future__ import annotations

@@ -167,10 +167,10 @@ def _setup(
     """The strand count n, the alphabet, the coset factor t on n strands (the
     inverse of the instance's post_transform, or the identity) and the normal
     forms of t x t^-1 and y per pair: g = P.t solves a pair iff P conjugates
-    t x t^-1 to y. The pairs' forms are the instance's, embedded in B_n, and
-    no word of the instance is normalised again. With a coset factor,
-    t x t^-1 is a product of normal forms, with t's inverted in closed form;
-    without one it is x's."""
+    t x t^-1 to y. The pairs' forms are the instance's, embedded in B_n: an
+    instance holds only normal forms, and only its `pairs` and record spell
+    them. With a coset factor, t x t^-1 is a product of normal forms, with
+    t's inverted in closed form; without one it is x's."""
     alphabet = config.alphabet if config.alphabet is not None else instance.alphabet
     n = max(instance.strands, alphabet.strands)
     xs = [embed(x, n) for x, _ in instance.forms]

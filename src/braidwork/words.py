@@ -53,6 +53,11 @@ class BraidWord(_BraidWordFields):
             raise ValueError(f"letter {x} out of range for {strands} strands")
         return tuple.__new__(cls, (strands, letters))
 
+    @classmethod
+    def _make(cls, fields: Iterable) -> BraidWord:
+        """Through `__new__`, so `_make` and `_replace` check the letters."""
+        return cls(*fields)
+
     def __len__(self) -> int:
         return len(self.letters)
 

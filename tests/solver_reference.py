@@ -1,6 +1,7 @@
 """
 Reference solvers: the code `braidwork.solvers` ran before its faster
-forms, kept for the differential tests. Not part of the library.
+forms, kept for the differential tests, and `word_instance`, which builds
+the tests' instances from word pairs. Not part of the library.
 
 - `_setup` normalises each t x t^-1 as a word, where the library multiplies
   normal forms.
@@ -42,6 +43,16 @@ from braidwork.words import (
     identity,
     invert,
 )
+
+
+def word_instance(
+    pairs: tuple[tuple[BraidWord, BraidWord], ...],
+    alphabet: SubgroupSpec,
+    post_transform: BraidWord | None = None,
+    meta: tuple[tuple[str, str], ...] = (),
+) -> CspInstance:
+    """The instance of these word pairs, normalised once each as a record's are."""
+    return CspInstance.from_words(pairs, alphabet, post_transform, meta)
 
 
 def _setup(

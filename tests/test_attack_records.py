@@ -26,6 +26,13 @@ centralizer probes, of a second peel level and of a later gtcp sample are
 gone, and so are the `depth`, `remaining_token` and `sample_index` fields.
 Each new pin equals the digest that the library before that change gives
 for the same calls with those three fields dropped, so no other byte moved.
+
+The extractor and dehornoy-instance digests, and the answer digests of
+those two sets, were re-pinned when instances came to hold only normal
+forms and to spell their pairs from them: a conjugation instance's x is
+now written as its normal form's spelling, as y already was. Each new pin
+equals the digest the library before that change gives for the same calls
+with every instance record's pairs spelt from the instance's forms.
 """
 
 import dataclasses
@@ -478,20 +485,20 @@ EDL_DIGEST = "c7fc416c2e40fea323cdf2996af72af566c17b92124f6e0581261b5787bb3213"
 EDL_INSTANCES_DIGEST = "4292281555d6d89d46e60d6e1164864c8da1a15b6aa7ceaa94f95d53a73cce6d"
 GTCP_DIGEST = "472999af80c2f5a7d25aacf465603c2ffaa7bfe1ecf3c06dd887c8618f0ee253"
 DEHORNOY_DIGEST = "fae4340e98c5fce49a5351af21f479c936869306f23ca88b96aef8cd1d53f92c"
-DEHORNOY_INSTANCES_DIGEST = "a3d8422b07152dfc850ab18abb0226bc0ed4a4bfc73b1f0504a0210e6c132a37"
+DEHORNOY_INSTANCES_DIGEST = "f7b8db296860b4e26645ad0d9393bd2c0571f5a6dfac282087b7fb3fc8984a22"
 # Taken at 81a01fb, before the pair attack reduced the response once.
 MANY_MATCH_DIGEST = "c72c34b393378fc05db78de9c3852ca861eee4e054fbdb15b27f7c420c4549f9"
 PARTIAL_FACTOR_DIGEST = "cd20bb18248ddf18b5bc2d0275670a29a77e8887856d1f694643107f44f4f9b6"
 PARTIAL_FACTOR_INSTANCES_DIGEST = "404ef32f2f19f4f930cdcb3382161c158dfab80803edd4258dba6e8b08ddcbca"
 STICKEL_DIGEST = "fdeec6ae4fe4995c3e398c1195dc54b60beee03ca20195a89990f55ad1e80509"
 DECOMPOSITION_DIGEST = "2908756a95ce34eccdafb576383bdb5ee0cb59be776e10891bb9fd096f808aac"
-EXTRACTOR_DIGEST = "95650956978a42c071a85dc57eb9b8d290853d1315093d6b9b2957ca8f5e501c"
+EXTRACTOR_DIGEST = "b85087ca482e9a0e2c3cd9a668cb30dc21cfe5df0ea4b094927bed8fe6e9b2dc"
 ANSWER_DIGESTS = {
     "edl": "57973129e1bec9b14ea9fe2dca7f32a0846f1463c7e12e35c1109f6e3e75edf8",
     "gtcp": "50f449f471f5fc21c666f9038eda3fa10126aa4bc495dfedac169e4f68338b38",
-    "dehornoy": "283c3f33433720fd9699076ac4051d5d1a1755321d5ef9488ee186cd6b4609f5",
+    "dehornoy": "42ad825a8706eb956d6c573d5ee04fa3678beee32e919640d778ddfc011984f6",
     "partial-factor": "34dfd5c2eff1130baf54dda1fa5841848dac074cd47dd1a1c21e7603e0ddf3b2",
     "stickel": "71593bb897d08e1ddf2077e5fcc944f11ba38b2d0d8b581da07d8bb55f4b9e79",
     "decomposition": "6acef8241d12799f318c9afdff0ab1f6f86fbaf508dea4fc172c1e20dab5d33b",
-    "extractor": "95650956978a42c071a85dc57eb9b8d290853d1315093d6b9b2957ca8f5e501c",
+    "extractor": "b85087ca482e9a0e2c3cd9a668cb30dc21cfe5df0ea4b094927bed8fe6e9b2dc",
 }

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
+from solver_reference import word_instance
 
 from braidwork.extractors import (
     CspInstance,
@@ -14,6 +15,7 @@ from braidwork.extractors import (
 )
 from braidwork.garside import embed, normal_form, rewrite, words_equal
 from braidwork.protocols import dehornoy_commit, dehornoy_keygen, ka_run, make_preset
+from braidwork.solvers import SolverConfig, solve_exhaustive, solve_length_descent
 from braidwork.subgroups import SubgroupSpec, interval_generators
 from braidwork.words import (
     IDENTITY_ENDO,
@@ -116,17 +118,23 @@ def test_conjugation_instance_is_the_rewritten_sample(token, probes, side):
             build_conjugation_instance(token, (), side, alphabet)
         return
     inst = build_conjugation_instance(token, tuple(probes), side, alphabet)
-    expected = tuple((p, rewrite(ce_conjugate_sample(token, p, side))) for p in probes)
+    expected = tuple(
+        (
+            rewrite(p.embed(max(token.strands, p.strands))),
+            rewrite(ce_conjugate_sample(token, p, side)),
+        )
+        for p in probes
+    )
     assert inst.pairs == expected
 
 
 class TestCspInstance:
     def test_requires_pairs(self):
         with pytest.raises(ValueError):
-            CspInstance((), interval_generators(3, 1, 2))
+            CspInstance((), interval_generators(3, 1, 2), None, ())
 
     def test_record_roundtrip(self):
-        inst = CspInstance(
+        inst = word_instance(
             ((generator(3, 1), generator(3, 2)),),
             interval_generators(3, 1, 2),
             post_transform=generator(3, 1),
@@ -135,7 +143,7 @@ class TestCspInstance:
         assert CspInstance.from_record(inst.to_record()) == inst
 
     def test_identity_post_transform_roundtrip(self):
-        inst = CspInstance(
+        inst = word_instance(
             ((generator(3, 1), generator(3, 2)),),
             interval_generators(3, 1, 2),
             post_transform=identity(5),
@@ -146,7 +154,7 @@ class TestCspInstance:
 
     @pytest.mark.parametrize("post", [{}, [], 0])
     def test_malformed_post_transform_is_rejected(self, post):
-        record = CspInstance(
+        record = word_instance(
             ((generator(3, 1), generator(3, 2)),), interval_generators(3, 1, 2)
         ).to_record()
         record["post_transform"] = post
@@ -154,7 +162,7 @@ class TestCspInstance:
             CspInstance.from_record(record)
 
     def test_strands_is_ambient_max(self):
-        inst = CspInstance(
+        inst = word_instance(
             ((generator(5, 4), generator(5, 4)),), interval_generators(3, 1, 2)
         )
         assert inst.strands == 5
@@ -345,18 +353,31 @@ class TestDehornoyCentralizerExtractor:
             )
 
 
-def assert_forms_match_words(inst: CspInstance) -> None:
-    """Each pair's forms embed, on the instance's strand count, to the
-    normal forms of its words, and no form has fewer strands than its word."""
+def assert_forms_are(inst: CspInstance, pairs) -> None:
+    """The instance's forms, embedded on its strand count, are the normal
+    forms of these word pairs there."""
     n = inst.strands
-    assert len(inst.forms) == len(inst.pairs)
-    for pair, forms in zip(inst.pairs, inst.forms):
-        for w, f in zip(pair, forms):
-            assert f.strands >= w.strands
-            assert embed(f, n) == normal_form(w.embed(n))
+    assert [tuple(embed(f, n) for f in forms) for forms in inst.forms] == [
+        tuple(normal_form(w.embed(n)) for w in pair) for pair in pairs
+    ]
+
+
+def conjugated(token: BraidWord, probes, side: str):
+    return [(p, ce_conjugate_sample(token, p, side)) for p in probes]
+
+
+def differenced(samples, index_pairs, side: str):
+    return [
+        tuple(ce_difference_pair(samples[i][k], samples[j][k], side) for k in (0, 1))
+        for i, j in index_pairs
+    ]
 
 
 class TestForms:
+    """Each builder's forms against the normal forms of the samples it
+    models, composed as words by `ce_conjugate_sample` or
+    `ce_difference_pair`."""
+
     alphabet = interval_generators(6, 1, 2)
 
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -364,24 +385,29 @@ class TestForms:
         # The second probe has fewer strands than the token.
         token = BraidWord(6, (1, -2, 5, -1))
         probes = (generator(6, 4), BraidWord(4, (-3, 2)))
-        assert_forms_match_words(build_conjugation_instance(token, probes, side, self.alphabet))
+        inst = build_conjugation_instance(token, probes, side, self.alphabet)
+        assert_forms_are(inst, conjugated(token, probes, side))
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_difference_builder(self, side):
         u, v = BraidWord(6, (1, 2)), BraidWord(6, (-2, -5))
         xs = (generator(6, 4), BraidWord(6, (4, -5)), generator(6, 5))
         samples = tuple((x, compose_all([u, x, v])) for x in xs)
-        inst = build_difference_instance(samples, ((0, 1), (1, 2)), side, self.alphabet)
-        assert_forms_match_words(inst)
+        index_pairs = ((0, 1), (1, 2))
+        inst = build_difference_instance(samples, index_pairs, side, self.alphabet)
+        assert_forms_are(inst, differenced(samples, index_pairs, side))
 
     def test_dhdp_builder(self):
         run = ka_run(make_preset("klchkp", strands=8, secret_length=3), seed=2)
-        assert_forms_match_words(build_mscsp_dhdp(run.public, "a"))
+        probes = run.public.config.right_b.generators
+        inst = build_mscsp_dhdp(run.public, "a")
+        assert_forms_are(inst, conjugated(run.public.token_a, probes, "left"))
 
     def test_stickel_builder(self):
         a, b = BraidWord(5, (1, 2)), BraidWord(5, (3, -4))
         token = compose_all([a, power(b, 2), invert(a)])
-        assert_forms_match_words(build_stickel_instance(a, b, token, alpha=2))
+        inst = build_stickel_instance(a, b, token, alpha=2)
+        assert_forms_are(inst, conjugated(token, (power(b, 2),), "left"))
 
     def test_gtcp_builder(self):
         spec = interval_generators(4, 1, 3)
@@ -392,25 +418,58 @@ class TestForms:
             (compose_all([apply_endo(u, r), apply_endo(v, p), apply_endo(w, invert(r))]), p)
             for p in (generator(4, 1), generator(4, 3), BraidWord(4, (2, 3)))
         )
-        assert_forms_match_words(build_gtcp_instances(samples, endos, "pairwise-ce2", spec))
+        inst = build_gtcp_instances(samples, endos, "pairwise-ce2", spec)
+        # v is the identity, so the difference samples are (p_k, y_k).
+        differences = differenced([(p, y) for y, p in samples], ((0, 1), (0, 2), (1, 2)), "right")
+        assert_forms_are(inst, differences)
 
     def test_dehornoy_centralizer_builder(self):
+        commitment = BraidWord(4, (1, 2, -3))
         probes = (power(delta(4), 2), generator(4, 3), BraidWord(4, (3, -1)))
         inst = build_dehornoy_centralizer_instance(
-            BraidWord(4, (1, 2, -3)), probes, interval_generators(3, 1, 2), BraidWord(3, (2,))
+            commitment, probes, interval_generators(3, 1, 2), BraidWord(3, (2,))
         )
-        assert_forms_match_words(inst)
+        assert_forms_are(inst, conjugated(commitment, probes, "right"))
         assert dict(inst.meta)["degenerate_pairs"] == "0"
 
     def test_record_roundtrip(self):
+        # Equality compares the forms, so it holds although the probe's
+        # record is spelt on the token's strand count.
         token = BraidWord(6, (1, -2, 5))
-        inst = build_conjugation_instance(token, (generator(6, 4),), "left", self.alphabet)
-        back = CspInstance.from_record(inst.to_record())
-        assert_forms_match_words(back)
-        assert back.forms == inst.forms
+        probe = BraidWord(4, (3, 2, -2))
+        inst = build_conjugation_instance(token, (probe,), "left", self.alphabet)
+        pair, = inst.to_record()["pairs"]
+        assert pair["x"] == {"n": 6, "word": [3]}
+        assert CspInstance.from_record(inst.to_record()) == inst
 
-    def test_forms_of_the_wrong_length_are_rejected(self):
-        pair = (generator(3, 1), generator(3, 2))
-        forms = ((normal_form(pair[0]), normal_form(pair[1])),)
-        with pytest.raises(ValueError, match="1 pairs of forms for 2 pairs"):
-            CspInstance((pair, pair), interval_generators(3, 1, 2), forms=forms)
+
+class TestWordEdge:
+    """Words appear only at the record's edge: the solvers never spell an
+    instance's pairs, and a record's words are normalised once on reading."""
+
+    @pytest.mark.parametrize("solve", [solve_length_descent, solve_exhaustive])
+    def test_solvers_spell_no_pairs(self, solve):
+        run = ka_run(make_preset("klchkp", strands=6, secret_length=2), seed=0)
+        instance = build_mscsp_dhdp(run.public, "a")
+        assert solve(instance, SolverConfig(max_length=2)).solved
+        assert "pairs" not in vars(instance)
+        instance.to_record()
+        assert "pairs" in vars(instance)
+
+    def test_non_canonical_record_is_canonical_after_one_round_trip(self):
+        alphabet = interval_generators(3, 1, 2)
+        record = word_instance(((generator(3, 1), generator(3, 2)),), alphabet).to_record()
+        record["pairs"] = [
+            {"x": {"n": 3, "word": [2, 1, -1, -2, 1]}, "y": {"n": 3, "word": [-1, 2, 1]}}
+        ]
+        once = CspInstance.from_record(record).to_record()
+        assert once != record
+        assert once["pairs"][0]["x"] == {"n": 3, "word": [1]}
+        assert CspInstance.from_record(once).to_record() == once
+
+    def test_instances_of_equal_elements_are_equal(self):
+        alphabet = interval_generators(3, 1, 2)
+        spelt = word_instance(((BraidWord(3, (1, 2, -2)), BraidWord(3, (-1, 2, 1))),), alphabet)
+        plain = word_instance(((generator(3, 1), BraidWord(3, (2, 1, -2))),), alphabet)
+        assert spelt == plain
+        assert CspInstance.from_record(spelt.to_record()) == spelt

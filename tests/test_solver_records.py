@@ -13,6 +13,8 @@ import dataclasses
 import hashlib
 import json
 
+from solver_reference import word_instance
+
 from braidwork.extractors import CspInstance, build_mscsp_dhdp, build_stickel_instance
 from braidwork.garside import rewrite
 from braidwork.protocols import ka_run, make_preset
@@ -64,7 +66,7 @@ def identity_as_null(value):
 def conjugation_instance(g, probes, alphabet, post=None) -> CspInstance:
     g_inv = invert(g)
     pairs = tuple((p, rewrite(compose_all([g, p, g_inv]))) for p in probes)
-    return CspInstance(pairs, alphabet, post)
+    return word_instance(pairs, alphabet, post)
 
 
 def klchkp_instance(strands, secret_length, seed, target="a", positive_only=True):
@@ -140,7 +142,7 @@ def descent_reports():
         SolverConfig(max_length=3, length_functional="letters"),
     )
     yield solve_length_descent(
-        CspInstance(
+        word_instance(
             ((generator(4, 2), generator(4, 3)),),
             SubgroupSpec("s1", 4, (generator(4, 1),)),
         ),
@@ -166,14 +168,14 @@ def exhaustive_reports():
         SolverConfig(max_length=1),
     )
     yield solve_exhaustive(
-        CspInstance(
+        word_instance(
             ((generator(4, 2), generator(4, 3)),),
             SubgroupSpec("s1", 4, (generator(4, 1),)),
         ),
         SolverConfig(max_length=2),
     )
     yield solve_exhaustive(
-        CspInstance(((generator(5, 1), generator(5, 2)),), interval_generators(5, 1, 4)),
+        word_instance(((generator(5, 1), generator(5, 2)),), interval_generators(5, 1, 4)),
         SolverConfig(max_length=4, budget=5),
     )
     t = generator(5, 4)
@@ -184,7 +186,7 @@ def exhaustive_reports():
         SolverConfig(max_length=2),
     )
     yield solve_exhaustive(
-        CspInstance(((generator(4, 1), generator(4, 1)),), interval_generators(4, 1, 3)),
+        word_instance(((generator(4, 1), generator(4, 1)),), interval_generators(4, 1, 3)),
         SolverConfig(max_length=1),
         extra_check=lambda g: len(g) > 0,
     )
@@ -220,7 +222,7 @@ def power_reports():
     cyclic = SubgroupSpec("<a>", 5, (a,))
     for exponent, bound in ((3, 5), (3, 2), (-2, 3)):
         yield solve_power(conjugation_instance(power(a, exponent), (b,), cyclic), bound)
-    yield solve_power(CspInstance(((generator(5, 4), generator(5, 4)),), cyclic), 3)
+    yield solve_power(word_instance(((generator(5, 4), generator(5, 4)),), cyclic), 3)
     yield solve_power(
         conjugation_instance(
             generator(5, 2), (generator(5, 1),), interval_generators(5, 1, 3)

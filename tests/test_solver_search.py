@@ -9,7 +9,6 @@ import solver_reference as reference
 from hypothesis import given, settings, strategies as st
 
 from braidwork import solvers
-from braidwork.extractors import CspInstance
 from braidwork.garside import rewrite
 from braidwork.solvers import (
     SolverConfig,
@@ -75,7 +74,8 @@ def searches(draw):
     # trivially, e.g. when each probe commutes with the alphabet.
     few, many = st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=60)
     rejects = draw(st.none() | few | many)
-    return CspInstance(pairs, alphabet, post), SolverConfig(max_length, alphabet), rejects
+    instance = reference.word_instance(pairs, alphabet, post)
+    return instance, SolverConfig(max_length, alphabet), rejects
 
 
 def run(search, instance, config, rejects):
@@ -135,8 +135,10 @@ def test_extra_check_sees_every_word_in_canonical_order():
     p = BraidWord(7, (5, 4, -6))
     sigma_6 = BraidWord(7, (6,))
     instances = (
-        CspInstance(((BraidWord(6, (5,)), BraidWord(6, (5,))),), alphabet),
-        CspInstance(((rewrite(compose_all([p, sigma_6, invert(p)])), sigma_6),), alphabet, p),
+        reference.word_instance(((BraidWord(6, (5,)), BraidWord(6, (5,))),), alphabet),
+        reference.word_instance(
+            ((rewrite(compose_all([p, sigma_6, invert(p)])), sigma_6),), alphabet, p
+        ),
     )
     words = list(enumerate_products(alphabet.generators, 4))
     assert {w.strands for w in words} == {alphabet.strands}
@@ -160,7 +162,7 @@ def test_the_budget_sets_the_deepest_table(monkeypatch):
     # above 37, and length 4 (table of thirty) only above 187.
     monkeypatch.setattr(solvers, "MAX_TABLE_ENTRIES", 6)
     alphabet = SubgroupSpec("s1..s3", 4, tuple(BraidWord(4, (i,)) for i in (1, 2, 3)))
-    instance = CspInstance(((BraidWord(4, (1,)), BraidWord(4, (2,))),), alphabet)
+    instance = reference.word_instance(((BraidWord(4, (1,)), BraidWord(4, (2,))),), alphabet)
     for budget in (37, 38, 187):
         solve_exhaustive(instance, SolverConfig(4, budget=budget))
     with pytest.raises(ValueError, match="cap"):
@@ -201,7 +203,7 @@ def descents(draw):
         seed=draw(st.integers(min_value=0, max_value=2**16)),
         length_functional=draw(st.sampled_from(["canonical", "letters", "difference"])),
     )
-    return CspInstance(pairs, alphabet, post), config
+    return reference.word_instance(pairs, alphabet, post), config
 
 
 @given(descents())

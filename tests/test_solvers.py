@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
+from solver_reference import word_instance
 
 from braidwork import solvers
 from braidwork.extractors import CspInstance, build_mscsp_dhdp, build_stickel_instance
@@ -35,12 +36,12 @@ def conjugation_instance(g: BraidWord, probes, alphabet, post=None) -> CspInstan
     pairs = tuple(
         (p, rewrite(compose_all([g, p, g_inv]))) for p in probes
     )
-    return CspInstance(pairs, alphabet, post)
+    return word_instance(pairs, alphabet, post)
 
 
 class TestVerifySolution:
     def test_per_pair_flags(self):
-        inst = CspInstance(
+        inst = word_instance(
             (
                 (generator(4, 3), generator(4, 3)),
                 (generator(4, 2), generator(4, 2)),
@@ -74,7 +75,7 @@ class TestVerifySolution:
                 y = word(2)
             pairs.append((x, y))
         post = word(2) if data.draw(st.booleans()) else None
-        inst = CspInstance(tuple(pairs), interval_generators(3, 1, 2), post)
+        inst = word_instance(tuple(pairs), interval_generators(3, 1, 2), post)
         expected = [
             is_trivial_handle_reduction(compose_all([g, x, invert(g), invert(y)]))
             for x, y in pairs
@@ -101,7 +102,7 @@ class TestSolveExhaustive:
 
     def test_exhausted_when_out_of_reach(self):
         alphabet = SubgroupSpec("s1", 4, (generator(4, 1),))
-        inst = CspInstance(
+        inst = word_instance(
             ((generator(4, 2), generator(4, 3)),), alphabet
         )
         report = solve_exhaustive(inst, SolverConfig(max_length=2))
@@ -110,7 +111,7 @@ class TestSolveExhaustive:
 
     def test_budget_exceeded(self):
         alphabet = interval_generators(5, 1, 4)
-        inst = CspInstance(((generator(5, 1), generator(5, 2)),), alphabet)
+        inst = word_instance(((generator(5, 1), generator(5, 2)),), alphabet)
         report = solve_exhaustive(inst, SolverConfig(max_length=4, budget=5))
         assert report.status == BUDGET_EXCEEDED
         assert report.candidates_tested == 5
@@ -131,7 +132,7 @@ class TestSolveExhaustive:
 
     def test_extra_check_filters(self):
         alphabet = interval_generators(4, 1, 3)
-        inst = CspInstance(((generator(4, 1), generator(4, 1)),), alphabet)
+        inst = word_instance(((generator(4, 1), generator(4, 1)),), alphabet)
         # Identity solves the pair; the predicate forces a later candidate.
         report = solve_exhaustive(
             inst,
@@ -154,7 +155,7 @@ class TestSolveExhaustive:
 
         monkeypatch.setattr(solvers, "conjugate", counting_conjugate)
         alphabet = interval_generators(4, 1, 2)
-        inst = CspInstance(
+        inst = word_instance(
             (
                 (generator(4, 3), invert(generator(4, 3))),
                 (generator(4, 1), generator(4, 2)),
@@ -204,7 +205,7 @@ class TestSolvePower:
         g = power(a, exponent)
         probe = power(b, bound_alpha)
         out = rewrite(compose_all([g, probe, invert(g)]))
-        return CspInstance(((probe, out),), SubgroupSpec("<a>", 5, (a,)))
+        return word_instance(((probe, out),), SubgroupSpec("<a>", 5, (a,)))
 
     def test_finds_cube(self):
         report = solve_power(self.pow_instance(3), max_exponent=5)
@@ -216,7 +217,7 @@ class TestSolvePower:
         assert report.status == EXHAUSTED
 
     def test_zero_exponent_first(self):
-        inst = CspInstance(
+        inst = word_instance(
             ((generator(5, 4), generator(5, 4)),),
             SubgroupSpec("<a>", 5, (BraidWord(5, (1, 2)),)),
         )
@@ -236,7 +237,7 @@ class TestSolvePower:
         # what bounds the search: at the cap it tests every power. No power
         # of sigma_1 conjugates sigma_2 to sigma_3, as their permutations show.
         alphabet = SubgroupSpec("<s1>", 4, (generator(4, 1),))
-        inst = CspInstance(((generator(4, 2), generator(4, 3)),), alphabet)
+        inst = word_instance(((generator(4, 2), generator(4, 3)),), alphabet)
         report = solve_power(inst, max_exponent=MAX_SECRET_LENGTH)
         assert (report.status, report.candidates_tested) == (EXHAUSTED, 2 * MAX_SECRET_LENGTH + 1)
         with pytest.raises(ValueError, match="cap"):
@@ -256,7 +257,7 @@ class TestSolveLengthDescent:
 
     def test_identity_instance(self):
         alphabet = interval_generators(4, 1, 3)
-        inst = CspInstance(((generator(4, 2), generator(4, 2)),), alphabet)
+        inst = word_instance(((generator(4, 2), generator(4, 2)),), alphabet)
         report = solve_length_descent(inst, SolverConfig(max_length=1))
         assert report.solved
 
@@ -287,7 +288,7 @@ class TestSolveLengthDescent:
 
     def test_trace_records_restarts(self):
         alphabet = SubgroupSpec("s1", 4, (generator(4, 1),))
-        inst = CspInstance(((generator(4, 2), generator(4, 3)),), alphabet)
+        inst = word_instance(((generator(4, 2), generator(4, 3)),), alphabet)
         report = solve_length_descent(inst, SolverConfig(max_length=1, restarts=2))
         assert report.status == STALLED
         assert sum(t.startswith("stall") for t in report.trace) == 3
@@ -387,7 +388,7 @@ class TestSolveLengthDescent:
 
     def test_bound_is_capped_at_the_secret_length_cap(self):
         alphabet = interval_generators(4, 1, 3)
-        inst = CspInstance(((generator(4, 2), generator(4, 2)),), alphabet)
+        inst = word_instance(((generator(4, 2), generator(4, 2)),), alphabet)
         report = solve_length_descent(inst, SolverConfig(MAX_SECRET_LENGTH))
         assert report.solved
         message = f"length bound {MAX_SECRET_LENGTH + 1} is above the cap of {MAX_SECRET_LENGTH}"
@@ -418,7 +419,7 @@ class TestSolverConfig:
 class TestReports:
     def test_record_shape(self):
         alphabet = interval_generators(4, 1, 3)
-        inst = CspInstance(((generator(4, 1), generator(4, 1)),), alphabet)
+        inst = word_instance(((generator(4, 1), generator(4, 1)),), alphabet)
         record = solve_exhaustive(inst, SolverConfig(max_length=1)).to_record()
         assert set(record) == {
             "status",
@@ -434,7 +435,7 @@ class TestReports:
         # The identity word is the first candidate; its record is a word,
         # not null.
         alphabet = interval_generators(4, 1, 3)
-        inst = CspInstance(((generator(4, 1), generator(4, 1)),), alphabet)
+        inst = word_instance(((generator(4, 1), generator(4, 1)),), alphabet)
         record = solve_exhaustive(inst, SolverConfig(max_length=1)).to_record()
         assert record["candidates_tested"] == 1
         assert record["solution"] == record["raw_word"] == {"n": 4, "word": []}

@@ -115,6 +115,14 @@ class TestValueSemantics:
         with pytest.raises(ValueError, match=r"^letter 3 out of range for 3 strands$"):
             BraidWord(3, [1, 3])
 
+    def test_make_and_replace_check_the_letters(self):
+        with pytest.raises(ValueError, match=r"^letter 2 out of range for 2 strands$"):
+            BraidWord(3, (1, 2))._replace(strands=2)
+        with pytest.raises(ValueError, match=r"^letter 5 out of range for 3 strands$"):
+            BraidWord._make((3, (1, 5)))
+        wider = BraidWord(3, (1, 2, 1))._replace(strands=4)
+        assert type(wider) is BraidWord and wider == BraidWord(4, (1, 2, 1))
+
     def test_letters_are_coerced_to_a_tuple(self):
         for letters in ([1, -3, 2], iter((1, -3, 2)), (x for x in (1, -3, 2))):
             w = BraidWord(4, letters)
