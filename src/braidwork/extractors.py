@@ -57,7 +57,7 @@ class CspInstance:
     `from_words` normalises the words a record reads. `alphabet` names the
     subgroup the enumeration draws candidates from; `post_transform` is the
     fixed right factor taking the recovered conjugator back to the attacked
-    secret."""
+    secret; `meta` is kept in key order."""
 
     forms: tuple[tuple[GarsideNormalForm, GarsideNormalForm], ...]
     alphabet: SubgroupSpec
@@ -67,6 +67,7 @@ class CspInstance:
     def __post_init__(self):
         if not self.forms:
             raise ValueError("instance needs at least one pair")
+        object.__setattr__(self, "meta", tuple(sorted(self.meta)))
 
     @staticmethod
     def from_words(
@@ -112,7 +113,7 @@ class CspInstance:
             tuple(words),
             SubgroupSpec.from_record(record["alphabet"]),
             BraidWord.from_record(post) if post is not None else None,
-            tuple(sorted(meta.items())),
+            tuple(meta.items()),
         )
 
 

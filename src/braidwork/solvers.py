@@ -19,25 +19,24 @@ returns the first word in that order that solves every pair, but meets in
 the middle rather than conjugating by every word:
 
 - Split a word of length d as w = a.b, with |a| = ceil(d/2) and
-  |b| = floor(d/2). Then w x w^-1 = y for every pair exactly when
-  b x b^-1 = a^-1 y a for every pair.
+  |b| = floor(d/2). Then w x w^-1 = y exactly when b x b^-1 = a^-1 y a.
+  The halves meet on the first pair's x and y alone; the other pairs
+  are checked on a match, as w^-1 y w = x, before the extra check.
 - The search grows levels: the level of length h lists, in canonical
-  order, each symbol sequence c of length h with the normal forms it
+  order, each symbol sequence c of length h with the normal form it
   carries, and the level of length h + 1 is grown from it by one
-  conjugation by a symbol per pair and node. Each node is conjugated once
-  in the whole search.
-- The tails grow from x: c carries c^-1 x c, which is b x b^-1 for
-  b = c^-1. When length 2h is first searched, tail level h is grown and a
-  table maps each key to its b's, sorted into canonical order. The table
-  serves lengths 2h and 2h + 1 and is dropped for the next.
+  conjugation by a symbol per node, each node conjugated once in all.
+- The tails grow from x: c carries c^-1 x c = b x b^-1, b = c^-1. At
+  length 2h tail level h is grown into a table from each normal form to
+  its b's, in canonical order, serving lengths 2h and 2h + 1 only.
 - The heads grow from y: a carries a^-1 y a. Head level h + 1 is grown
   lazily at length 2h + 1, as the search reaches each a, and is kept for
   length 2h + 2 (and the growth of the next level) only when the search
   reaches that length. Then the table of length 2h + 2 holds as many
   entries, so no level is kept that is larger than a table the cap admits.
 - Each a is followed by its matching b's in order, less those that cancel
-  at the junction, so the matches come in canonical order and the extra
-  check sees them as it would in a plain enumeration.
+  at the junction or fail another pair, so the extra check sees the
+  matches in canonical order, as it would in a plain enumeration.
 - A word's rank in the enumeration, which its report gives as the number
   of candidates tested, has a closed form: 1 + sum over j < d of
   m(m-1)^(j-1) words are shorter (m symbols), and its lexicographic place
@@ -79,6 +78,7 @@ from .subgroups import SubgroupSpec
 from .words import (
     MAX_SECRET_LENGTH,
     BraidWord,
+    canonical_symbols,
     compose,
     identity,
     invert,
@@ -91,14 +91,14 @@ STALLED = "stalled"
 
 # The most words of one length a table may hold. The exhaustive search
 # works out, before it builds any table, the longest length its budget
-# reaches and the table that length needs, and refuses a larger one. With
-# three pairs on 8 strands an entry takes about 1.2 kB (64-bit CPython
-# 3.11), so a full table about 80 MB; the default budget of 200,000 never
-# needs a table of more than a few thousand words.
+# reaches and the table that length needs, and refuses a larger one. An
+# entry holds one normal form, about 0.5 kB for a length-4 probe on 8
+# strands (tracemalloc, 64-bit CPython 3.11), so a full table about 33 MB;
+# the default budget of 200,000 needs a table of a few thousand words at most.
 MAX_TABLE_ENTRIES = 1 << 16
 
-# A node of the search: a symbol sequence and the normal forms it carries.
-_Node = tuple[tuple[int, ...], tuple[GarsideNormalForm, ...]]
+# A node of the search: a symbol sequence and the normal form it carries.
+_Node = tuple[tuple[int, ...], GarsideNormalForm]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -228,7 +228,7 @@ def _candidate_loop(
     neither traced solver entry calls the other: a meet in the middle over
     the canonical enumeration, as the module docstring describes."""
     n, alphabet, t, xs, ys = _setup(instance, config)
-    symbols = _symbols(alphabet)
+    symbols = canonical_symbols(alphabet.generators)
     m = len(symbols)
     # As in the plain enumeration, a negative budget tests no word and a
     # negative length bound still tests the identity.
@@ -247,9 +247,10 @@ def _candidate_loop(
             f"the cap of {MAX_TABLE_ENTRIES}: lower the length bound or the budget"
         )
 
-    table: dict[tuple[GarsideNormalForm, ...], list[tuple[int, ...]]] = {}
-    heads: list[_Node] | None = [((), tuple(ys))]
-    tails: list[_Node] = [((), tuple(xs))]
+    rest = list(zip(xs[1:], ys[1:]))
+    table: dict[GarsideNormalForm, list[tuple[int, ...]]] = {}
+    heads: list[_Node] | None = [((), ys[0])]
+    tails: list[_Node] = [((), xs[0])]
     before = 0  # the number of words shorter than the current length
     for length in range(deepest + 1):
         if length % 2:
@@ -259,7 +260,7 @@ def _candidate_loop(
             level = _grow(symbols, heads, grown)
             heads = grown
         else:
-            # The b's of half this length under the normal forms of b x b^-1.
+            # The b's of half this length under the normal form of b x b^-1.
             if length:
                 tails = list(_grow(symbols, tails))
             table = {}
@@ -276,6 +277,8 @@ def _candidate_loop(
                 if rank > budget:
                     return SolutionReport(BUDGET_EXCEEDED, None, None, budget)
                 word = _spell(symbols, a + b, alphabet.strands)
+                if rest and not all(conjugate(y, word) == x for x, y in rest):
+                    continue
                 if extra_check is not None and not extra_check(word):
                     continue
                 g = compose(word, t)
@@ -303,12 +306,6 @@ def _lex_rank(seq: tuple[int, ...], m: int) -> int:
     return rank
 
 
-def _symbols(alphabet: SubgroupSpec) -> list[BraidWord]:
-    """The canonical symbols: symbol 2i is the i-th generator and 2i+1 its
-    inverse, so k ^ 1 cancels k."""
-    return [s for g in alphabet.generators for s in (g, invert(g))]
-
-
 def _spell(symbols: list[BraidWord], seq: Sequence[int], strands: int) -> BraidWord:
     """The word on `strands` strands spelt by a sequence of symbols."""
     return BraidWord(strands, tuple(x for k in seq for x in symbols[k].letters))
@@ -317,13 +314,13 @@ def _spell(symbols: list[BraidWord], seq: Sequence[int], strands: int) -> BraidW
 def _grow(symbols: list[BraidWord], level: Iterable[_Node], keep: list[_Node] | None = None):
     """The level one symbol longer, in canonical order: each sequence of
     `level` followed by every symbol that does not cancel its last one, with
-    its normal forms conjugated by that symbol, one conjugation per pair and
-    node. Lazy; each node is also appended to `keep` when one is given."""
-    for seq, zs in level:
+    its normal form conjugated by that symbol, one conjugation per node.
+    Lazy; each node is also appended to `keep` when one is given."""
+    for seq, z in level:
         cancels = seq[-1] ^ 1 if seq else -1
         for k, s in enumerate(symbols):
             if k != cancels:
-                node = (seq + (k,), tuple(conjugate(z, s) for z in zs))
+                node = (seq + (k,), conjugate(z, s))
                 if keep is not None:
                     keep.append(node)
                 yield node
@@ -371,7 +368,7 @@ def solve_length_descent(
     counts and traces are that descent's.
     """
     n, alphabet, t, xs, ys0 = _setup(instance, config)
-    symbols = _symbols(alphabet)
+    symbols = canonical_symbols(alphabet.generators)
     m = len(symbols)
     x_invs = [inverse(x) for x in xs]
     conjugates: dict[tuple[GarsideNormalForm, int], GarsideNormalForm] = {}

@@ -288,6 +288,12 @@ def random_word(
     return BraidWord(n, tuple(letters))
 
 
+def canonical_symbols(generators: Sequence[BraidWord]) -> list[BraidWord]:
+    """The canonical symbols of the enumeration: symbol 2i is the i-th
+    generator and 2i+1 its inverse, so k ^ 1 cancels k."""
+    return [s for g in generators for s in (g, invert(g))]
+
+
 def enumerate_products(
     alphabet: Sequence[BraidWord], max_length: int
 ) -> Iterator[BraidWord]:
@@ -302,10 +308,7 @@ def enumerate_products(
     if not alphabet:
         raise ValueError("alphabet must be nonempty")
     n = max(w.strands for w in alphabet)
-    # Symbol 2i is the i-th entry and 2i+1 its inverse, so k ^ 1 cancels k.
-    symbols: list[tuple[int, ...]] = []
-    for w in alphabet:
-        symbols += [w.letters, invert(w).letters]
+    symbols = [s.letters for s in canonical_symbols(alphabet)]
 
     def walk(prefix: tuple[int, ...], last: int, depth: int) -> Iterator[BraidWord]:
         for k, letters in enumerate(symbols):

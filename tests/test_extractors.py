@@ -473,3 +473,11 @@ class TestWordEdge:
         plain = word_instance(((generator(3, 1), BraidWord(3, (2, 1, -2))),), alphabet)
         assert spelt == plain
         assert CspInstance.from_record(spelt.to_record()) == spelt
+
+    def test_dhdp_instance_round_trips(self):
+        # The builder writes its meta in build order and a record reads it
+        # back in key order; the instance keeps one order, so the two are equal.
+        run = ka_run(make_preset("klchkp", strands=6, secret_length=2), seed=0)
+        instance = build_mscsp_dhdp(run.public, "a")
+        assert [key for key, _ in instance.meta] == sorted(dict(instance.meta))
+        assert CspInstance.from_record(instance.to_record()) == instance

@@ -22,6 +22,7 @@ from braidwork.subgroups import SubgroupSpec, interval_generators
 from braidwork.words import (
     MAX_SECRET_LENGTH,
     BraidWord,
+    canonical_symbols,
     compose,
     compose_all,
     generator,
@@ -143,10 +144,11 @@ class TestSolveExhaustive:
         assert len(report.solution) > 0
 
     def test_each_node_is_conjugated_once(self, monkeypatch):
-        # Four symbols and two pairs that no word conjugates (the exponent
-        # sum of sigma_3 is not that of its inverse), so the search exhausts
-        # length 5. It grows head levels 1..3 and tail levels 1..2, and
-        # conjugates each node's two normal forms once.
+        # Four symbols and two pairs; no word conjugates the first (the
+        # exponent sum of sigma_3 is not that of its inverse), so the search
+        # exhausts length 5 with no match. It grows head levels 1..3 and tail
+        # levels 1..2, and conjugates each node's one normal form, the first
+        # pair's, once.
         calls = []
 
         def counting_conjugate(a, s):
@@ -170,7 +172,31 @@ class TestSolveExhaustive:
 
         heads = sum(nodes(h) for h in range(1, 4))
         tails = sum(nodes(h) for h in range(1, 3))
-        assert len(calls) == 2 * (heads + tails)
+        assert (heads, tails) == (52, 16)
+        assert len(calls) == heads + tails
+
+    def test_other_pairs_are_checked_before_the_filter(self):
+        # The identity solves the first pair but not the second, which
+        # sigma_1 also solves: the table matches the identity on the first
+        # pair, and the check of the second turns it down before the filter
+        # is asked.
+        alphabet = interval_generators(3, 1, 2)
+        s1, s2 = generator(3, 1), generator(3, 2)
+        inst = word_instance(
+            ((s1, s1), (s2, compose_all([s1, s2, invert(s1)]))), alphabet
+        )
+        seen = []
+
+        def recording_filter(word):
+            seen.append(word)
+            return True
+
+        report = solve_exhaustive(inst, SolverConfig(max_length=3), recording_filter)
+        assert report.solved
+        assert report.solution == s1
+        assert report.candidates_tested == 2
+        assert report.per_pair == (True, True)
+        assert seen == [s1]
 
     def test_reads_the_instance_forms(self, monkeypatch):
         # The pairs' normal forms come with the instance, so with no coset
@@ -322,7 +348,7 @@ class TestSolveLengthDescent:
         # pair's gap product runs once per normal form of that pair, and
         # never at the pair's own x.
         inst = self.repeat_instance(n, secret, probes)
-        symbols = solvers._symbols(inst.alphabet)
+        symbols = canonical_symbols(inst.alphabet.generators)
         xs = {inverse(normal_form(x)): normal_form(x) for x, _ in inst.pairs}
         x_invs = list(xs)
         assert len(x_invs) == len(inst.pairs)
