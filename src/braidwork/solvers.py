@@ -20,8 +20,12 @@ the middle rather than conjugating by every word:
 
 - Split a word of length d as w = a.b, with |a| = ceil(d/2) and
   |b| = floor(d/2). Then w x w^-1 = y exactly when b x b^-1 = a^-1 y a.
-  The halves meet on the first pair's x and y alone; the other pairs
-  are checked on a match, as w^-1 y w = x, before the extra check.
+  The halves meet on one pair's x and y alone, the key pair; the pairs
+  after it are checked on a match, as w^-1 y w = x, before the extra check.
+- The key pair is the first pair that not every word solves, or the last
+  pair. A pair every word solves (the identity solves it and every
+  generator fixes its y, as for (Delta^2, Delta^2)) would match every tail
+  to every head; those before the key pair need no check on a match.
 - The search grows levels: the level of length h lists, in canonical
   order, each symbol sequence c of length h with the normal form it
   carries, and the level of length h + 1 is grown from it by one
@@ -247,10 +251,20 @@ def _candidate_loop(
             f"the cap of {MAX_TABLE_ENTRIES}: lower the length bound or the budget"
         )
 
-    rest = list(zip(xs[1:], ys[1:]))
+    # The first pair that not every word solves keys the table, or the last.
+    pairs = list(zip(xs, ys))
+    lead = next(
+        (
+            i
+            for i, (x, y) in enumerate(pairs)
+            if x != y or any(conjugate(y, g) != y for g in alphabet.generators)
+        ),
+        len(pairs) - 1,
+    )
+    (x0, y0), rest = pairs[lead], pairs[lead + 1 :]
     table: dict[GarsideNormalForm, list[tuple[int, ...]]] = {}
-    heads: list[_Node] | None = [((), ys[0])]
-    tails: list[_Node] = [((), xs[0])]
+    heads: list[_Node] | None = [((), y0)]
+    tails: list[_Node] = [((), x0)]
     before = 0  # the number of words shorter than the current length
     for length in range(deepest + 1):
         if length % 2:

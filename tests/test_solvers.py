@@ -25,6 +25,7 @@ from braidwork.words import (
     canonical_symbols,
     compose,
     compose_all,
+    delta,
     generator,
     identity,
     invert,
@@ -174,6 +175,40 @@ class TestSolveExhaustive:
         tails = sum(nodes(h) for h in range(1, 3))
         assert (heads, tails) == (52, 16)
         assert len(calls) == heads + tails
+
+    @pytest.mark.parametrize("second, conjugations, matches", [(-4, 2 + 68, 0), (4, 4 + 68, 485)])
+    def test_key_pair_skips_pairs_every_word_solves(self, monkeypatch, second, conjugations, matches):
+        # (Delta^2, Delta^2) is solved by every word, so it does not key the
+        # table: a conjugation by each of the two generators finds it fixed,
+        # and the table is keyed by the second pair, one conjugation per node
+        # (52 heads and 16 tails, as above). (sigma_4, sigma_4^-1) matches no
+        # word. sigma_4 commutes with the alphabet, so every word solves
+        # (sigma_4, sigma_4) too, found by two more conjugations: the last
+        # pair keys the table, every word up to length 5 matches, and no
+        # match conjugates either pair.
+        calls = []
+
+        def counting_conjugate(a, s):
+            calls.append(s)
+            return conjugate(a, s)
+
+        monkeypatch.setattr(solvers, "conjugate", counting_conjugate)
+        full_twist = power(delta(5), 2)
+        inst = word_instance(
+            ((full_twist, full_twist), (generator(5, 4), BraidWord(5, (second,)))),
+            interval_generators(5, 1, 2),
+        )
+        seen = []
+
+        def declining_filter(word):
+            seen.append(word)
+            return False
+
+        report = solve_exhaustive(inst, SolverConfig(max_length=5), declining_filter)
+        assert report.status == EXHAUSTED
+        assert report.candidates_tested == 1 + 4 + 12 + 36 + 108 + 324
+        assert len(seen) == matches
+        assert len(calls) == conjugations
 
     def test_other_pairs_are_checked_before_the_filter(self):
         # The identity solves the first pair but not the second, which
