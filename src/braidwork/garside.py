@@ -89,7 +89,7 @@ and only its `pairs`, which its record writes, spell them as words.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .words import BraidWord, delta, invert, reconcile
 
@@ -424,6 +424,29 @@ def embed(a: GarsideNormalForm, n: int) -> GarsideNormalForm:
     if a.infimum >= 0:
         return GarsideNormalForm(n, 0, twists + factors)
     return product(inverse(GarsideNormalForm(n, 0, twists)), GarsideNormalForm(n, 0, factors))
+
+
+def neighbours(letters: Iterable[int]) -> set[int]:
+    """The generator indices next to one of `letters`. sigma_i commutes with
+    sigma_j unless |i - j| = 1, so with every braid that uses no generator
+    in neighbours({i}): the one rule by which generator supports decide
+    commutation, of words (`subgroups.elements_commute`) and of normal
+    forms (`commutes_by_support`)."""
+    return {j for i in letters for j in (i - 1, i + 1) if j}
+
+
+def commutes_by_support(a: GarsideNormalForm, letters: Iterable[int]) -> bool:
+    """Whether a commutes with sigma_i for each i in `letters`, decided by
+    generator supports, with no arithmetic; False means undecided. An even
+    Delta power is central in B_m (m = a.strands) and commutes with sigma_i
+    for i > m, but not with sigma_m; an odd one is taken never to commute.
+    The factors must use no generator in `neighbours(letters)`, and a
+    factor p uses sigma_j exactly when it moves a strand across the gap
+    between positions j - 1 and j, that is when max(p[:j]) >= j."""
+    if a.infimum % 2 or (a.infimum and a.strands in letters):
+        return False
+    near = neighbours(letters)
+    return not any(max(p[:j]) >= j for p in a.factors for j in near)
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:

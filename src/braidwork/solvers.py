@@ -12,6 +12,16 @@ extra check (an attack's filter) is asked about it, on the alphabet's
 strand count, and t is applied only to the word it accepts, a report's
 `raw_word`. Reports are deterministic functions of (instance, config).
 
+The setup marks, once, each pair that generator supports show every word
+of the alphabet solves: t x t^-1 == y and y commutes with every alphabet
+letter (`garside.commutes_by_support`: an even Delta power is central,
+and sigma_i commutes with y when y uses neither sigma_(i-1) nor
+sigma_(i+1)). Both solvers drop the marked pairs, e.g. (sigma_6, sigma_6)
+over sigma_1..sigma_3. The same test spares the setup the products of
+t x t^-1 for an x that commutes with every letter of t, and spares the
+final check its products for a pair with x == y whose y commutes with
+every letter of g.
+
 The canonical enumeration (`words.enumerate_products`) orders words by
 length, then lexicographically by symbol (each generator followed by its
 inverse), and skips neighbouring symbols that cancel. The exhaustive search
@@ -20,12 +30,14 @@ the middle rather than conjugating by every word:
 
 - Split a word of length d as w = a.b, with |a| = ceil(d/2) and
   |b| = floor(d/2). Then w x w^-1 = y exactly when b x b^-1 = a^-1 y a.
-  The halves meet on one pair's x and y alone, the key pair; the pairs
-  after it are checked on a match, as w^-1 y w = x, before the extra check.
+  The halves meet on one pair's x and y alone, the key pair; the unmarked
+  pairs after it are checked on a match, as w^-1 y w = x, before the extra
+  check.
 - The key pair is the first pair that not every word solves, or the last
-  pair. A pair every word solves (the identity solves it and every
-  generator fixes its y, as for (Delta^2, Delta^2)) would match every tail
-  to every head; those before the key pair need no check on a match.
+  pair: a pair every word solves would match every tail to every head. A
+  marked pair is passed over as it stands, an unmarked one with
+  t x t^-1 == y by conjugating its y by each generator: every word solves
+  it when they all fix y, which supports need not show.
 - The search grows levels: the level of length h lists, in canonical
   order, each symbol sequence c of length h with the normal form it
   carries, and the level of length h + 1 is grown from it by one
@@ -59,7 +71,9 @@ stores z as c's conjugate by the inverse symbol k ^ 1, since normal forms
 are unique. So a solve conjugates each (normal form, symbol) pair at most
 once, never conjugates a result back, and makes at most the one-symbol
 conjugations the descent without the dicts made; its reports are those
-of that descent.
+of that descent. It moves and costs only the unmarked pairs, and adds
+the constant cost terms of the marked ones, so its costs and traces are
+those of the descent over every pair.
 """
 
 from __future__ import annotations
@@ -72,13 +86,14 @@ from typing import Callable, Iterable, Sequence
 from .extractors import CspInstance
 from .garside import (
     GarsideNormalForm,
+    commutes_by_support,
     conjugate,
     embed,
     inverse,
     normal_form,
     product,
 )
-from .subgroups import SubgroupSpec
+from .subgroups import SubgroupSpec, letter_support
 from .words import (
     MAX_SECRET_LENGTH,
     BraidWord,
@@ -154,38 +169,54 @@ class SolutionReport:
 def verify_solution(instance: CspInstance, g: BraidWord) -> list[bool]:
     """Per-pair check of the defining relation g x g^-1 = y as g . x = y . g,
     by products of normal forms on the largest strand count among g and the
-    pairs, x and y read from the instance's own forms. It does not read the
-    normal forms a search carried, so each bit is a check independent of the
-    search that found g."""
+    pairs, x and y read from the instance's own forms. A pair with x == y
+    whose y commutes with every letter of g by generator supports
+    (`garside.commutes_by_support`) holds with no product. It does not read
+    the normal forms a search carried, so each bit is a check, from the
+    instance and g alone, independent of the search that found g."""
     n = max([g.strands] + [f.strands for pair in instance.forms for f in pair])
     g_nf = normal_form(g.embed(n))
+    letters = letter_support(g)
     return [
-        product(g_nf, embed(x, n)) == product(embed(y, n), g_nf)
+        (x == y and commutes_by_support(y, letters))
+        or product(g_nf, embed(x, n)) == product(embed(y, n), g_nf)
         for x, y in instance.forms
     ]
 
 
 def _setup(
     instance: CspInstance, config: SolverConfig
-) -> tuple[int, SubgroupSpec, BraidWord, list[GarsideNormalForm], list[GarsideNormalForm]]:
+) -> tuple[
+    int, SubgroupSpec, BraidWord, list[GarsideNormalForm], list[GarsideNormalForm], list[bool]
+]:
     """The strand count n, the alphabet, the coset factor t on n strands (the
-    inverse of the instance's post_transform, or the identity) and the normal
-    forms of t x t^-1 and y per pair: g = P.t solves a pair iff P conjugates
-    t x t^-1 to y. The pairs' forms are the instance's, embedded in B_n: an
-    instance holds only normal forms, and only its `pairs` and record spell
-    them. With a coset factor, t x t^-1 is a product of normal forms, with
-    t's inverted in closed form; without one it is x's."""
+    inverse of the instance's post_transform, or the identity), the normal
+    forms of t x t^-1 and y per pair, and per pair whether generator
+    supports show that every word of the alphabet solves it: g = P.t solves
+    a pair iff P conjugates t x t^-1 to y, so every P does when t x t^-1 == y
+    and y commutes with every alphabet letter. The pairs' forms are the
+    instance's, embedded in B_n: an instance holds only normal forms, and
+    only its `pairs` and record spell them. t x t^-1 is x when x commutes
+    with every letter of t by supports, and otherwise a product of normal
+    forms, with t's inverted in closed form."""
     alphabet = config.alphabet if config.alphabet is not None else instance.alphabet
     n = max(instance.strands, alphabet.strands)
     xs = [embed(x, n) for x, _ in instance.forms]
     ys = [embed(y, n) for _, y in instance.forms]
-    if instance.post_transform is None:
-        return n, alphabet, identity(n), xs, ys
-    post = instance.post_transform.embed(n)
-    post_nf = normal_form(post)
-    t_nf = inverse(post_nf)
-    xs = [product(product(t_nf, x), post_nf) for x in xs]
-    return n, alphabet, invert(post), xs, ys
+    t = identity(n)
+    if instance.post_transform is not None:
+        post = instance.post_transform.embed(n)
+        t = invert(post)
+        coset = letter_support(post)
+        moved = [i for i, x in enumerate(xs) if not commutes_by_support(x, coset)]
+        if moved:
+            post_nf = normal_form(post)
+            t_nf = inverse(post_nf)
+            for i in moved:
+                xs[i] = product(product(t_nf, xs[i]), post_nf)
+    letters = letter_support(*alphabet.generators)
+    constant = [x == y and commutes_by_support(y, letters) for x, y in zip(xs, ys)]
+    return n, alphabet, t, xs, ys, constant
 
 
 def solve_exhaustive(
@@ -231,7 +262,7 @@ def _candidate_loop(
     """The search behind solve_exhaustive and solve_power, kept apart so
     neither traced solver entry calls the other: a meet in the middle over
     the canonical enumeration, as the module docstring describes."""
-    n, alphabet, t, xs, ys = _setup(instance, config)
+    n, alphabet, t, xs, ys, constant = _setup(instance, config)
     symbols = canonical_symbols(alphabet.generators)
     m = len(symbols)
     # As in the plain enumeration, a negative budget tests no word and a
@@ -251,17 +282,20 @@ def _candidate_loop(
             f"the cap of {MAX_TABLE_ENTRIES}: lower the length bound or the budget"
         )
 
-    # The first pair that not every word solves keys the table, or the last.
+    # The first pair that not every word solves keys the table, or the last;
+    # a match is checked on the pairs after it that the setup did not mark.
     pairs = list(zip(xs, ys))
     lead = next(
         (
             i
             for i, (x, y) in enumerate(pairs)
-            if x != y or any(conjugate(y, g) != y for g in alphabet.generators)
+            if not constant[i]
+            and (x != y or any(conjugate(y, g) != y for g in alphabet.generators))
         ),
         len(pairs) - 1,
     )
-    (x0, y0), rest = pairs[lead], pairs[lead + 1 :]
+    x0, y0 = pairs[lead]
+    rest = [pair for pair, c in zip(pairs[lead + 1 :], constant[lead + 1 :]) if not c]
     table: dict[GarsideNormalForm, list[tuple[int, ...]]] = {}
     heads: list[_Node] | None = [((), y0)]
     tails: list[_Node] = [((), x0)]
@@ -381,9 +415,17 @@ def solve_length_descent(
     which conjugated by a whole prefix in one call; values, tie-breaks,
     counts and traces are that descent's.
     """
-    n, alphabet, t, xs, ys0 = _setup(instance, config)
+    n, alphabet, t, xs, ys0, constant = _setup(instance, config)
     symbols = canonical_symbols(alphabet.generators)
     m = len(symbols)
+    # A marked pair stays matched, so it is neither moved nor costed: its
+    # constant term, at z == x (where x^-1 is not read), is added to every
+    # cost.
+    offset = sum(
+        _cost_term(y, y, y, config.length_functional)[0] for y, c in zip(ys0, constant) if c
+    )
+    xs = [x for x, c in zip(xs, constant) if not c]
+    ys0 = [y for y, c in zip(ys0, constant) if not c]
     x_invs = [inverse(x) for x in xs]
     conjugates: dict[tuple[GarsideNormalForm, int], GarsideNormalForm] = {}
     terms: dict[tuple[int, GarsideNormalForm], tuple[int, int]] = {}
@@ -399,7 +441,7 @@ def solve_length_descent(
         return out
 
     def cost(zs: list[GarsideNormalForm]) -> tuple[int, int]:
-        primary = gap = 0
+        primary, gap = offset, 0
         for p, z in enumerate(zs):
             term = terms.get((p, z))
             if term is None:

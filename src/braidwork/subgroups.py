@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .garside import nf_key, words_equal
+from .garside import neighbours, nf_key, words_equal
 from .words import (
     BraidWord,
     compose,
@@ -78,15 +78,16 @@ def interval_generators(strands: int, lo: int, hi: int) -> SubgroupSpec:
 
 
 def _commute(a: BraidWord, b: BraidWord, support_a: set[int], support_b: set[int]) -> bool:
-    far = all(abs(i - j) >= 2 for i in support_a for j in support_b)
-    return far or words_equal(compose(a, b), compose(b, a))
+    by_support = support_b.isdisjoint(neighbours(support_a))
+    return by_support or words_equal(compose(a, b), compose(b, a))
 
 
 def elements_commute(a: BraidWord, b: BraidWord) -> bool:
-    """Whether ab = ba. Since sigma_i sigma_j = sigma_j sigma_i for
-    |i - j| >= 2, words whose letter indices are all at least 2 apart
-    commute, with no normal form computed; any other pair is decided by
-    comparing the normal forms of ab and ba."""
+    """Whether ab = ba. Since sigma_i sigma_j = sigma_j sigma_i unless
+    |i - j| = 1, words none of whose letter indices is next to one of the
+    other's commute (`garside.neighbours`), with no normal form
+    computed; any other pair is decided by comparing the normal forms of
+    ab and ba."""
     return _commute(a, b, letter_support(a), letter_support(b))
 
 

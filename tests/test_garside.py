@@ -3,13 +3,14 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from garside_reference import finishing_set, is_left_weighted, perm_mul, starting_set
 from braidwork import garside
 from braidwork.garside import (
     GarsideNormalForm,
     canonical_length,
+    commutes_by_support,
     conjugate,
     embed,
     factor_word,
@@ -304,6 +305,56 @@ class TestEmbed:
     def test_rejects_fewer_strands(self):
         with pytest.raises(ValueError, match="4 strands into B_3"):
             embed(normal_form(BraidWord(4, (3,))), 3)
+
+
+# A Delta_m power times a word in a drawn set of generators of B_m, so that
+# supports often decide commutation, as a normal form on its m strands or
+# padded to more; and a set of letters, up to one past its strand count.
+@st.composite
+def supported_forms(draw):
+    m = draw(st.integers(min_value=2, max_value=7))
+    used = sorted(draw(st.sets(st.integers(min_value=1, max_value=m - 1), max_size=3)))
+    letters = st.sampled_from(used).flatmap(lambda i: st.sampled_from([i, -i])) if used else None
+    word = BraidWord(m, tuple(draw(st.lists(letters, max_size=6)) if used else ()))
+    a = normal_form(compose(power(delta(m), draw(st.integers(min_value=-3, max_value=3))), word))
+    if draw(st.booleans()):
+        a = embed(a, draw(st.integers(min_value=m, max_value=9)))
+    tested = draw(st.sets(st.integers(min_value=1, max_value=a.strands), max_size=3))
+    return a, tested
+
+
+class TestCommutesBySupport:
+    # Example counts follow the hypothesis profile (see conftest.py).
+    @given(supported_forms())
+    @example((normal_form(power(delta(4), 2)), {1, 2, 3}))  # Delta^2, no factor
+    @example((normal_form(power(delta(4), -2)), {2}))
+    @example((embed(normal_form(power(delta(3), 2)), 6), {4, 5}))  # padded
+    @example((normal_form(power(delta(3), 2)), {3}))  # central in B_3 only
+    @example((normal_form(BraidWord(5, (2, 2, 2))), {2, 4}))  # a generator of its own
+    @example((normal_form(delta(4)), set()))  # odd power
+    @settings(deadline=None)
+    def test_a_commuting_letter_fixes_the_form(self, case):
+        a, letters = case
+        says = commutes_by_support(a, letters)
+        if a.infimum % 2:
+            assert not says
+        if says:
+            n = max(a.strands, *(i + 1 for i in letters)) if letters else a.strands
+            padded = embed(a, n)
+            for i in letters:
+                assert conjugate(padded, generator(n, i)) == padded
+
+    def test_decides_the_cases_it_is_built_for(self):
+        twist = normal_form(power(delta(4), 2))
+        assert commutes_by_support(twist, {1, 2, 3, 5})
+        assert not commutes_by_support(twist, {4})
+        # A letter may be a generator the form uses, but not next to one.
+        assert commutes_by_support(normal_form(BraidWord(6, (5, 5, 5))), {1, 2, 3, 5})
+        assert commutes_by_support(normal_form(BraidWord(6, (2, 2, 5))), {2, 5})
+        assert not commutes_by_support(normal_form(BraidWord(6, (2, 2, 5))), {4})
+        assert commutes_by_support(normal_form(BraidWord(6, (5, -5, 2))), {2, 4})
+        # sigma_1 is Delta_2, an odd power: never decided, though it commutes.
+        assert not commutes_by_support(normal_form(delta(2)), {1})
 
 
 def assert_factors_are_bytes(nf: GarsideNormalForm) -> GarsideNormalForm:

@@ -9,7 +9,7 @@ import solver_reference as reference
 from hypothesis import given, settings, strategies as st
 
 from braidwork import solvers
-from braidwork.garside import rewrite
+from braidwork.garside import conjugate, rewrite
 from braidwork.solvers import (
     SolverConfig,
     _candidate_loop,
@@ -20,7 +20,15 @@ from braidwork.solvers import (
     solve_length_descent,
 )
 from braidwork.subgroups import SubgroupSpec
-from braidwork.words import BraidWord, compose, compose_all, enumerate_products, invert
+from braidwork.words import (
+    BraidWord,
+    compose,
+    compose_all,
+    delta,
+    enumerate_products,
+    invert,
+    power,
+)
 
 # The longest length bound per symbol count that keeps the reference's whole
 # enumeration under a thousand words.
@@ -196,14 +204,25 @@ def descents(draw):
         ys = [compose_all([g, x, invert(g)]) for x in xs]
     else:
         ys = [BraidWord(n, draw(letters(n, 0, 6))) for _ in xs]
-    pairs = tuple((x, rewrite(y)) for x, y in zip(xs, ys))
+    pairs = [(x, rewrite(y)) for x, y in zip(xs, ys)]
+    # Sometimes a pair every word solves: x = y at least 2 from every letter
+    # of the alphabet, with Delta^2 powers, so that its canonical and letters
+    # cost terms are not 0. The reference costs it at every state.
+    used = {abs(x) for g in generators for x in g}
+    far = [j for j in range(1, n) if all(abs(j - i) >= 2 for i in used)]
+    if far and draw(st.booleans()):
+        c = compose(
+            power(delta(n), 2 * draw(st.integers(min_value=-1, max_value=1))),
+            BraidWord(n, (draw(st.sampled_from(far)),) * draw(st.integers(1, 3))),
+        )
+        pairs.insert(draw(st.integers(min_value=0, max_value=len(pairs))), (c, c))
     config = SolverConfig(
         draw(st.integers(min_value=0, max_value=5)),
         restarts=draw(st.integers(min_value=0, max_value=3)),
         seed=draw(st.integers(min_value=0, max_value=2**16)),
         length_functional=draw(st.sampled_from(["canonical", "letters", "difference"])),
     )
-    return reference.word_instance(pairs, alphabet, post), config
+    return reference.word_instance(tuple(pairs), alphabet, post), config
 
 
 @given(descents())
@@ -219,5 +238,13 @@ def test_descent_matches_the_reference(case):
 @given(descents())
 @settings(deadline=None)
 def test_setup_by_arithmetic_matches_the_word_setup(case):
+    # Each pair the setup marks is one every word solves: its sides are equal
+    # and a conjugation by each generator fixes them.
     instance, config = case
-    assert _setup(instance, config) == reference._setup(instance, config)
+    *setup, constant = _setup(instance, config)
+    assert tuple(setup) == reference._setup(instance, config)
+    n, alphabet, t, xs, ys = setup
+    for x, y, marked in zip(xs, ys, constant):
+        assert not marked or (
+            x == y and all(conjugate(y, g) == y for g in alphabet.generators)
+        )

@@ -1,9 +1,18 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from solver_reference import word_instance
 
 from braidwork import solvers
-from braidwork.extractors import CspInstance, build_mscsp_dhdp, build_stickel_instance
+from braidwork.attacks import solve_gtcp
+from braidwork.extractors import (
+    CspInstance,
+    build_gtcp_instances,
+    build_mscsp_dhdp,
+    build_stickel_instance,
+)
 from braidwork.garside import conjugate, inverse, normal_form, product, rewrite, words_equal
 from braidwork.handle import is_trivial_handle_reduction
 from braidwork.protocols import ka_run, make_preset
@@ -20,14 +29,17 @@ from braidwork.solvers import (
 )
 from braidwork.subgroups import SubgroupSpec, interval_generators
 from braidwork.words import (
+    IDENTITY_ENDO,
     MAX_SECRET_LENGTH,
     BraidWord,
+    apply_endo,
     canonical_symbols,
     compose,
     compose_all,
     delta,
     generator,
     identity,
+    inner_endo,
     invert,
     power,
 )
@@ -52,6 +64,42 @@ class TestVerifySolution:
         )
         checks = verify_solution(inst, generator(4, 1))
         assert checks == [True, False]
+
+    def test_equal_sides_hold_only_for_commuting_letters(self):
+        # x == y is not enough: g = sigma_1 sigma_3 on 5 strands fixes none
+        # of sigma_2, Delta_3 (an odd power) and Delta_3^2 (central in B_3,
+        # but sigma_3 crosses its last strand), only the central Delta_5^2.
+        twist = power(delta(5), 2)
+        pairs = ((generator(4, 2),) * 2, (delta(3),) * 2, (power(delta(3), 2),) * 2, (twist, twist))
+        inst = word_instance(pairs, interval_generators(5, 1, 3))
+        g = BraidWord(5, (1, 3))
+        assert verify_solution(inst, g) == [False, False, False, True]
+        assert [
+            is_trivial_handle_reduction(compose_all([g, x, invert(g), invert(y)]))
+            for x, y in pairs
+        ] == [False, False, False, True]
+
+    def test_pairs_decided_by_supports_form_no_product(self, monkeypatch):
+        # Each y equals its x and commutes with sigma_1 and sigma_2, the
+        # letters of g, by generator supports, so no product is formed.
+        calls = []
+
+        def counting_product(a, b):
+            calls.append((a, b))
+            return product(a, b)
+
+        monkeypatch.setattr(solvers, "product", counting_product)
+        twist = power(delta(5), 2)
+        pairs = (
+            (generator(5, 4),) * 2,
+            (twist, twist),
+            (compose(invert(twist), power(generator(5, 4), 2)),) * 2,
+        )
+        inst = word_instance(pairs, interval_generators(5, 1, 2))
+        assert verify_solution(inst, BraidWord(5, (1, -2, -2))) == [True, True, True]
+        assert calls == []
+        assert verify_solution(inst, BraidWord(5, (3,))) == [False, True, False]
+        assert len(calls) == 4
 
     @given(st.data())
     @settings(deadline=None)
@@ -176,14 +224,17 @@ class TestSolveExhaustive:
         assert (heads, tails) == (52, 16)
         assert len(calls) == heads + tails
 
-    @pytest.mark.parametrize("second, conjugations, matches", [(-4, 2 + 68, 0), (4, 4 + 68, 485)])
-    def test_key_pair_skips_pairs_every_word_solves(self, monkeypatch, second, conjugations, matches):
-        # (Delta^2, Delta^2) is solved by every word, so it does not key the
-        # table: a conjugation by each of the two generators finds it fixed,
-        # and the table is keyed by the second pair, one conjugation per node
-        # (52 heads and 16 tails, as above). (sigma_4, sigma_4^-1) matches no
-        # word. sigma_4 commutes with the alphabet, so every word solves
-        # (sigma_4, sigma_4) too, found by two more conjugations: the last
+    @pytest.mark.parametrize(
+        "second, matches",
+        [pytest.param(-4, 0, id="no-match"), pytest.param(4, 485, id="every-word")],
+    )
+    def test_key_pair_skips_pairs_every_word_solves(self, monkeypatch, second, matches):
+        # (Delta^2, Delta^2) is solved by every word, as its even Delta power
+        # and empty support show with no conjugation, so it does not key the
+        # table: the table is keyed by the second pair, one conjugation per
+        # node (52 heads and 16 tails, as above). (sigma_4, sigma_4^-1)
+        # matches no word. sigma_4 is at least 2 from both letters of the
+        # alphabet, so every word solves (sigma_4, sigma_4) too: the last
         # pair keys the table, every word up to length 5 matches, and no
         # match conjugates either pair.
         calls = []
@@ -208,7 +259,45 @@ class TestSolveExhaustive:
         assert report.status == EXHAUSTED
         assert report.candidates_tested == 1 + 4 + 12 + 36 + 108 + 324
         assert len(seen) == matches
-        assert len(calls) == conjugations
+        assert len(calls) == 52 + 16
+
+    def test_gtcp_instance_every_word_solves(self, monkeypatch):
+        # A centralizer-ce3 instance on 6 strands whose five pairs every word
+        # of the alphabet (the images of sigma_1 and sigma_2 under an inner
+        # map) solves: Delta^2, sigma_4 and sigma_5 by supports, and the
+        # two odd-power probes sigma_4^-1 and sigma_5^-1 by a conjugation
+        # by each generator. The last pair keys the table, so the search
+        # conjugates only its form, and the filter alone decides; the
+        # report's digest is the one from before pairs were dropped.
+        spec = interval_generators(6, 1, 2)
+        endos = (inner_endo(BraidWord(6, (1, 2))), IDENTITY_ENDO, IDENTITY_ENDO)
+        r = BraidWord(6, (1, -2, 1, 2, 2, 1))
+        ps = (BraidWord(6, (2, 1, -2)), BraidWord(6, (1, 1)))
+        samples = tuple(
+            (rewrite(compose_all([apply_endo(endos[0], r), p, invert(r)])), p) for p in ps
+        )
+        inst = build_gtcp_instances(samples, endos, "centralizer-ce3", spec)
+        assert [x == y for x, y in inst.forms] == [True] * 5
+        assert [x.infimum for x, _ in inst.forms] == [2, 0, 0, -1, -1]
+        conjugated = []
+
+        def recording_conjugate(a, s):
+            conjugated.append(a)
+            return conjugate(a, s)
+
+        monkeypatch.setattr(solvers, "conjugate", recording_conjugate)
+        report = solve_gtcp(samples, endos, "centralizer-ce3", spec, SolverConfig(max_length=6))
+        y3, y4 = inst.forms[3][1], inst.forms[4][1]
+        assert conjugated.count(y3) == 2
+        assert set(conjugated) == {y3, y4}
+        assert len(conjugated) > 2 + 2
+        (solved,) = report.solver_reports
+        assert solved.candidates_tested == 80
+        assert solved.per_pair == (True,) * 5
+        record = json.dumps(report.to_record(), sort_keys=True).encode()
+        assert hashlib.sha256(record).hexdigest() == (
+            "a174b01092e52683438d5aabc57552a1c48bbd5c605aca5c0b39c2ac229a25a8"
+        )
 
     def test_other_pairs_are_checked_before_the_filter(self):
         # The identity solves the first pair but not the second, which

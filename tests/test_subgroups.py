@@ -88,6 +88,17 @@ class TestCommutation:
         assert sets_commute(interval_generators(9, 1, 3), interval_generators(9, 5, 8))
         assert normal_form.cache_info() == before  # no call, so no miss
 
+    def test_powers_of_one_generator_need_no_normal_form(self):
+        # No letter index of either side is next to one of the other's:
+        # sigma_1 commutes with sigma_1 and with sigma_3. The supports decide
+        # it, in either order, by the rule `commutes_by_support` applies to
+        # normal forms.
+        before = normal_form.cache_info()
+        a, b = BraidWord(5, (1, 3, -1)), BraidWord(5, (-1, -1))
+        assert elements_commute(a, b) and elements_commute(b, a)
+        assert normal_form.cache_info() == before  # no call, so no miss
+        assert words_equal(compose(a, b), compose(b, a))
+
     def test_commuting_sets_have_no_witness(self):
         assert (
             noncommuting_witness(
