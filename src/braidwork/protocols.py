@@ -271,8 +271,8 @@ class ProtocolTranscript:
 
 def ka_run(config: KaConfig, seed: int) -> ProtocolTranscript:
     """One seeded protocol run; asserts both parties compute the same key.
-    Only the '=1' conditions are enforced; `validate_conditions` reports the
-    rest."""
+    Only the two '=1' conditions, which key agreement needs, are checked;
+    the run neither checks nor reports the mode's '!=1' conditions."""
     failed = [c.name for c in _commuting_checks(config) if not c.passed]
     if failed:
         raise ProtocolError(f"commutation conditions failed: {', '.join(failed)}")

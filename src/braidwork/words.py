@@ -255,11 +255,11 @@ def apply_endo(f: Endomorphism, a: BraidWord) -> BraidWord:
 
 
 def shifted_conjugate(r: BraidWord, p: BraidWord) -> BraidWord:
-    """The shifted conjugacy operation r*p = r . d(p) . sigma_1 . d(r)^-1."""
-    n = max(r.strands, p.strands) + 1
-    return compose_all(
-        [r.embed(n), shift(p).embed(n), generator(n, 1), invert(shift(r)).embed(n)]
-    )
+    """The shifted conjugacy operation r*p = r . d(p) . sigma_1 . d(r)^-1,
+    on max(r.strands, p.strands) + 1 strands, written as one word."""
+    letters = [*r.letters, *[x + 1 if x > 0 else x - 1 for x in p.letters], 1]
+    letters += [-x - 1 if x > 0 else 1 - x for x in reversed(r.letters)]
+    return BraidWord(max(r.strands, p.strands) + 1, letters)
 
 
 def random_word(
@@ -281,10 +281,10 @@ def random_word(
     n = max(w.strands for w in alphabet)
     letters: list[int] = []
     for _ in range(length):
-        w = alphabet[rng.randrange(len(alphabet))]
+        w = alphabet[rng.randrange(len(alphabet))].letters
         if use_inverses and rng.random() < 0.5:
-            w = invert(w)
-        letters.extend(w.letters)
+            w = [-x for x in reversed(w)]
+        letters.extend(w)
     return BraidWord(n, tuple(letters))
 
 

@@ -1,12 +1,16 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidwork.garside import nf_key, normal_form, words_equal
+from braidwork import protocols
+from braidwork.garside import neighbours, nf_key, normal_form, words_equal
 from braidwork.subgroups import (
     SubgroupSpec,
     centralizer_search,
     elements_commute,
     interval_generators,
+    letter_support,
     noncommuting_witness,
     sets_commute,
 )
@@ -98,6 +102,37 @@ class TestCommutation:
         assert elements_commute(a, b) and elements_commute(b, a)
         assert normal_form.cache_info() == before  # no call, so no miss
         assert words_equal(compose(a, b), compose(b, a))
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_sets_commute_agrees_with_witness_on_intervals(self, n):
+        specs = [
+            interval_generators(n, lo, hi)
+            for lo in range(1, n)
+            for hi in range(lo, n)
+        ]
+        for a, b in itertools.product(specs, repeat=2):
+            assert sets_commute(a, b) == (noncommuting_witness(a, b) is None), (a.name, b.name)
+
+    @pytest.mark.parametrize("preset", protocols.KA_PRESETS)
+    def test_sets_commute_agrees_with_witness_on_preset_conditions(self, preset, monkeypatch):
+        compared = []
+
+        def recording(a, b):
+            compared.append((a, b))
+            return sets_commute(a, b)
+
+        monkeypatch.setattr(protocols, "sets_commute", recording)
+        for n in sorted({protocols.MIN_STRANDS[preset], 8, 9}):
+            for seed in range(3):
+                protocols.validate_conditions(protocols.make_preset(preset, n, seed=seed))
+        assert compared
+        for a, b in compared:
+            assert sets_commute(a, b) == (noncommuting_witness(a, b) is None), (a.name, b.name)
+        # Some pair is not decided by supports alone, so the pairwise walk runs too.
+        assert any(
+            not letter_support(*b.generators).isdisjoint(neighbours(letter_support(*a.generators)))
+            for a, b in compared
+        )
 
     def test_commuting_sets_have_no_witness(self):
         assert (

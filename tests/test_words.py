@@ -1,10 +1,11 @@
 import copy
 import itertools
 import pickle
+import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidwork.garside import (
     nf_key,
@@ -332,7 +333,26 @@ class TestEndomorphism:
             Endomorphism("transpose")
 
 
+def any_strands_word(max_len: int = 8):
+    """A word on 2..6 strands, possibly empty."""
+    return st.integers(min_value=2, max_value=6).flatmap(lambda n: letters(n, max_len))
+
+
 class TestShiftedConjugate:
+    @given(any_strands_word(), any_strands_word())
+    @example(BraidWord(6, (5, -1, 2)), BraidWord(3, (-2, 1)))  # r on more strands
+    @example(BraidWord(2, (1, -1)), BraidWord(5, (4, 3, -4)))  # r on fewer strands
+    @example(BraidWord(4, (3, -2)), BraidWord(4, (-1, 3)))  # equal strand counts
+    @example(identity(3), identity(5))
+    def test_is_the_composite_of_its_parts(self, r, p):
+        # The definition, built from its four parts and joined.
+        n = max(r.strands, p.strands) + 1
+        expected = compose_all(
+            [r.embed(n), shift(p).embed(n), generator(n, 1), invert(shift(r)).embed(n)]
+        )
+        out = shifted_conjugate(r, p)
+        assert (out.strands, out.letters) == (expected.strands, expected.letters)
+
     def test_trivial_arguments(self):
         out = shifted_conjugate(identity(2), identity(2))
         assert words_equal(out, generator(3, 1))
@@ -350,7 +370,41 @@ class TestShiftedConjugate:
         assert words_equal(lhs, rhs)
 
 
+def random_word_by_inverted_words(alphabet, length, rng, use_inverses=True):
+    """`random_word` as it was built from one inverted word per drawn
+    inverse; it makes the same draws from `rng`."""
+    n = max(w.strands for w in alphabet)
+    letters: list[int] = []
+    for _ in range(length):
+        w = alphabet[rng.randrange(len(alphabet))]
+        if use_inverses and rng.random() < 0.5:
+            w = invert(w)
+        letters.extend(w.letters)
+    return BraidWord(n, tuple(letters))
+
+
 class TestRandomWord:
+    @pytest.mark.parametrize("use_inverses", [True, False])
+    @pytest.mark.parametrize(
+        "alphabet",
+        [
+            [generator(4, i) for i in range(1, 4)],
+            [BraidWord(4, (1, 2)), BraidWord(4, (2, 3))],  # stickel's a and b
+            [BraidWord(8, (2, 2)), BraidWord(8, (3, 2))],  # shpilrain-central's a1, a2
+            [power(delta(4), 2), BraidWord(4, (3, -1, -2)), BraidWord(2, (1,))],
+        ],
+    )
+    def test_keeps_its_letters_and_draws(self, alphabet, use_inverses):
+        for seed in range(20):
+            for length in (0, 1, 3, 8):
+                rng, oracle_rng = random.Random(seed), random.Random(seed)
+                w = random_word(alphabet, length, rng, use_inverses)
+                expected = random_word_by_inverted_words(
+                    alphabet, length, oracle_rng, use_inverses
+                )
+                assert (w.strands, w.letters) == (expected.strands, expected.letters)
+                assert rng.random() == oracle_rng.random()
+
     def test_zero_length(self):
         assert random_word([generator(3, 1)], 0, 7) == identity(3)
 
