@@ -81,7 +81,11 @@ def _dump(path: pathlib.Path, record: dict) -> None:
 
 
 def _load(path: str) -> dict:
-    record = json.loads(pathlib.Path(path).read_text())
+    text = pathlib.Path(path).read_text()
+    try:
+        record = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path} nests its JSON too deeply to read") from None
     if not isinstance(record, dict):
         raise ValueError(f"{path} does not hold a JSON object")
     return record
@@ -319,8 +323,7 @@ def summarize(reports: list[AttackReport]) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.reps < 1:
-        print("sweep requires --reps >= 1", file=sys.stderr)
-        return 2
+        raise ValueError(f"sweep requires --reps >= 1, got {args.reps}")
     reports: list[AttackReport] = []
     for offset in range(args.reps):
         run_args = argparse.Namespace(**{**vars(args), "seed": args.seed + offset,

@@ -176,16 +176,6 @@ class GarsideNormalForm(NamedTuple):
     def canonical_length(self) -> int:
         return len(self.factors)
 
-    @property
-    def word_length(self) -> int:
-        """len(self.to_word()), without building it: Delta has n(n-1)/2
-        letters, and a factor as many as its permutation has inversions."""
-        n = self.strands
-        inversions = sum(
-            p[i] > p[j] for p in self.factors for i in range(n) for j in range(i + 1, n)
-        )
-        return abs(self.infimum) * n * (n - 1) // 2 + inversions
-
     def to_word(self) -> BraidWord:
         """Re-expand to a braid word equal to the original element."""
         n, k = self.strands, self.infimum

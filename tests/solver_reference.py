@@ -94,18 +94,10 @@ def _candidate_loop(
     return SolutionReport(EXHAUSTED, None, None, tested)
 
 
-def _conjugate_cost(
-    ys: list[GarsideNormalForm], x_invs: list[GarsideNormalForm], functional: str
-) -> tuple[int, int]:
-    """Primary cost of the current conjugated tuple, with the canonical
-    length of the per-pair quotients y.x^-1 as a target-aware tie-break
-    (zero exactly at success, so flat-length plateaus still give a signal)."""
-    gap = sum(len(product(y, x_inv).factors) for y, x_inv in zip(ys, x_invs))
-    if functional == "difference":
-        return (gap, gap)
-    if functional == "letters":
-        return (sum(y.word_length for y in ys), gap)
-    return (sum(len(y.factors) for y in ys), gap)
+def _conjugate_cost(ys: list[GarsideNormalForm], x_invs: list[GarsideNormalForm]) -> int:
+    """Cost of the current conjugated tuple: the sum of the canonical lengths
+    of the per-pair quotients y.x^-1, zero exactly at success."""
+    return sum(len(product(y, x_inv).factors) for y, x_inv in zip(ys, x_invs))
 
 
 def solve_length_descent(
@@ -144,7 +136,7 @@ def solve_length_descent(
                 return SolutionReport(
                     SOLVED, g, accumulated, tested, per_pair, tuple(trace)
                 )
-            current = _conjugate_cost(ys, x_invs, config.length_functional)
+            current = _conjugate_cost(ys, x_invs)
             best_cost = current
             best_sym = None
             best_ys = None
@@ -153,7 +145,7 @@ def solve_length_descent(
             for sym in symbols:
                 tested += 1
                 cand = [conjugate(y, sym) for y in ys]
-                cost = _conjugate_cost(cand, x_invs, config.length_functional)
+                cost = _conjugate_cost(cand, x_invs)
                 if cost < best_cost:
                     best_cost = cost
                     best_sym = sym
@@ -177,7 +169,7 @@ def solve_length_descent(
                     for s2 in symbols:
                         tested += 1
                         cand = [conjugate(y, s2) for y in mid]
-                        if _conjugate_cost(cand, x_invs, config.length_functional) < current:
+                        if _conjugate_cost(cand, x_invs) < current:
                             pending = compose(s1, s2)
                             pending_ys = cand
                             break
@@ -185,7 +177,7 @@ def solve_length_descent(
                     pending = plateau_sym
                     pending_ys = plateau_ys
             if pending is None:
-                trace.append(f"stall at cost {current} (attempt {attempt})")
+                trace.append(f"stall at cost {(current, current)} (attempt {attempt})")
                 stalls += 1
                 break
             visited.add(tuple(pending_ys))

@@ -483,6 +483,27 @@ class TestSolve:
         assert "braid word record must be a JSON object" in capsys.readouterr().err
 
 
+class TestDeeplyNestedInput:
+    # 200,000 nested arrays are past the JSON decoder's recursion limit: a
+    # bad input file, so a configuration error (exit 2) that names it.
+    @pytest.mark.parametrize(
+        "command, flag", [("attack", "--in"), ("attack", "--oracle"), ("solve", "--in")]
+    )
+    def test_is_config_error(self, tmp_path, capsys, command, flag):
+        assert run_cli("simulate", "--preset", "klchkp", "--n", "6", "--out", str(tmp_path)) == 0
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        files = {"--in": tmp_path / "public.json", "--oracle": tmp_path / "secret.json"}
+        files[flag] = deep
+        args = ["--in", str(files["--in"])]
+        if command == "attack":
+            args += ["--oracle", str(files["--oracle"])]
+        capsys.readouterr()
+        assert run_cli(command, *args, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: {deep} nests its JSON too deeply to read\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestStrandCap:
     """Outside input names at most 64 strands; one more is a configuration
     error, whatever the search bound."""
@@ -656,8 +677,9 @@ class TestSweep:
         assert summary["preset"] == "klchkp"
         assert 0.0 <= summary["success_rate"] <= 1.0
 
-    def test_bad_reps(self, tmp_path):
+    def test_bad_reps(self, tmp_path, capsys):
         assert run_cli("sweep", "--reps", "0", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "error: sweep requires --reps >= 1, got 0\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         for out in ("s1", "s2"):

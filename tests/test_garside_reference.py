@@ -330,9 +330,3 @@ class TestArithmeticOnNormalForms:
         a, b = pair
         expansion = product(normal_form(a), normal_form(b)).to_word()
         assert is_trivial_handle_reduction(compose(expansion, invert(compose(a, b))))
-
-    @given(sized_words(2, 12, 60))
-    @settings(deadline=None)
-    def test_word_length_is_that_of_the_expansion(self, w):
-        nf = normal_form(w)
-        assert nf.word_length == len(nf.to_word())

@@ -436,6 +436,25 @@ class TestSolveLengthDescent:
         assert report.solution == BraidWord(5, (3, 4, 3, 4))
         assert report.candidates_tested == 3
 
+    def test_plateau_step(self):
+        # At cost 4 no symbol and no two moves lower the cost (6 + 36
+        # candidates), so the first step takes sigma_2, the first symbol
+        # that keeps it, to a new state. From there the lookahead
+        # sigma_1^-1 sigma_3^-1 (6 + 12 candidates) reaches cost 0.
+        alphabet = interval_generators(4, 1, 3)
+        inst = conjugation_instance(BraidWord(4, (2, -3, -1)), (BraidWord(4, (-2, -2)),), alphabet)
+        report = solve_length_descent(inst, SolverConfig(max_length=3, restarts=0))
+        path = (2, -1, -3)
+        assert report.raw_word == BraidWord(4, path)
+        assert report.trace == ("success after 2 steps (attempt 0)",)
+        assert report.candidates_tested == 6 + 36 + 6 + 12
+        ((x, y),) = inst.forms
+        costs = [
+            solvers._cost_term(conjugate(y, BraidWord(4, path[:i])), x, inverse(x))
+            for i in range(4)
+        ]
+        assert costs == [4, 4, 4, 0]
+
     def test_trace_records_restarts(self):
         alphabet = SubgroupSpec("s1", 4, (generator(4, 1),))
         inst = word_instance(((generator(4, 2), generator(4, 3)),), alphabet)
@@ -451,12 +470,12 @@ class TestSolveLengthDescent:
         assert solve_length_descent(inst, cfg) == solve_length_descent(inst, cfg)
 
     # Two descents on two pairs: the first solves on its first attempt
-    # after a depth-2 lookahead, the second stalls twice, with lookaheads,
-    # and solves after its second restart. The descent without a memo
-    # made 166 and 558 conjugations on them.
+    # after a depth-2 lookahead, the second stalls twice, each time after a
+    # failed lookahead, and solves after its second restart. The descent
+    # without a memo made 96 and 342 conjugations on them.
     REPEATS = [
-        pytest.param(5, (2, -3, -4, -1), ((-1, -3, 2), (3, 2, -2)), 0, 92, id="lookahead"),
-        pytest.param(4, (2, 3, 2), ((2, 1, 1), (1, -1, 2)), 2, 160, id="restarts"),
+        pytest.param(4, (1, 2, 1, -2), ((-2, -2, -3), (-2, -1, 1)), 0, 57, id="lookahead"),
+        pytest.param(5, (-4, 1, -3, 4), ((3, 1, 2), (-2, -3, 2)), 2, 155, id="restarts"),
     ]
 
     def repeat_instance(self, n, secret, probes):
@@ -503,19 +522,17 @@ class TestSolveLengthDescent:
         for zs in gaps.values():
             assert zs and len(set(zs)) == len(zs)
 
-    @pytest.mark.parametrize("functional", ["canonical", "letters", "difference"])
-    def test_matched_pair_costs_no_product(self, monkeypatch, functional):
-        # At z == x the quotient z.x^-1 is trivial, so the gap is 0 without
-        # forming it; elsewhere the product gives the gap.
+    def test_matched_pair_costs_no_product(self, monkeypatch):
+        # At z == x the quotient z.x^-1 is trivial, so the term is 0 without
+        # forming it; elsewhere the product gives the term.
         x = normal_form(BraidWord(5, (1, -3, 2, 2, 4)))
         z = normal_form(BraidWord(5, (2, -4)))
         monkeypatch.setattr(solvers, "product", lambda a, b: pytest.fail("product formed"))
-        primary = {"canonical": len(x.factors), "letters": x.word_length, "difference": 0}[functional]
-        assert solvers._cost_term(x, x, inverse(x), functional) == (primary, 0)
+        assert solvers._cost_term(x, x, inverse(x)) == 0
         monkeypatch.setattr(solvers, "product", product)
         gap = len(product(z, inverse(x)).factors)
         assert gap > 0
-        assert solvers._cost_term(z, x, inverse(x), functional)[1] == gap
+        assert solvers._cost_term(z, x, inverse(x)) == gap
 
     @pytest.mark.parametrize("n, secret, probes, restarts, conjugations", REPEATS)
     def test_memo_is_per_solve(self, monkeypatch, n, secret, probes, restarts, conjugations):
@@ -545,21 +562,25 @@ class TestSolveLengthDescent:
         with pytest.raises(ValueError, match=message):
             solve_length_descent(inst, SolverConfig(MAX_SECRET_LENGTH + 1))
 
-    @pytest.mark.parametrize("functional", ["canonical", "letters", "difference"])
-    def test_functionals_accepted(self, functional):
+    def test_difference_functional_accepted(self):
         alphabet = interval_generators(5, 1, 4)
         g = generator(5, 2)
         inst = conjugation_instance(g, (generator(5, 1), generator(5, 4)), alphabet)
-        report = solve_length_descent(
-            inst, SolverConfig(max_length=1, length_functional=functional)
-        )
-        assert report.solved
+        config = SolverConfig(max_length=1, length_functional="difference")
+        assert config == SolverConfig(max_length=1)
+        assert solve_length_descent(inst, config).solved
 
 
 class TestSolverConfig:
     def test_unknown_length_functional(self):
         with pytest.raises(ValueError, match="length functional"):
             SolverConfig(max_length=1, length_functional="no-such")
+
+    @pytest.mark.parametrize("functional", ["canonical", "letters"])
+    def test_retired_length_functionals(self, functional):
+        # The descent has one cost, the difference.
+        with pytest.raises(ValueError, match=f"unknown length functional '{functional}'"):
+            SolverConfig(max_length=1, length_functional=functional)
 
     def test_negative_restarts(self):
         with pytest.raises(ValueError, match="restarts"):
