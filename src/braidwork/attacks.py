@@ -43,7 +43,7 @@ from .extractors import (
     build_mscsp_dhdp,
     build_stickel_instance,
 )
-from .garside import nf_key, rewrite, words_equal
+from .garside import embed, inverse, nf_key, normal_form, product, rewrite, words_equal
 from .handle import ReductionBudgetExceeded, handle_reduce, shift_preimage
 from .protocols import NamedCheck, PublicTranscript
 from .solvers import (
@@ -200,9 +200,11 @@ def attack_decomposition(
     Extracts the left-side conjugacy instance from that token and solves
     it: the enumerated word is the left candidate, and the solution g =
     left.z fixes right = g^-1.token, so the two rebuild the token around z
-    (Hofheinz & Steinwandt, PKC 2003). Public checks: each candidate
-    commutes with the peer's matching subgroup; with the token rebuilt,
-    those conditions alone force the assembled key to equal the shared one.
+    (Hofheinz & Steinwandt, PKC 2003). The right candidate and the key
+    are products of normal forms with the transcript's token forms, each
+    spelt once. Public checks: each candidate commutes with the peer's
+    matching subgroup; with the token rebuilt, those conditions alone force
+    the assembled key to equal the shared one.
     """
     solve = {"exhaustive": solve_exhaustive, "descent": solve_length_descent}.get(method)
     if solve is None:
@@ -212,8 +214,10 @@ def attack_decomposition(
     rep = solve(build_mscsp_dhdp(transcript, "a"), config)
     if not run.solved("left-instance-solved", rep):
         return run.report()
-    left_cand = rewrite(rep.raw_word)
-    right_cand = rewrite(compose(invert(rep.solution), transcript.token_a))
+    left = normal_form(rep.raw_word)
+    n = max(left.strands, rep.solution.strands, transcript.form_a.strands)
+    right = product(inverse(nf_key(rep.solution, n)), embed(transcript.form_a, n))
+    left_cand, right_cand = left.to_word(), right.to_word()
     run.recovered += [("left-candidate", left_cand), ("right-candidate", right_cand)]
     run.check(
         "left-commutes-with-peer-left",
@@ -223,8 +227,8 @@ def attack_decomposition(
         "right-commutes-with-peer-right",
         all(elements_commute(right_cand, g) for g in cfg.right_b.generators),
     )
-    key_cand = rewrite(compose_all([left_cand, transcript.token_b, right_cand]))
-    run.recovered.append(("key-candidate", key_cand))
+    key = product(product(embed(left, n), embed(transcript.form_b, n)), right)
+    run.recovered.append(("key-candidate", key.to_word()))
     return run.report()
 
 
@@ -480,9 +484,10 @@ def partial_factor_attack(
     if config.alphabet is None:
         raise ValueError("partial-factor attack needs an explicit search alphabet")
     results: list[PartialFactorResult] = []
+    form = normal_form(token)
     for probe in probes:
         inst = build_conjugation_instance(
-            token, (probe,), "left", config.alphabet, meta=(("extractor", "partial-factor"),)
+            form, (probe,), "left", config.alphabet, meta=(("extractor", "partial-factor"),)
         )
         rep = solve_exhaustive(inst, config)
         residual = rewrite(compose(invert(rep.solution), token)) if rep.solved else None

@@ -13,10 +13,13 @@ Every instance of the library is built here, by `build_conjugation_instance`
 (differences of samples sharing a secret factor). Each instance side they
 compute is a canonical value, modelling an attacker who only sees canonical
 public values: the conjugation builder computes it by arithmetic on normal
-forms, the difference builder normalises the composed word. An instance
-holds only these normal forms, which the solvers read; only its `pairs`,
-and so `to_record`, spell them as words. Their callers choose tokens,
-probes, sides and alphabets.
+forms, the difference builder normalises the composed word. The
+conjugation builder takes its token as a normal form: `build_mscsp_dhdp`
+passes the transcript's form of K_A or K_B as it stands, and a caller that
+holds a token as a word normalises it once. An instance holds only these
+normal forms, which the solvers read; only its `pairs`, and so
+`to_record`, spell them as words. Their callers choose tokens, probes,
+sides and alphabets.
 
 Instance convention: a solution g satisfies g x_i g^-1 = y_i for every
 pair. The optional post_transform t records how to turn the recovered
@@ -29,7 +32,15 @@ from __future__ import annotations
 import dataclasses
 import functools
 
-from .garside import GarsideNormalForm, inverse, normal_form, product, rewrite, words_equal
+from .garside import (
+    GarsideNormalForm,
+    embed,
+    inverse,
+    normal_form,
+    product,
+    rewrite,
+    words_equal,
+)
 from .protocols import PublicTranscript
 from .subgroups import SubgroupSpec, centralizer_search
 from .words import (
@@ -137,7 +148,7 @@ def ce_difference_pair(y_i: BraidWord, y_j: BraidWord, side: str) -> BraidWord:
 
 
 def build_conjugation_instance(
-    token: BraidWord,
+    token: GarsideNormalForm,
     probes: tuple[BraidWord, ...],
     side: str,
     alphabet: SubgroupSpec,
@@ -146,8 +157,8 @@ def build_conjugation_instance(
 ) -> CspInstance:
     """One pair (probe, probe conjugated by the token on `side`) per probe,
     as `ce_conjugate_sample` composes it, built by normal-form arithmetic:
-    the token is normalised once and inverted in closed form, and each
-    conjugate is L.NF(probe).R with (L, R) = (T, T^-1) on the left and
+    the token's normal form T is embedded and inverted in closed form, and
+    each conjugate is L.NF(probe).R with (L, R) = (T, T^-1) on the left and
     (T^-1, T) on the right. The pair's forms are (NF(probe), L.NF(probe).R),
     both on the larger of the token's and the probe's strand counts; the
     instance holds these forms and spells no word."""
@@ -155,7 +166,7 @@ def build_conjugation_instance(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     around: dict[int, tuple[GarsideNormalForm, GarsideNormalForm]] = {}
     for n in {max(token.strands, probe.strands) for probe in probes}:
-        t = normal_form(token.embed(n))
+        t = embed(token, n)
         around[n] = (t, inverse(t)) if side == "left" else (inverse(t), t)
     forms = []
     for probe in probes:
@@ -191,11 +202,11 @@ def build_difference_instance(
 # recovered conjugator carries; the alphabet is the subgroup that secret was
 # sampled from.
 _DHDP_ROUTES = {
-    # target: (token attr, probe spec attr, alphabet spec attr, side, coset description)
-    "a": ("token_a", "right_b", "left_a", "left", "a1.z"),
-    "c": ("token_b", "right_a", "left_b", "left", "b1.z"),
-    "b": ("token_a", "left_b", "right_a", "right", "a2^-1.z^-1"),
-    "d": ("token_b", "left_a", "right_b", "right", "b2^-1.z^-1"),
+    # target: (token form attr, probe spec attr, alphabet spec attr, side, coset description)
+    "a": ("form_a", "right_b", "left_a", "left", "a1.z"),
+    "c": ("form_b", "right_a", "left_b", "left", "b1.z"),
+    "b": ("form_a", "left_b", "right_a", "right", "a2^-1.z^-1"),
+    "d": ("form_b", "left_a", "right_b", "right", "b2^-1.z^-1"),
 }
 
 
@@ -214,7 +225,7 @@ def build_mscsp_dhdp(transcript: PublicTranscript, target: str) -> CspInstance:
     if target not in _DHDP_ROUTES:
         raise ValueError(f"target must be one of a/b/c/d, got {target!r}")
     token_attr, probe_attr, alphabet_attr, side, coset = _DHDP_ROUTES[target]
-    token: BraidWord = getattr(transcript, token_attr)
+    token: GarsideNormalForm = getattr(transcript, token_attr)
     cfg = transcript.config
     probes = getattr(cfg, probe_attr).generators
     alphabet: SubgroupSpec = getattr(cfg, alphabet_attr)
@@ -239,7 +250,9 @@ def build_stickel_instance(
         raise ValueError("probe exponent must be at least 1")
     alphabet = SubgroupSpec("<a>", a.strands, (a,))
     meta = (("extractor", "stickel"), ("alpha", str(alpha)))
-    return build_conjugation_instance(token, (power(b, alpha),), "left", alphabet, meta=meta)
+    return build_conjugation_instance(
+        normal_form(token), (power(b, alpha),), "left", alphabet, meta=meta
+    )
 
 
 def build_gtcp_instances(
@@ -300,7 +313,7 @@ def build_gtcp_instances(
             ("target", "u(r).v(p_i)" if ce3 else "w(r^-1)^-1.v(p_i)^-1"),
         )
         return build_conjugation_instance(
-            ys[0], probes, "left" if ce3 else "right", alphabet, post, meta
+            normal_form(ys[0]), probes, "left" if ce3 else "right", alphabet, post, meta
         )
 
     raise ValueError(f"unknown GTCP mode {mode!r}")
@@ -333,7 +346,7 @@ def build_dehornoy_centralizer_instance(
         f"d({r_spec.name})", n, tuple(shift(g) for g in r_spec.generators)
     )
     post = compose(shift(base), generator(n, 1))
-    inst = build_conjugation_instance(commitment, probes, "right", alphabet, post)
+    inst = build_conjugation_instance(normal_form(commitment), probes, "right", alphabet, post)
     degenerate = [str(i) for i, (probe, out) in enumerate(inst.forms) if probe == out]
     meta = (
         ("extractor", "dehornoy-centralizer"),

@@ -74,15 +74,17 @@ The permutations of the identity, Delta, each sigma_i and each Delta
 sigma_i^-1, the mirror table, and the letters of Delta and its inverse,
 are built once per strand count (functools caches, emptied with the rest).
 
-Values that leave the library (protocol tokens, extractor instances,
-recovered keys in reports) are exposed as canonical words: their letters
-are part of the reports' bytes, and the canonical expansion hides the
-letters the value was built from. A value computed by the arithmetic above
-leaves through `GarsideNormalForm.to_word`; a value composed as a word
-leaves through `rewrite`, which normalises it first. The normal form is
-unique, so both give the same letters. Inside the library a value stays a
-normal form: an instance holds the normal forms the extractors computed,
-and only its `pairs`, which its record writes, spell them as words.
+Values that leave the library (protocol tokens and keys, extractor
+instances, recovered keys in reports) are exposed as canonical words:
+their letters are part of the reports' bytes, and the canonical expansion
+hides the letters the value was built from. A value computed by the
+arithmetic above leaves through `GarsideNormalForm.to_word`; a value
+composed as a word leaves through `rewrite`, which normalises it first.
+The normal form is unique, so both give the same letters. Inside the
+library a value stays a normal form: a key-agreement transcript holds the
+normal forms of K_A, K_B and kappa, an instance holds the normal forms the
+extractors computed, and each is spelt as a word only where a record or a
+word-level caller reads it. A word read from a record is normalised once.
 `embed` carries a normal form into a larger braid group in closed form.
 """
 

@@ -7,9 +7,11 @@ public base element z. Alice samples (a1, a2) from (L_A, R_A) and
 publishes K_A = a1 z a2; Bob does the same on his side; the shared key is
 kappa = a1 K_B a2 = b1 K_A b2, which agree exactly when the cross-party
 commutation conditions hold. The round multiplies normal forms, each secret
-and z normalised once (klchkp's a2 = a1^-1 inverted in closed form), and
-spells K_A, K_B and kappa as canonical words once each, so an attacker never
-sees the literal letters the secrets were typed with.
+and z normalised once (klchkp's a2 = a1^-1 inverted in closed form), and the
+transcripts keep K_A, K_B and kappa as those normal forms. A token or the
+key is spelt as a canonical word only when it is read as one (a record, a
+word-level attack), so an attacker never sees the literal letters the
+secrets were typed with.
 
 Presets: "generalized" (decomposition with all commutation conditions of
 the z != e mode), "klchkp" (conjugacy shape, a2 = a1^-1), "cklhc"
@@ -28,9 +30,10 @@ or read from a record, passes the one check in its __post_init__.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 
-from .garside import inverse, normal_form, product, rewrite, words_equal
+from .garside import GarsideNormalForm, inverse, normal_form, product, rewrite, words_equal
 from .subgroups import (
     SubgroupSpec,
     centralizer_search,
@@ -205,11 +208,21 @@ def validate_conditions(config: KaConfig) -> tuple[NamedCheck, ...]:
 
 @dataclasses.dataclass(frozen=True)
 class PublicTranscript:
-    """Attacker-visible half of one protocol run."""
+    """Attacker-visible half of one protocol run. It holds the normal forms
+    of the tokens; `token_a` and `token_b` spell them as words, which the
+    record writes."""
 
     config: KaConfig
-    token_a: BraidWord  # K_A, normal-form expanded
-    token_b: BraidWord  # K_B, normal-form expanded
+    form_a: GarsideNormalForm  # K_A
+    form_b: GarsideNormalForm  # K_B
+
+    @functools.cached_property
+    def token_a(self) -> BraidWord:
+        return self.form_a.to_word()
+
+    @functools.cached_property
+    def token_b(self) -> BraidWord:
+        return self.form_b.to_word()
 
     def to_record(self) -> dict:
         return {
@@ -225,19 +238,24 @@ class PublicTranscript:
         tokens = [BraidWord.from_record(record[key]) for key in ("K_A", "K_B")]
         for key, token in zip(("K_A", "K_B"), tokens):
             _check_strands(key, token, config.strands)
-        return PublicTranscript(config, *tokens)
+        return PublicTranscript(config, *map(normal_form, tokens))
 
 
 @dataclasses.dataclass(frozen=True)
 class SecretTranscript:
-    """Harness-only half: the parties' secrets and the true shared key."""
+    """Harness-only half: the parties' secrets and the normal form of the
+    true shared key, which `kappa` spells."""
 
     a1: BraidWord
     a2: BraidWord
     b1: BraidWord
     b2: BraidWord
-    kappa: BraidWord
+    kappa_form: GarsideNormalForm
     exponents: tuple[int, int, int, int] | None = None  # stickel (r, s, t, u)
+
+    @functools.cached_property
+    def kappa(self) -> BraidWord:
+        return self.kappa_form.to_word()
 
     def to_record(self) -> dict:
         return {
@@ -259,8 +277,10 @@ class SecretTranscript:
             )
             if len(exps) != 4:
                 raise ValueError("exponents must be null or four ints (r, s, t, u)")
-        words = (BraidWord.from_record(record[k]) for k in ("a1", "a2", "b1", "b2", "kappa"))
-        return SecretTranscript(*words, exps)
+        a1, a2, b1, b2, kappa = (
+            BraidWord.from_record(record[k]) for k in ("a1", "a2", "b1", "b2", "kappa")
+        )
+        return SecretTranscript(a1, a2, b1, b2, normal_form(kappa), exps)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -310,8 +330,8 @@ def ka_run(config: KaConfig, seed: int) -> ProtocolTranscript:
     if kappa != product(product(nf_b1, token_a), nf_b2):
         raise ProtocolError("parties disagree on the shared key; bad configuration")
 
-    public = PublicTranscript(config, token_a.to_word(), token_b.to_word())
-    secret = SecretTranscript(a1, a2, b1, b2, kappa.to_word(), exponents)
+    public = PublicTranscript(config, token_a, token_b)
+    secret = SecretTranscript(a1, a2, b1, b2, kappa, exponents)
     return ProtocolTranscript(public, secret)
 
 

@@ -60,7 +60,7 @@ from braidwork.extractors import (
     build_mscsp_dhdp,
     build_stickel_instance,
 )
-from braidwork.garside import rewrite
+from braidwork.garside import normal_form, rewrite
 from braidwork.handle import ReductionBudgetExceeded, shift_preimage
 from braidwork.protocols import (
     DehornoyKeys,
@@ -335,7 +335,7 @@ def decomposition_records():
         ).with_verdict("key-candidate", run.secret.kappa).to_record()
     run = ka_run(make_preset("klchkp", strands=6, secret_length=2), seed=3)
     tampered = dataclasses.replace(
-        run.public, token_a=rewrite(compose(run.public.token_a, generator(6, 3)))
+        run.public, form_a=normal_form(compose(run.public.token_a, generator(6, 3)))
     )
     yield attack_decomposition(tampered, SolverConfig(max_length=2)).with_verdict(
         "key-candidate", run.secret.kappa

@@ -18,7 +18,7 @@ from braidwork.attacks import (
     partial_factor_attack,
     solve_gtcp,
 )
-from braidwork.garside import is_trivial, rewrite, words_equal
+from braidwork.garside import is_trivial, normal_form, rewrite, words_equal
 from braidwork.handle import is_trivial_handle_reduction, shift_preimage
 from braidwork.protocols import (
     DehornoyKeys,
@@ -91,7 +91,7 @@ class TestDecomposition:
         run = ka_run(make_preset("klchkp", strands=6, secret_length=2), seed=seed)
         mid = generator(6, 3)
         tampered = dataclasses.replace(
-            run.public, token_a=rewrite(compose(run.public.token_a, mid))
+            run.public, form_a=normal_form(compose(run.public.token_a, mid))
         )
         report = attack_decomposition(
             tampered, SolverConfig(max_length=2)

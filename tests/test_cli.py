@@ -418,6 +418,28 @@ class TestAttack:
             == (tmp_path / "r2" / "attack_report.json").read_bytes()
         )
 
+    def test_noncanonical_token_gives_the_same_report(self, tmp_path):
+        # The same braid K_A spelt with sigma_1 sigma_1^-1 and
+        # sigma_2^-1 sigma_2 inserted: the attack reads the braid, not its
+        # letters, so the report's bytes are the canonical record's.
+        self.simulate(tmp_path)
+        record = json.loads((tmp_path / "public.json").read_text())
+        letters = record["K_A"]["word"]
+        half = len(letters) // 2
+        record["K_A"]["word"] = [1, -1] + letters[:half] + [-2, 2] + letters[half:]
+        (tmp_path / "loose.json").write_text(json.dumps(record))
+        for name, out in (("public.json", "canonical"), ("loose.json", "loose")):
+            assert run_cli(
+                "attack", "--max-len", "3",
+                "--in", str(tmp_path / name),
+                "--oracle", str(tmp_path / "secret.json"),
+                "--out", str(tmp_path / out),
+            ) == 0
+        assert (
+            (tmp_path / "canonical" / "attack_report.json").read_bytes()
+            == (tmp_path / "loose" / "attack_report.json").read_bytes()
+        )
+
 
 class TestSolve:
     def test_solves_stored_instance(self, tmp_path):

@@ -68,7 +68,7 @@ class TestBuilders:
     def test_conjugation_pairs_are_canonical_conjugates(self, side):
         token = BraidWord(6, (1, -2, 1))
         probes = (generator(6, 4), BraidWord(6, (4, 5)))
-        inst = build_conjugation_instance(token, probes, side, self.alphabet)
+        inst = build_conjugation_instance(normal_form(token), probes, side, self.alphabet)
         g = token if side == "left" else invert(token)
         assert [x for x, _ in inst.pairs] == list(probes)
         for x, y in inst.pairs:
@@ -77,7 +77,7 @@ class TestBuilders:
 
     def test_conjugation_side_is_checked_first(self):
         with pytest.raises(ValueError, match="side"):
-            build_conjugation_instance(identity(3), (), "up", self.alphabet)
+            build_conjugation_instance(normal_form(identity(3)), (), "up", self.alphabet)
 
     def test_difference_pairs_cancel_the_shared_factors(self):
         u, v = BraidWord(6, (1, 2)), BraidWord(6, (-2,))
@@ -115,9 +115,9 @@ def test_conjugation_instance_is_the_rewritten_sample(token, probes, side):
     alphabet = interval_generators(2, 1, 1)
     if not probes:
         with pytest.raises(ValueError):
-            build_conjugation_instance(token, (), side, alphabet)
+            build_conjugation_instance(normal_form(token), (), side, alphabet)
         return
-    inst = build_conjugation_instance(token, tuple(probes), side, alphabet)
+    inst = build_conjugation_instance(normal_form(token), tuple(probes), side, alphabet)
     expected = tuple(
         (
             rewrite(p.embed(max(token.strands, p.strands))),
@@ -385,7 +385,7 @@ class TestForms:
         # The second probe has fewer strands than the token.
         token = BraidWord(6, (1, -2, 5, -1))
         probes = (generator(6, 4), BraidWord(4, (-3, 2)))
-        inst = build_conjugation_instance(token, probes, side, self.alphabet)
+        inst = build_conjugation_instance(normal_form(token), probes, side, self.alphabet)
         assert_forms_are(inst, conjugated(token, probes, side))
 
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -437,7 +437,7 @@ class TestForms:
         # record is spelt on the token's strand count.
         token = BraidWord(6, (1, -2, 5))
         probe = BraidWord(4, (3, 2, -2))
-        inst = build_conjugation_instance(token, (probe,), "left", self.alphabet)
+        inst = build_conjugation_instance(normal_form(token), (probe,), "left", self.alphabet)
         pair, = inst.to_record()["pairs"]
         assert pair["x"] == {"n": 6, "word": [3]}
         assert CspInstance.from_record(inst.to_record()) == inst

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -412,8 +414,6 @@ class TestSolveLengthDescent:
         assert report.solved
 
     def test_protocol_instance(self):
-        import dataclasses
-
         config = dataclasses.replace(
             make_preset("klchkp", strands=8, secret_length=3), positive_only=True
         )
@@ -425,6 +425,27 @@ class TestSolveLengthDescent:
         )
         assert report.solved
         assert all(verify_solution(inst, report.solution))
+
+    def test_descent_workload_instance_takes_steps(self):
+        # The descent workload's shape: klchkp on 9 strands, positive
+        # secrets of length 4, preset seed 0. At protocol seed 12 the
+        # identity raw word leaves the first pair unsolved, so the descent
+        # has to move, and it recovers a1 itself.
+        config = dataclasses.replace(
+            make_preset("klchkp", strands=9, secret_length=4), positive_only=True
+        )
+        run = ka_run(config, seed=12)
+        inst = build_mscsp_dhdp(run.public, "a")
+        assert not all(verify_solution(inst, invert(inst.post_transform)))
+        report = solve_length_descent(
+            inst,
+            SolverConfig(max_length=4, restarts=6, seed=12, length_functional="difference"),
+        )
+        assert report.solved and all(report.per_pair)
+        (line,) = report.trace
+        steps = re.fullmatch(r"success after (\d+) steps \(attempt 0\)", line)
+        assert steps and int(steps[1]) >= 1
+        assert report.raw_word == run.secret.a1
 
     def test_lookahead_repeats_a_symbol(self):
         # Neither s3s4 nor its inverse lowers the cost, and the first
