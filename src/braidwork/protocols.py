@@ -387,10 +387,15 @@ def make_preset(
 
 def _centralizer_spec(name: str, committed: BraidWord) -> SubgroupSpec:
     """Peer subgroup from a length-bounded centralizer search of a committed
-    element, keeping only short nontrivial elements so runs stay desk-scale.
-    Never empty: at n >= 8, sigma_5 .. sigma_(n-1) are far from sigma_1 .. sigma_3."""
+    element, keeping only short nontrivial elements so runs stay desk-scale,
+    and of an element and its inverse only the first found: both generate
+    the same subgroup. Never empty: at n >= 8, sigma_5 .. sigma_(n-1) are
+    far from sigma_1 .. sigma_3."""
     target = SubgroupSpec("committed", committed.strands, (committed,))
-    short = [w for w in centralizer_search(target, max_length=1) if 1 <= len(w) <= 2]
+    short: list[BraidWord] = []
+    for w in centralizer_search(target, max_length=1):
+        if 1 <= len(w) <= 2 and invert(w) not in short:
+            short.append(w)
     return SubgroupSpec(name, committed.strands, tuple(short))
 
 

@@ -33,6 +33,13 @@ forms and to spell their pairs from them: a conjugation instance's x is
 now written as its normal form's spelling, as y already was. Each new pin
 equals the digest the library before that change gives for the same calls
 with every instance record's pairs spelt from the instance's forms.
+
+The extractor digest, and its answer digest, were re-pinned when
+shpilrain-central's peer specs came to keep one generator of each inverse
+pair. Only that preset's four instances moved: targets a and b, built from
+the unchanged K_A, keep the earlier pairs whose probe is not an inverse, in
+order, and targets c and d read K_B, which Bob now draws from the halved
+generator lists.
 """
 
 import dataclasses
@@ -492,7 +499,7 @@ PARTIAL_FACTOR_DIGEST = "cd20bb18248ddf18b5bc2d0275670a29a77e8887856d1f694643107
 PARTIAL_FACTOR_INSTANCES_DIGEST = "404ef32f2f19f4f930cdcb3382161c158dfab80803edd4258dba6e8b08ddcbca"
 STICKEL_DIGEST = "fdeec6ae4fe4995c3e398c1195dc54b60beee03ca20195a89990f55ad1e80509"
 DECOMPOSITION_DIGEST = "2908756a95ce34eccdafb576383bdb5ee0cb59be776e10891bb9fd096f808aac"
-EXTRACTOR_DIGEST = "b85087ca482e9a0e2c3cd9a668cb30dc21cfe5df0ea4b094927bed8fe6e9b2dc"
+EXTRACTOR_DIGEST = "c5f9264a4d9fa360870f160b22c3c7cf0ea2816e5c2f46eb5397a1f27aff1d24"
 ANSWER_DIGESTS = {
     "edl": "57973129e1bec9b14ea9fe2dca7f32a0846f1463c7e12e35c1109f6e3e75edf8",
     "gtcp": "50f449f471f5fc21c666f9038eda3fa10126aa4bc495dfedac169e4f68338b38",
@@ -500,5 +507,5 @@ ANSWER_DIGESTS = {
     "partial-factor": "34dfd5c2eff1130baf54dda1fa5841848dac074cd47dd1a1c21e7603e0ddf3b2",
     "stickel": "71593bb897d08e1ddf2077e5fcc944f11ba38b2d0d8b581da07d8bb55f4b9e79",
     "decomposition": "6acef8241d12799f318c9afdff0ab1f6f86fbaf508dea4fc172c1e20dab5d33b",
-    "extractor": "b85087ca482e9a0e2c3cd9a668cb30dc21cfe5df0ea4b094927bed8fe6e9b2dc",
+    "extractor": "c5f9264a4d9fa360870f160b22c3c7cf0ea2816e5c2f46eb5397a1f27aff1d24",
 }
