@@ -32,15 +32,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 
-from .garside import (
-    GarsideNormalForm,
-    embed,
-    inverse,
-    normal_form,
-    product,
-    rewrite,
-    words_equal,
-)
+from .garside import GarsideNormalForm, embed, inverse, normal_form, product, rewrite, words_equal
 from .protocols import PublicTranscript
 from .subgroups import SubgroupSpec, centralizer_search
 from .words import (
