@@ -441,6 +441,17 @@ def commutes_by_support(a: GarsideNormalForm, letters: Iterable[int]) -> bool:
     return not any(max(p[:j]) >= j for p in a.factors for j in near)
 
 
+def permutation(a: GarsideNormalForm) -> Perm:
+    """The permutation a induces on its strands, as one-line images of
+    positions: Delta's by the parity of its power, then the factors'."""
+    n = a.strands
+    ident = perm_identity(n)
+    p = perm_longest(n) if a.infimum % 2 else ident
+    for f in a.factors:
+        p = p.translate(bytes.maketrans(ident, f))
+    return p
+
+
 def words_equal(a: BraidWord, b: BraidWord) -> bool:
     """Whether two words represent the same braid, after strand reconciliation."""
     a, b = reconcile(a, b)

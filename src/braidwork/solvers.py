@@ -39,20 +39,23 @@ the middle rather than conjugating by every word:
   t x t^-1 == y by conjugating its y by each generator: every word solves
   it when they all fix y, which supports need not show.
 - The search grows levels: the level of length h lists, in canonical
-  order, each symbol sequence c of length h with the normal form it
-  carries, and the level of length h + 1 is grown from it by one
-  conjugation by a symbol per node, each node conjugated once in all.
+  order, each symbol sequence c of length h with the strand permutation of
+  the normal form it carries (a homomorphism B_n -> S_n, so one braid has
+  one permutation), grown from the level before by translates. A node's
+  form, its parent's conjugated by its last symbol, is computed only when
+  read and memoised per sequence: each node is conjugated at most once.
 - The tails grow from x: c carries c^-1 x c = b x b^-1, b = c^-1. At
-  length 2h tail level h is grown into a table from each normal form to
-  its b's, in canonical order, serving lengths 2h and 2h + 1 only.
+  length 2h tail level h is grown into a table from each permutation to
+  its c's, serving lengths 2h and 2h + 1 only; the first head to hit a
+  bucket resolves it by normal form into the b's, in canonical order.
 - The heads grow from y: a carries a^-1 y a. Head level h + 1 is grown
   lazily at length 2h + 1, as the search reaches each a, and is kept for
   length 2h + 2 (and the growth of the next level) only when the search
   reaches that length. Then the table of length 2h + 2 holds as many
   entries, so no level is kept that is larger than a table the cap admits.
-- Each a is followed by its matching b's in order, less those that cancel
-  at the junction or fail another pair, so the extra check sees the
-  matches in canonical order, as it would in a plain enumeration.
+- Each a whose permutation hits a bucket is followed by the b's of its
+  normal form in order, less those that cancel at the junction or fail
+  another pair, so the extra check sees the matches in canonical order.
 - A word's rank in the enumeration, which its report gives as the number
   of candidates tested, has a closed form: 1 + sum over j < d of
   m(m-1)^(j-1) words are shorter (m symbols), and its lexicographic place
@@ -90,6 +93,7 @@ from .garside import (
     embed,
     inverse,
     normal_form,
+    permutation,
     product,
 )
 from .subgroups import SubgroupSpec, letter_support
@@ -98,6 +102,7 @@ from .words import (
     BraidWord,
     canonical_symbols,
     compose,
+    crossings,
     identity,
     invert,
 )
@@ -110,13 +115,15 @@ STALLED = "stalled"
 # The most words of one length a table may hold. The exhaustive search
 # works out, before it builds any table, the longest length its budget
 # reaches and the table that length needs, and refuses a larger one. An
-# entry holds one normal form, about 0.5 kB for a length-4 probe on 8
-# strands (tracemalloc, 64-bit CPython 3.11), so a full table about 33 MB;
-# the default budget of 200,000 needs a table of a few thousand words at most.
+# entry holds a sequence and a permutation, about 0.17 kB on 8 strands, and
+# a normal form, about 0.5 kB for a length-4 probe, once a head hits its
+# bucket (tracemalloc, 64-bit CPython 3.11): a full table 11 to 44 MB. The
+# default budget of 200,000 needs a table of a few thousand words at most.
 MAX_TABLE_ENTRIES = 1 << 16
 
-# A node of the search: a symbol sequence and the normal form it carries.
-_Node = tuple[tuple[int, ...], GarsideNormalForm]
+# A node of the search: a symbol sequence and the strand permutation, as
+# one-line images, of the normal form it carries.
+_Node = tuple[tuple[int, ...], bytes]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -297,29 +304,46 @@ def _candidate_loop(
     )
     x0, y0 = pairs[lead]
     rest = [pair for pair, c in zip(pairs[lead + 1 :], constant[lead + 1 :]) if not c]
-    table: dict[GarsideNormalForm, list[tuple[int, ...]]] = {}
-    heads: list[_Node] | None = [((), y0)]
-    tails: list[_Node] = [((), x0)]
+    # Each symbol s as the image of s^-1's permutation, which
+    # `words.crossings` gives, and the translation table of s's.
+    ident, pad = bytes(range(n)), bytes(range(n, 256))
+    steps = [(i, bytes.maketrans(i, ident)) for i in (crossings(s.embed(n))[0] for s in symbols)]
+    head_forms, tail_forms = {(): y0}, {(): x0}
+    heads: list[_Node] | None = [((), permutation(y0))]
+    tails: list[_Node] = [((), permutation(x0))]
     before = 0  # the number of words shorter than the current length
     for length in range(deepest + 1):
         if length % 2:
             # The heads one symbol longer, kept for the next length if it is
             # searched.
             grown = [] if length < deepest else None
-            level = _grow(symbols, heads, grown)
+            level = _grow(steps, pad, heads, grown)
             heads = grown
         else:
-            # The b's of half this length under the normal form of b x b^-1.
+            # The tails c of half this length by the permutation of c^-1 x c.
             if length:
-                tails = list(_grow(symbols, tails))
-            table = {}
+                tails = list(_grow(steps, pad, tails))
+            table, resolved = {}, {}
             for c, key in tails:
-                table.setdefault(key, []).append(tuple(k ^ 1 for k in reversed(c)))
-            for bs in table.values():
-                bs.sort()
+                table.setdefault(key, []).append(c)
             level = heads
         for a, key in level:
-            for b in table.get(key, ()):
+            by_form = resolved.get(key)
+            if by_form is None:
+                if key not in table:
+                    continue
+                # The b's of the bucket under the normal form of b x b^-1.
+                by_form = resolved[key] = {}
+                for c in table[key]:
+                    b = tuple(k ^ 1 for k in reversed(c))
+                    by_form.setdefault(_form(tail_forms, symbols, c), []).append(b)
+                for bs in by_form.values():
+                    bs.sort()
+            if heads is None:  # the last level has no children to keep forms for
+                z = conjugate(_form(head_forms, symbols, a[:-1]), symbols[a[-1]])
+            else:
+                z = _form(head_forms, symbols, a)
+            for b in by_form.get(z, ()):
                 if a and b and a[-1] ^ 1 == b[0]:
                     continue
                 rank = before + _lex_rank(a + b, m) + 1
@@ -360,19 +384,28 @@ def _spell(symbols: list[BraidWord], seq: Sequence[int], strands: int) -> BraidW
     return BraidWord(strands, tuple(x for k in seq for x in symbols[k].letters))
 
 
-def _grow(symbols: list[BraidWord], level: Iterable[_Node], keep: list[_Node] | None = None):
+def _grow(steps: list, pad: bytes, level: Iterable[_Node], keep: list[_Node] | None = None):
     """The level one symbol longer, in canonical order: each sequence of
-    `level` followed by every symbol that does not cancel its last one, with
-    its normal form conjugated by that symbol, one conjugation per node.
-    Lazy; each node is also appended to `keep` when one is given."""
-    for seq, z in level:
+    `level` followed by every symbol s that does not cancel its last one,
+    with its permutation p conjugated by s's, s^-1 then p then s, in three
+    C calls. Lazy; each node is also appended to `keep` when one is given."""
+    for seq, p in level:
         cancels = seq[-1] ^ 1 if seq else -1
-        for k, s in enumerate(symbols):
+        for k, (pre, post) in enumerate(steps):
             if k != cancels:
-                node = (seq + (k,), conjugate(z, s))
+                node = (seq + (k,), pre.translate(p.translate(post) + pad))
                 if keep is not None:
                     keep.append(node)
                 yield node
+
+
+def _form(forms: dict, symbols: list[BraidWord], seq: tuple[int, ...]) -> GarsideNormalForm:
+    """The normal form a node carries, its parent's conjugated by its last
+    symbol, memoised in `forms` per sequence, so computed at most once."""
+    z = forms.get(seq)
+    if z is None:
+        z = forms[seq] = conjugate(_form(forms, symbols, seq[:-1]), symbols[seq[-1]])
+    return z
 
 
 def _cost_term(z: GarsideNormalForm, x: GarsideNormalForm, x_inv: GarsideNormalForm) -> int:

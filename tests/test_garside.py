@@ -23,11 +23,21 @@ from braidwork.garside import (
     perm_inv,
     perm_longest,
     perm_transposition,
+    permutation,
     product,
     rewrite,
     words_equal,
 )
-from braidwork.words import BraidWord, compose, delta, generator, identity, invert, power
+from braidwork.words import (
+    BraidWord,
+    compose,
+    crossings,
+    delta,
+    generator,
+    identity,
+    invert,
+    power,
+)
 
 
 def words(n: int, max_len: int = 8):
@@ -305,6 +315,24 @@ class TestEmbed:
     def test_rejects_fewer_strands(self):
         with pytest.raises(ValueError, match="4 strands into B_3"):
             embed(normal_form(BraidWord(4, (3,))), 3)
+
+
+class TestPermutation:
+    # Example counts follow the hypothesis profile (see conftest.py). The
+    # examples fix both parities of a negative Delta power, which embed
+    # multiplies in rather than pads.
+    @given(embeddings())
+    @example((compose(power(delta(4), -3), BraidWord(4, (1, -2))), 6))
+    @example((compose(power(delta(3), -2), BraidWord(3, (2,))), 5))
+    @settings(deadline=None)
+    def test_matches_the_crossings_of_the_word(self, case):
+        # `words.crossings` follows each strand letter by letter, with no
+        # Garside arithmetic, and gives the inverse image: the strand at
+        # each position, where `permutation` gives the position of each
+        # strand.
+        w, n = case
+        assert perm_inv(permutation(normal_form(w))) == crossings(w)[0]
+        assert perm_inv(permutation(embed(normal_form(w), n))) == crossings(w.embed(n))[0]
 
 
 # A Delta_m power times a word in a drawn set of generators of B_m, so that

@@ -6,7 +6,7 @@ against the setup that normalised each word."""
 
 import pytest
 import solver_reference as reference
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidwork import solvers
 from braidwork.garside import conjugate, rewrite
@@ -98,8 +98,25 @@ def run(search, instance, config, rejects):
     return report, seen
 
 
-# Example counts follow the hypothesis profile (see conftest.py).
+def no_match(pair, alphabet, max_length):
+    """A case of one word pair that no word of the alphabet conjugates."""
+    x, y = (BraidWord(alphabet.strands, w) for w in pair)
+    return reference.word_instance(((x, y),), alphabet), SolverConfig(max_length, alphabet), None
+
+
+SIGMA_1_2 = SubgroupSpec("sigma_1,sigma_2", 4, (BraidWord(4, (1,)), BraidWord(4, (2,))))
+
+
+# Example counts follow the hypothesis profile (see conftest.py). The
+# examples take the search's two ways past a head: sigma_2 sigma_3 and
+# sigma_2^-1 sigma_3^-1 induce one permutation, which a word in sigma_1 and
+# sigma_2 of odd length conjugates to one no even-length word does, so at
+# odd lengths every head's permutation misses the table; sigma_1 and
+# sigma_1^-1 induce one permutation too, so heads hit its buckets, whose
+# tails' forms all differ from theirs.
 @given(searches())
+@example(no_match(((2, 3), (-2, -3)), SIGMA_1_2, 4))
+@example(no_match(((1,), (-1,)), SIGMA_1_2, 4))
 @settings(deadline=None)
 def test_search_matches_the_reference(case):
     instance, config, rejects = case

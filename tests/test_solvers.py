@@ -4,6 +4,7 @@ import json
 import re
 
 import pytest
+import solver_reference
 from hypothesis import given, settings, strategies as st
 from solver_reference import word_instance
 
@@ -199,7 +200,12 @@ class TestSolveExhaustive:
         # exponent sum of sigma_3 is not that of its inverse), so the search
         # exhausts length 5 with no match. It grows head levels 1..3 and tail
         # levels 1..2, and conjugates each node's one normal form, the first
-        # pair's, once.
+        # pair's, at most once. Here every node is conjugated: sigma_3 and
+        # sigma_3^-1 induce one permutation, so heads and tails of one
+        # length carry the same permutations and every head hits a bucket
+        # at even lengths, and the tails of length 2 carry all three that
+        # sigma_1 and sigma_2 conjugate it to, which the heads of length 3
+        # hit at length 5.
         calls = []
 
         def counting_conjugate(a, s):
@@ -226,6 +232,33 @@ class TestSolveExhaustive:
         assert (heads, tails) == (52, 16)
         assert len(calls) == heads + tails
 
+    def test_heads_whose_permutation_no_tail_has_are_not_conjugated(self, monkeypatch):
+        # sigma_2 sigma_3 and sigma_2^-1 sigma_3^-1 induce one permutation,
+        # a 3-cycle through the fourth strand, but their exponent sums
+        # differ, so no word conjugates one to the other. A word in sigma_1
+        # and sigma_2 permutes the first three strands, evenly exactly when
+        # its length is even, and the six permutations of three strands
+        # conjugate that 3-cycle to six different ones. So a head and a
+        # tail share a permutation only when their lengths have the same
+        # parity, which they have at even lengths alone: each node of head
+        # and tail levels 1..2 is conjugated once, 32 in all, and none of
+        # the 36 heads of length 3, met at length 5 with tails of length 2.
+        calls = []
+
+        def counting_conjugate(a, s):
+            calls.append(s)
+            return conjugate(a, s)
+
+        monkeypatch.setattr(solvers, "conjugate", counting_conjugate)
+        inst = word_instance(
+            ((BraidWord(4, (2, 3)), BraidWord(4, (-2, -3))),), interval_generators(4, 1, 2)
+        )
+        config = SolverConfig(max_length=5)
+        report = solve_exhaustive(inst, config)
+        assert report.status == EXHAUSTED
+        assert len(calls) == 4 + 12 + 4 + 12 < 52 + 16
+        assert report == solver_reference._candidate_loop(inst, config)
+
     @pytest.mark.parametrize(
         "second, matches",
         [pytest.param(-4, 0, id="no-match"), pytest.param(4, 485, id="every-word")],
@@ -233,12 +266,14 @@ class TestSolveExhaustive:
     def test_key_pair_skips_pairs_every_word_solves(self, monkeypatch, second, matches):
         # (Delta^2, Delta^2) is solved by every word, as its even Delta power
         # and empty support show with no conjugation, so it does not key the
-        # table: the table is keyed by the second pair, one conjugation per
-        # node (52 heads and 16 tails, as above). (sigma_4, sigma_4^-1)
-        # matches no word. sigma_4 is at least 2 from both letters of the
-        # alphabet, so every word solves (sigma_4, sigma_4) too: the last
-        # pair keys the table, every word up to length 5 matches, and no
-        # match conjugates either pair.
+        # table: the table is keyed by the second pair, at most one
+        # conjugation per node (52 heads and 16 tails, as above). Here each
+        # node is conjugated once: sigma_1 and sigma_2 fix the permutation
+        # of sigma_4, which sigma_4^-1 shares, so every head hits a bucket.
+        # (sigma_4, sigma_4^-1) matches no word. sigma_4 is at least 2 from
+        # both letters of the alphabet, so every word solves (sigma_4,
+        # sigma_4) too: the last pair keys the table, every word up to
+        # length 5 matches, and no match conjugates either pair.
         calls = []
 
         def counting_conjugate(a, s):
