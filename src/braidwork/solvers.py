@@ -12,15 +12,18 @@ extra check (an attack's filter) is asked about it, on the alphabet's
 strand count, and t is applied only to the word it accepts, a report's
 `raw_word`. Reports are deterministic functions of (instance, config).
 
-The setup marks, once, each pair that generator supports show every word
-of the alphabet solves: t x t^-1 == y and y commutes with every alphabet
-letter (`garside.commutes_by_support`: an even Delta power is central,
-and sigma_i commutes with y when y uses neither sigma_(i-1) nor
-sigma_(i+1)). Both solvers drop the marked pairs, e.g. (sigma_6, sigma_6)
-over sigma_1..sigma_3. The same test spares the setup the products of
-t x t^-1 for an x that commutes with every letter of t, and spares the
-final check its products for a pair with x == y whose y commutes with
-every letter of g.
+The setup alone decides, once, which pairs every word of the alphabet
+solves, and drops them: those with t x t^-1 == y whose y commutes with
+every alphabet generator. Generator supports show it with no arithmetic
+(`garside.commutes_by_support`: an even Delta power is central, and
+sigma_i commutes with y when y uses neither sigma_(i-1) nor sigma_(i+1)),
+as for (sigma_6, sigma_6) over sigma_1..sigma_3; else one conjugation of
+y per generator does, as for (sigma_2 sigma_1^2 sigma_2, the same) over
+sigma_1 on 3 strands. When it drops every pair it keeps the last, so the
+searches get at least one pair and check every pair they get. The same
+support test spares the setup the products of t x t^-1 for an x that
+commutes with every letter of t, and spares the final check its products
+for a pair with x == y whose y commutes with every letter of g.
 
 The canonical enumeration (`words.enumerate_products`) orders words by
 length, then lexicographically by symbol (each generator followed by its
@@ -30,14 +33,10 @@ the middle rather than conjugating by every word:
 
 - Split a word of length d as w = a.b, with |a| = ceil(d/2) and
   |b| = floor(d/2). Then w x w^-1 = y exactly when b x b^-1 = a^-1 y a.
-  The halves meet on one pair's x and y alone, the key pair; the unmarked
+  The halves meet on the first pair's x and y alone, the key pair; the
   pairs after it are checked on a match, as w^-1 y w = x, before the extra
-  check.
-- The key pair is the first pair that not every word solves, or the last
-  pair: a pair every word solves would match every tail to every head. A
-  marked pair is passed over as it stands, an unmarked one with
-  t x t^-1 == y by conjugating its y by each generator: every word solves
-  it when they all fix y, which supports need not show.
+  check. Since the setup drops pairs every word solves, the key is not one
+  unless every pair is, and then every tail matches every head.
 - The search grows levels: the level of length h lists, in canonical
   order, each symbol sequence c of length h with the strand permutation of
   the normal form it carries (a homomorphism B_n -> S_n, so one braid has
@@ -74,8 +73,7 @@ stores z as c's conjugate by the inverse symbol k ^ 1, since normal forms
 are unique. So a solve conjugates each (normal form, symbol) pair at most
 once, never conjugates a result back, and makes at most the one-symbol
 conjugations the descent without the dicts made; its reports are those
-of that descent. It moves and costs only the unmarked pairs: a marked
-pair stays matched, and a matched pair's cost term is 0.
+of that descent.
 """
 
 from __future__ import annotations
@@ -194,19 +192,19 @@ def verify_solution(instance: CspInstance, g: BraidWord) -> list[bool]:
 
 def _setup(
     instance: CspInstance, config: SolverConfig
-) -> tuple[
-    int, SubgroupSpec, BraidWord, list[GarsideNormalForm], list[GarsideNormalForm], list[bool]
-]:
+) -> tuple[int, SubgroupSpec, BraidWord, list[tuple[GarsideNormalForm, GarsideNormalForm]]]:
     """The strand count n, the alphabet, the coset factor t on n strands (the
-    inverse of the instance's post_transform, or the identity), the normal
-    forms of t x t^-1 and y per pair, and per pair whether generator
-    supports show that every word of the alphabet solves it: g = P.t solves
-    a pair iff P conjugates t x t^-1 to y, so every P does when t x t^-1 == y
-    and y commutes with every alphabet letter. The pairs' forms are the
-    instance's, embedded in B_n: an instance holds only normal forms, and
-    only its `pairs` and record spell them. t x t^-1 is x when x commutes
-    with every letter of t by supports, and otherwise a product of normal
-    forms, with t's inverted in closed form."""
+    inverse of the instance's post_transform, or the identity), and the
+    pairs a search must check, as normal forms of t x t^-1 and y: g = P.t
+    solves a pair iff P conjugates t x t^-1 to y, so every P does, and the
+    pair is dropped, when t x t^-1 == y and y commutes with every alphabet
+    generator, shown by generator supports or else by one conjugation per
+    generator. When every pair is dropped the last one is kept, so a search
+    has a pair to key on. The pairs' forms are the instance's, embedded in
+    B_n: an instance holds only normal forms, and only its `pairs` and
+    record spell them. t x t^-1 is x when x commutes with every letter of t
+    by supports, and otherwise a product of normal forms, with t's inverted
+    in closed form."""
     alphabet = config.alphabet if config.alphabet is not None else instance.alphabet
     n = max(instance.strands, alphabet.strands)
     xs = [embed(x, n) for x, _ in instance.forms]
@@ -223,8 +221,17 @@ def _setup(
             for i in moved:
                 xs[i] = product(product(t_nf, xs[i]), post_nf)
     letters = letter_support(*alphabet.generators)
-    constant = [x == y and commutes_by_support(y, letters) for x, y in zip(xs, ys)]
-    return n, alphabet, t, xs, ys, constant
+    pairs = list(zip(xs, ys))
+    kept = [
+        (x, y)
+        for x, y in pairs
+        if x != y
+        or not (
+            commutes_by_support(y, letters)
+            or all(conjugate(y, g) == y for g in alphabet.generators)
+        )
+    ]
+    return n, alphabet, t, kept or pairs[-1:]
 
 
 def solve_exhaustive(
@@ -270,7 +277,7 @@ def _candidate_loop(
     """The search behind solve_exhaustive and solve_power, kept apart so
     neither traced solver entry calls the other: a meet in the middle over
     the canonical enumeration, as the module docstring describes."""
-    n, alphabet, t, xs, ys, constant = _setup(instance, config)
+    n, alphabet, t, ((x0, y0), *rest) = _setup(instance, config)
     symbols = canonical_symbols(alphabet.generators)
     m = len(symbols)
     # As in the plain enumeration, a negative budget tests no word and a
@@ -290,20 +297,6 @@ def _candidate_loop(
             f"the cap of {MAX_TABLE_ENTRIES}: lower the length bound or the budget"
         )
 
-    # The first pair that not every word solves keys the table, or the last;
-    # a match is checked on the pairs after it that the setup did not mark.
-    pairs = list(zip(xs, ys))
-    lead = next(
-        (
-            i
-            for i, (x, y) in enumerate(pairs)
-            if not constant[i]
-            and (x != y or any(conjugate(y, g) != y for g in alphabet.generators))
-        ),
-        len(pairs) - 1,
-    )
-    x0, y0 = pairs[lead]
-    rest = [pair for pair, c in zip(pairs[lead + 1 :], constant[lead + 1 :]) if not c]
     # Each symbol s as the image of s^-1's permutation, which
     # `words.crossings` gives, and the translation table of s's.
     ident, pad = bytes(range(n)), bytes(range(n, 256))
@@ -442,12 +435,11 @@ def solve_length_descent(
     which conjugated by a whole prefix in one call; values, tie-breaks,
     counts and traces are that descent's.
     """
-    n, alphabet, t, xs, ys0, constant = _setup(instance, config)
+    n, alphabet, t, pairs = _setup(instance, config)
     symbols = canonical_symbols(alphabet.generators)
     m = len(symbols)
-    # A marked pair stays matched, at cost 0, so it is neither moved nor costed.
-    xs = [x for x, c in zip(xs, constant) if not c]
-    ys0 = [y for y, c in zip(ys0, constant) if not c]
+    xs = [x for x, _ in pairs]
+    ys0 = [y for _, y in pairs]
     x_invs = [inverse(x) for x in xs]
     conjugates: dict[tuple[GarsideNormalForm, int], GarsideNormalForm] = {}
     terms: dict[tuple[int, GarsideNormalForm], int] = {}

@@ -9,7 +9,7 @@ import solver_reference as reference
 from hypothesis import example, given, settings, strategies as st
 
 from braidwork import solvers
-from braidwork.garside import conjugate, rewrite
+from braidwork.garside import commutes_by_support, conjugate, normal_form, rewrite
 from braidwork.solvers import (
     SolverConfig,
     _candidate_loop,
@@ -40,6 +40,16 @@ def letters(strands: int, min_size: int, max_size: int):
         lambda i: st.sampled_from([i, -i])
     )
     return st.lists(nonzero, min_size=min_size, max_size=max_size).map(tuple)
+
+
+def full_twist(strands: int, generators) -> BraidWord:
+    """(sigma_lo..sigma_hi)^(hi - lo + 2), the full twist of the strands the
+    generators' letters span: central in the subgroup they generate, and
+    not shown to commute with it by generator supports unless it is a
+    Delta^2 power on every strand."""
+    used = [abs(x) for g in generators for x in g]
+    lo, hi = min(used), max(used)
+    return BraidWord(strands, tuple(range(lo, hi + 1)) * (hi - lo + 2))
 
 
 @st.composite
@@ -74,15 +84,23 @@ def searches(draw):
         t = BraidWord(n, draw(letters(n, 1, 3)))
         g, post = compose(g, t), invert(t)
     probes = draw(st.lists(letters(n, 0, 5), min_size=1, max_size=3))
-    pairs = tuple(
+    pairs = [
         (x, rewrite(compose_all([g, x, invert(g)])))
         for x in (BraidWord(n, p) for p in probes)
-    )
+    ]
+    # Sometimes a pair every word solves: (g^-1 c g, c) for the full twist
+    # c, which the coset factor takes to (c, c). The setup drops it, by
+    # conjugation unless c is Delta^2 on every strand, and the reference
+    # conjugates it by every word.
+    if draw(st.booleans()):
+        c = full_twist(n, generators)
+        pair = (rewrite(compose_all([invert(g), c, g])), c)
+        pairs.insert(draw(st.integers(min_value=0, max_value=len(pairs))), pair)
     # Rejecting many matches walks past the words that solve every pair
     # trivially, e.g. when each probe commutes with the alphabet.
     few, many = st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=60)
     rejects = draw(st.none() | few | many)
-    instance = reference.word_instance(pairs, alphabet, post)
+    instance = reference.word_instance(tuple(pairs), alphabet, post)
     return instance, SolverConfig(max_length, alphabet), rejects
 
 
@@ -222,17 +240,22 @@ def descents(draw):
     else:
         ys = [BraidWord(n, draw(letters(n, 0, 6))) for _ in xs]
     pairs = [(x, rewrite(y)) for x, y in zip(xs, ys)]
-    # Sometimes a pair every word solves: x = y at least 2 from every letter
-    # of the alphabet, with Delta^2 powers. The descent marks and skips it,
-    # the reference costs it at every state, so equal reports check that
-    # skipping marked pairs changes nothing.
+    # Sometimes a pair (c, c) with c central in the alphabet's subgroup:
+    # at least 2 from every letter, with Delta^2 powers, which supports
+    # show, or the full twist of the strands its letters span, which only a
+    # conjugation by each generator shows. Unless a coset factor moves c,
+    # every word solves it, and the setup drops it; the reference costs it
+    # at every state, so equal reports check that dropping it changes
+    # nothing.
     used = {abs(x) for g in generators for x in g}
     far = [j for j in range(1, n) if all(abs(j - i) >= 2 for i in used)]
-    if far and draw(st.booleans()):
-        c = compose(
-            power(delta(n), 2 * draw(st.integers(min_value=-1, max_value=1))),
-            BraidWord(n, (draw(st.sampled_from(far)),) * draw(st.integers(1, 3))),
-        )
+    if draw(st.booleans()):
+        c = full_twist(n, generators)
+        if far and draw(st.booleans()):
+            c = compose(
+                power(delta(n), 2 * draw(st.integers(min_value=-1, max_value=1))),
+                BraidWord(n, (draw(st.sampled_from(far)),) * draw(st.integers(1, 3))),
+            )
         pairs.insert(draw(st.integers(min_value=0, max_value=len(pairs))), (c, c))
     config = SolverConfig(
         draw(st.integers(min_value=0, max_value=5)),
@@ -255,13 +278,53 @@ def test_descent_matches_the_reference(case):
 @given(descents())
 @settings(deadline=None)
 def test_setup_by_arithmetic_matches_the_word_setup(case):
-    # Each pair the setup marks is one every word solves: its sides are equal
-    # and a conjugation by each generator fixes them.
+    # The setup keeps the word setup's pairs less exactly those with equal
+    # sides that a conjugation by each generator fixes, or the last pair
+    # when that is every pair.
     instance, config = case
-    *setup, constant = _setup(instance, config)
-    assert tuple(setup) == reference._setup(instance, config)
-    n, alphabet, t, xs, ys = setup
-    for x, y, marked in zip(xs, ys, constant):
-        assert not marked or (
-            x == y and all(conjugate(y, g) == y for g in alphabet.generators)
+    n, alphabet, t, pairs = _setup(instance, config)
+    ref_n, ref_alphabet, ref_t, xs, ys = reference._setup(instance, config)
+    assert (n, alphabet, t) == (ref_n, ref_alphabet, ref_t)
+    every = list(zip(xs, ys))
+    kept = [
+        (x, y)
+        for x, y in every
+        if x != y or any(conjugate(y, g) != y for g in alphabet.generators)
+    ]
+    assert pairs == (kept or every[-1:])
+
+
+def test_setup_drops_the_pairs_every_word_solves(monkeypatch):
+    # sigma_2 sigma_1^2 sigma_2 is Delta^2 sigma_1^-2 on 3 strands, so it
+    # commutes with sigma_1, but its factors use sigma_2: only arithmetic
+    # shows it. sigma_6 is at least 2 from sigma_1..sigma_3, which supports
+    # show with no conjugation. (sigma_2, sigma_1 sigma_2 sigma_1^-1) is
+    # solved by sigma_1 alone, and kept. When every pair is dropped, the
+    # last is kept.
+    calls = []
+
+    def counting_conjugate(a, s):
+        calls.append(s)
+        return conjugate(a, s)
+
+    monkeypatch.setattr(solvers, "conjugate", counting_conjugate)
+
+    def setup_pairs(pairs, strands, letters):
+        alphabet = SubgroupSpec(
+            "drawn", strands, tuple(BraidWord(strands, (i,)) for i in letters)
         )
+        words = tuple((BraidWord(strands, x), BraidWord(strands, y)) for x, y in pairs)
+        instance = reference.word_instance(words, alphabet)
+        calls.clear()
+        return _setup(instance, SolverConfig(3))[3], instance.forms
+
+    twisted = (2, 1, 1, 2)
+    assert not commutes_by_support(normal_form(BraidWord(3, twisted)), {1})
+    kept, forms = setup_pairs(((twisted, twisted), ((2,), (1, 2, -1))), 3, (1,))
+    assert kept == list(forms[1:])
+    assert len(calls) == 1
+    kept, forms = setup_pairs((((6,), (6,)), ((2,), (1, 2, -1))), 7, (1, 2, 3))
+    assert kept == list(forms[1:])
+    assert calls == []
+    kept, forms = setup_pairs((((6,), (6,)), (twisted, twisted)), 7, (1,))
+    assert kept == list(forms[1:])
