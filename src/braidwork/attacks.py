@@ -51,7 +51,6 @@ from .solvers import (
     SolverConfig,
     solve_exhaustive,
     solve_length_descent,
-    solve_power,
 )
 from .subgroups import SubgroupSpec, centralizer_search, elements_commute
 from .words import (
@@ -241,13 +240,17 @@ def attack_stickel(
 ) -> AttackReport:
     """
     Key recovery against the commuting-powers scheme with tokens of the
-    form a^r.b^s: recover a^r by exponent search on a conjugacy pair, read
+    form a^r.b^s: recover a^r on a conjugacy pair by the exhaustive search
+    over a to length exponent_bound (a ValueError if it is negative), read
     off b^s as the quotient, and assemble the shared key around the peer
     token. The b-power is chosen to equal a^-r.token, so a^r.b^s rebuilds
     the token by construction and is not checked again.
     """
+    if exponent_bound < 0:
+        raise ValueError("max exponent must be nonnegative")
     run = _Run("stickel")
-    rep = solve_power(build_stickel_instance(a, b, token_a, alpha=1), exponent_bound)
+    instance = build_stickel_instance(a, b, token_a, alpha=1)
+    rep = solve_exhaustive(instance, SolverConfig(exponent_bound))
     if not run.solved("a-power-found", rep):
         return run.report()
     a_pow = rep.solution

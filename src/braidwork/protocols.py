@@ -42,8 +42,8 @@ from .subgroups import (
     sets_commute,
 )
 from .words import (
+    MAX_SECRET_LENGTH,
     BraidWord,
-    expect_list,
     expect_object,
     expect_secret_length,
     expect_strands,
@@ -96,6 +96,9 @@ class KaConfig:
     def __post_init__(self):
         _check_preset(self.preset, self.strands)
         expect_secret_length(self.secret_length)
+        if not 0 <= self.exponent_bound <= MAX_SECRET_LENGTH:
+            raise ProtocolError(f"exponent_bound {self.exponent_bound} is outside "
+                                f"0..{MAX_SECRET_LENGTH}")
         for what in ("left_a", "right_a", "left_b", "right_b", "base"):
             _check_strands(what, getattr(self, what), self.strands)
         if self.preset == "stickel":
@@ -251,7 +254,6 @@ class SecretTranscript:
     b1: BraidWord
     b2: BraidWord
     kappa_form: GarsideNormalForm
-    exponents: tuple[int, int, int, int] | None = None  # stickel (r, s, t, u)
 
     @functools.cached_property
     def kappa(self) -> BraidWord:
@@ -264,23 +266,15 @@ class SecretTranscript:
             "b1": self.b1.to_record(),
             "b2": self.b2.to_record(),
             "kappa": self.kappa.to_record(),
-            "exponents": list(self.exponents) if self.exponents else None,
         }
 
     @staticmethod
     def from_record(record: dict) -> SecretTranscript:
         expect_object(record, "a secret transcript record")
-        exps = record.get("exponents")
-        if exps is not None:
-            exps = tuple(
-                expect_type(e, int, "an exponent") for e in expect_list(exps, "exponents")
-            )
-            if len(exps) != 4:
-                raise ValueError("exponents must be null or four ints (r, s, t, u)")
         a1, a2, b1, b2, kappa = (
             BraidWord.from_record(record[k]) for k in ("a1", "a2", "b1", "b2", "kappa")
         )
-        return SecretTranscript(a1, a2, b1, b2, normal_form(kappa), exps)
+        return SecretTranscript(a1, a2, b1, b2, normal_form(kappa))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -305,19 +299,16 @@ def ka_run(config: KaConfig, seed: int) -> ProtocolTranscript:
         r, s, t, u = (rng.randint(0, config.exponent_bound) for _ in range(4))
         a1, a2 = power(a, r), power(b, s)
         b1, b2 = power(a, t), power(b, u)
-        exponents = (r, s, t, u)
     elif config.conjugate_secrets:
         a1 = random_word(config.left_a.generators, config.secret_length, rng, inverses)
         a2 = invert(a1)
         b1 = random_word(config.left_b.generators, config.secret_length, rng, inverses)
         b2 = invert(b1)
-        exponents = None
     else:
         a1 = random_word(config.left_a.generators, config.secret_length, rng, inverses)
         a2 = random_word(config.right_a.generators, config.secret_length, rng, inverses)
         b1 = random_word(config.left_b.generators, config.secret_length, rng, inverses)
         b2 = random_word(config.right_b.generators, config.secret_length, rng, inverses)
-        exponents = None
 
     nf_a1, nf_b1, nf_z = normal_form(a1), normal_form(b1), normal_form(config.base)
     if config.conjugate_secrets:
@@ -331,7 +322,7 @@ def ka_run(config: KaConfig, seed: int) -> ProtocolTranscript:
         raise ProtocolError("parties disagree on the shared key; bad configuration")
 
     public = PublicTranscript(config, token_a, token_b)
-    secret = SecretTranscript(a1, a2, b1, b2, kappa, exponents)
+    secret = SecretTranscript(a1, a2, b1, b2, kappa)
     return ProtocolTranscript(public, secret)
 
 

@@ -1,7 +1,9 @@
 """
 Desk-scale solvers for conjugacy-search instances: exhaustive coset
-search, greedy length descent, and exponent search, which is the
-exhaustive search over one generator.
+search and greedy length descent. Exponent search, as Stickel's scheme
+needs it, is the exhaustive search over one generator's alphabet, whose
+enumeration is the powers g^0, g^1, g^-1, ..., so it has no search of
+its own: `solve_exhaustive` is the one entry that meets in the middle.
 
 All solvers share the convention of CspInstance: a solution g satisfies
 g x_i g^-1 = y_i for every pair. Candidates are formed as `word . t` where
@@ -253,30 +255,6 @@ def solve_exhaustive(
     Raises ValueError when the longest length the budget reaches needs a
     table of more than MAX_TABLE_ENTRIES words.
     """
-    return _candidate_loop(instance, config, extra_check)
-
-
-def solve_power(instance: CspInstance, max_exponent: int) -> SolutionReport:
-    """Try powers base^0, base^1, base^-1, ... of the alphabet's first
-    generator as conjugators (the cyclic-subgroup case): the exhaustive
-    candidate loop over that one generator, whose enumeration is exactly
-    these 2*max_exponent+1 powers, so its budget is never the bound."""
-    if max_exponent < 0:
-        raise ValueError("max exponent must be nonnegative")
-    alphabet = instance.alphabet
-    cyclic = SubgroupSpec(alphabet.name, alphabet.strands, alphabet.generators[:1])
-    config = SolverConfig(max_exponent, cyclic, budget=2 * max_exponent + 1)
-    return _candidate_loop(instance, config)
-
-
-def _candidate_loop(
-    instance: CspInstance,
-    config: SolverConfig,
-    extra_check: Callable[[BraidWord], bool] | None = None,
-) -> SolutionReport:
-    """The search behind solve_exhaustive and solve_power, kept apart so
-    neither traced solver entry calls the other: a meet in the middle over
-    the canonical enumeration, as the module docstring describes."""
     n, alphabet, t, ((x0, y0), *rest) = _setup(instance, config)
     symbols = canonical_symbols(alphabet.generators)
     m = len(symbols)
@@ -354,6 +332,17 @@ def _candidate_loop(
     if deepest < max_length or before > budget:
         return SolutionReport(BUDGET_EXCEEDED, None, None, budget)
     return SolutionReport(EXHAUSTED, None, None, before)
+
+
+def solve_power(instance: CspInstance, max_exponent: int) -> SolutionReport:
+    """The exhaustive search over the alphabet's first generator to length
+    max_exponent, whose enumeration is exactly the powers base^0, base^1,
+    base^-1, ..., base^-max_exponent; a ValueError for a negative bound."""
+    if max_exponent < 0:
+        raise ValueError("max exponent must be nonnegative")
+    alphabet = instance.alphabet
+    cyclic = SubgroupSpec(alphabet.name, alphabet.strands, alphabet.generators[:1])
+    return solve_exhaustive(instance, SolverConfig(max_exponent, cyclic))
 
 
 def _words_of_length(m: int, length: int) -> int:

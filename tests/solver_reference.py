@@ -75,8 +75,9 @@ def _candidate_loop(
     config: SolverConfig,
     extra_check: Callable[[BraidWord], bool] | None = None,
 ) -> SolutionReport:
-    """The search behind solve_exhaustive and solve_power, kept apart so
-    neither traced solver entry calls the other."""
+    """The exhaustive search before it met in the middle: each word of the
+    canonical enumeration in turn, conjugating every pair by the whole
+    word."""
     n, alphabet, t, xs, ys = _setup(instance, config)
     tested = 0
     for word in enumerate_products(alphabet.generators, config.max_length):

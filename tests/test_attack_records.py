@@ -116,7 +116,7 @@ def solved_instances(monkeypatch):
 
         return wrapper
 
-    for name in ("solve_exhaustive", "solve_length_descent", "solve_power"):
+    for name in ("solve_exhaustive", "solve_length_descent"):
         monkeypatch.setattr(attacks, name, capture(getattr(attacks, name)))
     return seen
 

@@ -144,6 +144,11 @@ class TestStickel:
         assert not report.success
         assert report.recovered == ()
 
+    def test_rejects_negative_bound(self):
+        a, b = BraidWord(6, (1, 2)), BraidWord(6, (2, 3))
+        with pytest.raises(ValueError, match="nonnegative"):
+            attack_stickel(a, b, a, b, exponent_bound=-1)
+
 
 class TestEdl:
     alphabet = interval_generators(6, 1, 2)

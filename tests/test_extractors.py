@@ -233,7 +233,8 @@ class TestStickelExtractor:
         config = make_preset("stickel", strands=8, exponent_bound=3)
         run = ka_run(config, seed=4)
         a, b = config.stickel_pair
-        r, s, _, _ = run.secret.exponents
+        r = len(run.secret.a1) // len(a)
+        assert run.secret.a1 == power(a, r)
         inst = build_stickel_instance(a, b, run.public.token_a, alpha=1)
         (x, y), = inst.pairs
         assert conjugates(power(a, r), x, y)

@@ -83,11 +83,18 @@ class TestPresets:
         ({"strands": 4}, "klchkp preset needs at least 5 strands"),
         ({"strands": 7}, "left_a is on 6 strands, not the config's 7"),
         ({"secret_length": -1}, "secret length -1 is negative"),
+        ({"exponent_bound": -1}, "exponent_bound -1 is outside 0..256"),
+        ({"exponent_bound": 257}, "exponent_bound 257 is outside 0..256"),
     ])
     def test_every_built_config_is_checked(self, change, message):
         config = make_preset("klchkp", strands=6, secret_length=2)
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(config, **change)
+
+    def test_preset_exponent_bound_is_checked(self):
+        with pytest.raises(ProtocolError, match="exponent_bound -1 is outside 0..256"):
+            make_preset("stickel", 6, exponent_bound=-1)
+        assert make_preset("stickel", 6, exponent_bound=256).exponent_bound == 256
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_stickel_shape_is_checked(self, side):
@@ -168,8 +175,11 @@ class TestKaRun:
     def test_stickel_exponents_recorded(self):
         config = make_preset("stickel", strands=8, exponent_bound=4)
         run = ka_run(config, seed=3)
-        r, s, t, u = run.secret.exponents
         a, b = config.stickel_pair
+        r, s = len(run.secret.a1) // len(a), len(run.secret.a2) // len(b)
+        t, u = len(run.secret.b1) // len(a), len(run.secret.b2) // len(b)
+        assert run.secret.a1 == power(a, r) and run.secret.a2 == power(b, s)
+        assert run.secret.b1 == power(a, t) and run.secret.b2 == power(b, u)
         assert all(0 <= e <= 4 for e in (r, s, t, u))
         assert words_equal(run.public.token_a, compose(power(a, r), power(b, s)))
         assert words_equal(run.public.token_b, compose(power(a, t), power(b, u)))

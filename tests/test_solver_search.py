@@ -12,7 +12,6 @@ from braidwork import solvers
 from braidwork.garside import commutes_by_support, conjugate, normal_form, rewrite
 from braidwork.solvers import (
     SolverConfig,
-    _candidate_loop,
     _lex_rank,
     _setup,
     _words_of_length,
@@ -147,7 +146,7 @@ def test_search_matches_the_reference(case):
     for budget in sorted(budgets):
         bounded = SolverConfig(config.max_length, config.alphabet, budget)
         expected = run(reference._candidate_loop, instance, bounded, rejects)
-        got = run(_candidate_loop, instance, bounded, rejects)
+        got = run(solve_exhaustive, instance, bounded, rejects)
         assert got == expected
         assert got[0].to_record() == expected[0].to_record()
 
