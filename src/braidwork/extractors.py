@@ -32,9 +32,18 @@ from __future__ import annotations
 import dataclasses
 import functools
 
-from .garside import GarsideNormalForm, embed, inverse, normal_form, product, rewrite, words_equal
+from .garside import (
+    GarsideNormalForm,
+    commutes_by_support,
+    embed,
+    inverse,
+    normal_form,
+    product,
+    rewrite,
+    words_equal,
+)
 from .protocols import PublicTranscript
-from .subgroups import SubgroupSpec, centralizer_search
+from .subgroups import SubgroupSpec, centralizer_search, letter_support
 from .words import (
     BraidWord,
     Endomorphism,
@@ -153,18 +162,26 @@ def build_conjugation_instance(
     each conjugate is L.NF(probe).R with (L, R) = (T, T^-1) on the left and
     (T^-1, T) on the right. The pair's forms are (NF(probe), L.NF(probe).R),
     both on the larger of the token's and the probe's strand counts; the
-    instance holds these forms and spells no word."""
+    instance holds these forms and spells no word. When the embedded T
+    commutes with every letter of the probe by generator supports
+    (`garside.commutes_by_support`), the conjugate is NF(probe) itself and
+    no product is formed, as `solvers._setup` leaves t x t^-1 as x."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     around: dict[int, tuple[GarsideNormalForm, GarsideNormalForm]] = {}
     for n in {max(token.strands, probe.strands) for probe in probes}:
         t = embed(token, n)
-        around[n] = (t, inverse(t)) if side == "left" else (inverse(t), t)
+        around[n] = (t, inverse(t))
     forms = []
     for probe in probes:
-        left, right = around[max(token.strands, probe.strands)]
-        middle = normal_form(probe.embed(left.strands))
-        forms.append((middle, product(product(left, middle), right)))
+        t, t_inv = around[max(token.strands, probe.strands)]
+        middle = normal_form(probe.embed(t.strands))
+        if commutes_by_support(t, letter_support(probe)):
+            forms.append((middle, middle))
+        elif side == "left":
+            forms.append((middle, product(product(t, middle), t_inv)))
+        else:
+            forms.append((middle, product(product(t_inv, middle), t)))
     return CspInstance(tuple(forms), alphabet, post_transform, meta)
 
 

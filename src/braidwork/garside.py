@@ -70,6 +70,13 @@ in pair steps, for normal forms of canonical lengths l and m:
     (Delta sigma^-1): on the left its Delta^-1 joins the Delta power, on
     the right it flips the l factors.
 
+Commutation with generators is decided without arithmetic where supports
+show it (`commutes_by_support`): a braid commutes with sigma_i when, up to
+an even Delta power, it uses neither sigma_(i-1) nor sigma_(i+1). Supports
+are read off the factors of the normal form and of the np-form N^-1 P,
+both positive, which `inverse` gives in closed form; the np-form shows the
+support that a negative infimum hides in the normal form.
+
 The permutations of the identity, Delta, each sigma_i and each Delta
 sigma_i^-1, the mirror table, and the letters of Delta and its inverse,
 are built once per strand count (functools caches, emptied with the rest).
@@ -91,7 +98,8 @@ word-level caller reads it. A word read from a record is normalised once.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, NamedTuple
+import itertools
+from typing import Collection, Iterable, NamedTuple
 
 from .words import BraidWord, delta, invert, reconcile
 
@@ -422,23 +430,74 @@ def neighbours(letters: Iterable[int]) -> set[int]:
     """The generator indices next to one of `letters`. sigma_i commutes with
     sigma_j unless |i - j| = 1, so with every braid that uses no generator
     in neighbours({i}): the one rule by which generator supports decide
-    commutation, of words (`subgroups.elements_commute`) and of normal
-    forms (`commutes_by_support`)."""
+    commutation, of words (`subgroups.elements_commute`, from their
+    letters) and of normal forms (`commutes_by_support`, from the factors
+    of the normal form and of its np-form N^-1 P)."""
     return {j for i in letters for j in (i - 1, i + 1) if j}
 
 
-def commutes_by_support(a: GarsideNormalForm, letters: Iterable[int]) -> bool:
+def commutes_by_support(a: GarsideNormalForm, letters: Collection[int]) -> bool:
     """Whether a commutes with sigma_i for each i in `letters`, decided by
-    generator supports, with no arithmetic; False means undecided. An even
-    Delta power is central in B_m (m = a.strands) and commutes with sigma_i
-    for i > m, but not with sigma_m; an odd one is taken never to commute.
-    The factors must use no generator in `neighbours(letters)`, and a
-    factor p uses sigma_j exactly when it moves a strand across the gap
-    between positions j - 1 and j, that is when max(p[:j]) >= j."""
-    if a.infimum % 2 or (a.infimum and a.strands in letters):
-        return False
-    near = neighbours(letters)
-    return not any(max(p[:j]) >= j for p in a.factors for j in near)
+    generator supports, with no pair step; False means undecided. a is
+    written as Delta^e times positive braids in two ways, and sigma_i passes
+    when, in one of them, e is even (an even Delta power is central in B_m,
+    m = a.strands, and commutes with sigma_i for i > m, but not with
+    sigma_m) and no factor uses a generator in `neighbours({i})`; an odd e
+    decides nothing. The writings are the normal form and its np-form N^-1
+    P (`_np_form`), which shows the support that a negative infimum hides:
+    sigma_4^-1 on 7 strands is Delta^-1 times one factor that uses every
+    generator, but N = sigma_4. N and P use just the generators of the
+    least standard parabolic subgroup holding a (Charney, Math. Ann. 1992;
+    Cumplido, Gebhardt, Gonzalez-Meneses & Wiest, Adv. Math. 2019), so for
+    a word over a proper subset S of the generators, every set of letters
+    that avoids neighbours(S) is decided."""
+    blocked = _blocked(a)
+    return blocked is not None and blocked.isdisjoint(letters)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _blocked(a: GarsideNormalForm) -> frozenset[int] | None:
+    """The letters i for which neither writing of a shows that sigma_i
+    commutes with a, or None when neither has an even Delta power. Letters
+    above a.strands are blocked by no factor. Memoised per normal form: an
+    extractor asks about one token once per probe, and the solvers about
+    one y in the setup and again in the final check."""
+    writings = [(a.infimum, a.factors)]
+    if a.infimum < 0 and a.factors:
+        writings.append(_np_form(a))
+    blocked = [
+        neighbours(_support(factors)) | ({a.strands} if power else set())
+        for power, factors in writings
+        if power % 2 == 0
+    ]
+    return frozenset(set.intersection(*blocked)) if blocked else None
+
+
+def _np_form(a: GarsideNormalForm) -> tuple[int, tuple[Perm, ...]]:
+    """a as Delta^e N^-1 P with N and P positive, as e and the factors of N
+    and P, for a negative infimum k and at least one factor. For the normal
+    form Delta^k A_1 ... A_l and j = min(l, -k), e = k + j, N = (A_1 ...
+    A_j)^-1 Delta^j and P = A_(j+1) ... A_l. N's factors are those of
+    `inverse` on A_1 ... A_j flipped j times, by the Delta^j they are
+    conjugated by: closed form, no pair step."""
+    k, factors = a.infimum, a.factors
+    j = min(len(factors), -k)
+    heads = inverse(GarsideNormalForm(a.strands, 0, factors[:j])).factors
+    if j % 2:
+        heads = tuple(perm_flip(p) for p in heads)
+    return k + j, heads + factors[j:]
+
+
+def _support(factors: tuple[Perm, ...]) -> list[int]:
+    """The generators some factor uses. A factor p uses sigma_j exactly
+    when it moves a strand across the gap between positions j - 1 and j,
+    that is when p[:j] is not 0..j-1; j distinct images sum to at least
+    j(j-1)/2, with equality just then. So some factor uses sigma_j exactly
+    when the first j images of all the factors sum to more than j(j-1)/2
+    times their number: one prefix sum of the column sums."""
+    count = len(factors)
+    sums = itertools.accumulate(map(sum, zip(*factors)))
+    return [j for j, total in enumerate(sums, 1) if total > count * j * (j - 1) // 2]
 
 
 def permutation(a: GarsideNormalForm) -> Perm:

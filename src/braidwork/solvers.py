@@ -18,10 +18,13 @@ The setup alone decides, once, which pairs every word of the alphabet
 solves, and drops them: those with t x t^-1 == y whose y commutes with
 every alphabet generator. Generator supports show it with no arithmetic
 (`garside.commutes_by_support`: an even Delta power is central, and
-sigma_i commutes with y when y uses neither sigma_(i-1) nor sigma_(i+1)),
-as for (sigma_6, sigma_6) over sigma_1..sigma_3; else one conjugation of
-y per generator does, as for (sigma_2 sigma_1^2 sigma_2, the same) over
-sigma_1 on 3 strands. When it drops every pair it keeps the last, so the
+sigma_i commutes with y when y's normal form or np-form N^-1 P uses
+neither sigma_(i-1) nor sigma_(i+1)), as for (sigma_6, sigma_6) over
+sigma_1..sigma_3, or for (sigma_4^-1, sigma_4^-1) over sigma_1 on 5
+strands, whose normal form is Delta^-1 times a factor that uses every
+generator while N = sigma_4; else one conjugation of y per generator
+does, as for (sigma_2 sigma_1^2 sigma_2, the same) over sigma_1 on 3
+strands. When it drops every pair it keeps the last, so the
 searches get at least one pair and check every pair they get. The same
 support test spares the setup the products of t x t^-1 for an x that
 commutes with every letter of t, and spares the final check its products

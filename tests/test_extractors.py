@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from solver_reference import word_instance
 
+from braidwork import extractors
 from braidwork.extractors import (
     CspInstance,
     build_conjugation_instance,
@@ -13,7 +14,7 @@ from braidwork.extractors import (
     ce_conjugate_sample,
     ce_difference_pair,
 )
-from braidwork.garside import embed, normal_form, rewrite, words_equal
+from braidwork.garside import embed, neighbours, normal_form, product, rewrite, words_equal
 from braidwork.protocols import dehornoy_commit, dehornoy_keygen, ka_run, make_preset
 from braidwork.solvers import SolverConfig, solve_exhaustive, solve_length_descent
 from braidwork.subgroups import SubgroupSpec, interval_generators
@@ -126,6 +127,49 @@ def test_conjugation_instance_is_the_rewritten_sample(token, probes, side):
         for p in probes
     )
     assert inst.pairs == expected
+
+
+@st.composite
+def commuting_tokens_and_probes(draw):
+    """A token over generators S, not all of them, and probes over the
+    generators not next to S, each with as many strands as the token."""
+    n = draw(st.integers(min_value=3, max_value=9))
+    support = sorted(
+        draw(st.sets(st.integers(min_value=1, max_value=n - 1), min_size=1, max_size=n - 2))
+    )
+    free = [i for i in range(1, n) if i not in neighbours(support)]
+    assume(free)
+
+    def word(gens, max_size):
+        letter = st.sampled_from(gens).flatmap(lambda i: st.sampled_from([i, -i]))
+        return BraidWord(n, tuple(draw(st.lists(letter, max_size=max_size))))
+
+    probes = tuple(word(free, 6) for _ in range(draw(st.integers(min_value=1, max_value=3))))
+    return word(support, 20), probes
+
+
+@given(commuting_tokens_and_probes(), st.sampled_from(["left", "right"]))
+@settings(deadline=None)
+def test_a_token_that_commutes_by_supports_forms_no_product(case, side):
+    # Each probe commutes with the token by generator supports, so its pair
+    # is (NF(probe), NF(probe)) with no product, and that is the normal
+    # form of the composed sample.
+    token, probes = case
+    calls = []
+
+    def counting_product(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extractors, "product", counting_product)
+        inst = build_conjugation_instance(
+            normal_form(token), probes, side, interval_generators(2, 1, 1)
+        )
+    assert calls == []
+    assert inst.forms == tuple(
+        (normal_form(p), normal_form(ce_conjugate_sample(token, p, side))) for p in probes
+    )
 
 
 class TestCspInstance:

@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from garside_reference import finishing_set, is_left_weighted, perm_mul, starting_set
 from braidwork import garside
@@ -364,8 +364,6 @@ class TestCommutesBySupport:
     def test_a_commuting_letter_fixes_the_form(self, case):
         a, letters = case
         says = commutes_by_support(a, letters)
-        if a.infimum % 2:
-            assert not says
         if says:
             n = max(a.strands, *(i + 1 for i in letters)) if letters else a.strands
             padded = embed(a, n)
@@ -383,6 +381,64 @@ class TestCommutesBySupport:
         assert commutes_by_support(normal_form(BraidWord(6, (5, -5, 2))), {2, 4})
         # sigma_1 is Delta_2, an odd power: never decided, though it commutes.
         assert not commutes_by_support(normal_form(delta(2)), {1})
+
+    def test_reads_supports_off_the_np_form(self):
+        # sigma_4^-1 on 7 strands is Delta^-1 times one factor that uses
+        # every generator; its np-form is N^-1 with N = sigma_4, so it
+        # commutes with sigma_1, sigma_2 and sigma_6 but not sigma_5. Left
+        # unflipped, N would read sigma_3 and pass sigma_5.
+        a = normal_form(BraidWord(7, (-4,)))
+        assert (a.infimum, len(a.factors)) == (-1, 1)
+        assert commutes_by_support(a, {1, 2, 4, 6})
+        assert not commutes_by_support(a, {5})
+        assert not commutes_by_support(a, {3})
+        # sigma_1^-1 sigma_2^-1 sigma_5^-1 is Delta^-1 times one factor, and
+        # its np-form's N is sigma_5 sigma_2 sigma_1: it commutes with sigma_5
+        # alone.
+        b = normal_form(BraidWord(6, (-1, -2, -5)))
+        assert (b.infimum, len(b.factors)) == (-1, 1)
+        assert commutes_by_support(b, {5})
+        assert not any(commutes_by_support(b, {i}) for i in (1, 2, 3, 4))
+        # Delta^-2 A_1 keeps the normal form's even power, which the
+        # np-form's Delta^-1 N^-1 P loses: the union decides it.
+        c = normal_form(compose(power(delta(4), -2), generator(4, 1)))
+        assert (c.infimum, len(c.factors)) == (-2, 1)
+        assert commutes_by_support(c, {1})
+
+    @given(supported_forms())
+    @settings(deadline=None)
+    def test_the_np_form_multiplies_back(self, case):
+        # Delta^e N^-1 P is a, where N is the first j factors of the np-form
+        # and P the rest, both positive normal forms of infimum 0.
+        a, _ = case
+        assume(a.infimum < 0 and a.factors)
+        power, factors = garside._np_form(a)
+        j = min(len(a.factors), -a.infimum)
+        n = a.strands
+        assert power == a.infimum + j
+        assert factors[j:] == a.factors[j:]
+        negative = GarsideNormalForm(n, 0, factors[:j])
+        assert all(p not in (perm_identity(n), perm_longest(n)) for p in factors)
+        twist = GarsideNormalForm(n, power, ())
+        assert product(product(twist, inverse(negative)), GarsideNormalForm(n, 0, factors[j:])) == a
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_a_word_commutes_with_the_letters_its_support_avoids(self, data):
+        # Completeness on proper standard parabolic subgroups: w is drawn
+        # over generators S, not all of them, and L avoids neighbours(S), so
+        # w commutes with every sigma_i in L, and supports must show it.
+        n = data.draw(st.integers(min_value=3, max_value=9))
+        support = data.draw(
+            st.sets(st.integers(min_value=1, max_value=n - 1), min_size=1, max_size=n - 2)
+        )
+        near = garside.neighbours(support)
+        free = [i for i in range(1, n + 1) if i not in near]
+        assume(free)
+        letters = data.draw(st.sets(st.sampled_from(free), min_size=1))
+        letter = st.sampled_from(sorted(support)).flatmap(lambda i: st.sampled_from([i, -i]))
+        w = BraidWord(n, tuple(data.draw(st.lists(letter, max_size=12))))
+        assert commutes_by_support(normal_form(w), letters)
 
 
 def assert_factors_are_bytes(nf: GarsideNormalForm) -> GarsideNormalForm:

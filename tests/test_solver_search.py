@@ -297,9 +297,11 @@ def test_setup_drops_the_pairs_every_word_solves(monkeypatch):
     # sigma_2 sigma_1^2 sigma_2 is Delta^2 sigma_1^-2 on 3 strands, so it
     # commutes with sigma_1, but its factors use sigma_2: only arithmetic
     # shows it. sigma_6 is at least 2 from sigma_1..sigma_3, which supports
-    # show with no conjugation. (sigma_2, sigma_1 sigma_2 sigma_1^-1) is
-    # solved by sigma_1 alone, and kept. When every pair is dropped, the
-    # last is kept.
+    # show with no conjugation, and so does the np-form of sigma_4^-1 on 5
+    # strands, Delta^-1 times one factor that uses every generator, for
+    # sigma_1 and sigma_2. (sigma_2, sigma_1 sigma_2 sigma_1^-1) is solved
+    # by sigma_1 alone, and kept. When every pair is dropped, the last is
+    # kept.
     calls = []
 
     def counting_conjugate(a, s):
@@ -323,6 +325,10 @@ def test_setup_drops_the_pairs_every_word_solves(monkeypatch):
     assert kept == list(forms[1:])
     assert len(calls) == 1
     kept, forms = setup_pairs((((6,), (6,)), ((2,), (1, 2, -1))), 7, (1, 2, 3))
+    assert kept == list(forms[1:])
+    assert calls == []
+    kept, forms = setup_pairs((((-4,), (-4,)), ((2,), (1, 2, -1))), 5, (1, 2))
+    assert forms[0][1].infimum == -1
     assert kept == list(forms[1:])
     assert calls == []
     kept, forms = setup_pairs((((6,), (6,)), (twisted, twisted)), 7, (1,))
