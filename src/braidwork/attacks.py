@@ -4,16 +4,18 @@ key recovery, a one-sided common-factor decision procedure, twisted
 conjugacy recovery, shifted-conjugacy authentication attacks, and
 partial-factor peeling.
 
-Every pipeline has the same skeleton: extract conjugacy-search instances
-from public data, solve them, lift the solution back to a secret
-candidate (`_lift` for the token maps), and check the candidate against
-the public relations. Solvers return solutions only up to centralizer
-factors, so a pipeline's public predicate is the solver's `extra_check`
-and is evaluated there alone, on the enumerated secret: only extractors
-and solvers know an instance's post_transform. `_solve` keeps the value
-the filter derived from the accepted secret, so none is derived twice. A
-report names only the checks that can still fail once the solver has
-answered. `_Run` collects the checks, recovered values and solver
+Every pipeline returns AttackReports (`decomposition`, `stickel`, `edl`
+per decided subset, `gtcp-<mode>`, `dehornoy-centralizer`, `dehornoy-pair`
+and `partial-factor` per probe) and has the same skeleton: extract
+conjugacy-search instances from public data, solve them, lift the solution
+back to a secret candidate (`_lift` for the token maps), and check the
+candidate against the public relations. Solvers return solutions only up
+to centralizer factors, so a pipeline's public predicate is the solver's
+`extra_check` and is evaluated there alone, on the enumerated secret: only
+extractors and solvers know an instance's post_transform. `_solve` keeps
+the value the filter derived from the accepted secret, so none is derived
+twice. A report names only the checks that can still fail once the solver
+has answered. `_Run` collects the checks, recovered values and solver
 reports of one run and builds its AttackReport; `_Run.recover` is the
 shared tail of the filtered secret searches. A pipeline solves only the
 instances whose answers it uses, and what its solver's filter or its own
@@ -21,7 +23,8 @@ construction already guarantees is not checked again. So each
 key-recovery pipeline runs one search: decomposition derives its right
 factor from the left solution and the token, and stickel reads its
 b-power off the token's quotient by the a-power. Success is claimed only
-when all public checks pass.
+when all public checks pass: a failed `edl` check is no evidence, never a
+proof, and a `partial-factor` success means an exact peel.
 
 Pipelines take public data only. A caller that holds the secret judges a
 report with `AttackReport.with_verdict`; that harness verdict is
@@ -246,8 +249,6 @@ def attack_stickel(
     token. The b-power is chosen to equal a^-r.token, so a^r.b^s rebuilds
     the token by construction and is not checked again.
     """
-    if exponent_bound < 0:
-        raise ValueError("max exponent must be nonnegative")
     run = _Run("stickel")
     instance = build_stickel_instance(a, b, token_a, alpha=1)
     rep = solve_exhaustive(instance, SolverConfig(exponent_bound))
@@ -271,47 +272,25 @@ def attack_stickel(
     return run.report()
 
 
-@dataclasses.dataclass(frozen=True)
-class EdlDecision:
-    """One-sided answer for a common-factor decision subset. The one
-    solver report is the u-side search's; v is the one its filter derived."""
-
-    verdict: str  # "YES" | "NO-EVIDENCE"
-    subset: tuple[int, ...]
-    witnesses: tuple[BraidWord, BraidWord] | None
-    solver_reports: tuple[SolutionReport]
-
-    def to_record(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "subset": list(self.subset),
-            "witnesses": (
-                [w.to_record() for w in self.witnesses] if self.witnesses else None
-            ),
-            "solver_reports": [r.to_record() for r in self.solver_reports],
-        }
-
-
 def decide_edl(
     tokens: tuple[tuple[BraidWord, BraidWord], ...],
     config: SolverConfig,
     subsets: tuple[tuple[int, ...], ...] | None = None,
-) -> tuple[EdlDecision, ...]:
+) -> tuple[AttackReport, ...]:
     """
     Decide, one-sidedly, whether tokens y_i = u.x_i.v share a factor pair
-    (u, v). Differences of two tokens cancel v, giving conjugacy pairs
-    (x_i.x_j^-1, y_i.y_j^-1) for u; a u-candidate then fixes v. A YES
-    carries witnesses that the solver's filter checked on every index of
-    the subset; anything else is NO-EVIDENCE, never a proof of emptiness.
+    (u, v), one `edl` report per subset. Differences of two tokens cancel
+    v, giving conjugacy pairs (x_i.x_j^-1, y_i.y_j^-1) for u; a u-candidate
+    then fixes v. A solved instance recovers a u- and v-candidate that the
+    solver's filter checked on every index of the subset; a failed check is
+    no evidence, never a proof of emptiness.
     """
     if len(tokens) < 2:
         raise ValueError("need at least two tokens")
-    if config.alphabet is None:
-        raise ValueError("decide_edl needs an explicit search alphabet")
     if subsets is None:
         subsets = (tuple(range(len(tokens))),)
 
-    decisions: list[EdlDecision] = []
+    reports: list[AttackReport] = []
     for subset in subsets:
         if len(subset) < 2:
             raise ValueError(f"subset {subset} too small")
@@ -322,7 +301,7 @@ def decide_edl(
 
         # A u-candidate pins the v-side: v = x0^-1.u^-1.y0. Verifying that
         # pair on the whole subset during the search keeps the answer sound
-        # and finds witnesses even when the conjugacy solution is not unique.
+        # and finds a pair even when the conjugacy solution is not unique.
         x0, y0 = tokens[subset[0]]
 
         def derive_v(u_cand: BraidWord) -> BraidWord | None:
@@ -333,11 +312,12 @@ def decide_edl(
             )
             return v_cand if verified else None
 
+        run = _Run("edl")
         rep_u, v_cand = _solve(inst_u, config, derive_v)
-        witnesses = (rep_u.solution, rewrite(v_cand)) if rep_u.solved else None
-        verdict = "YES" if rep_u.solved else "NO-EVIDENCE"
-        decisions.append(EdlDecision(verdict, subset, witnesses, (rep_u,)))
-    return tuple(decisions)
+        if rep_u.solved:
+            run.recovered.append(("u-candidate", rep_u.solution))
+        reports.append(run.recover(rep_u, v_cand, "v-candidate"))
+    return tuple(reports)
 
 
 def solve_gtcp(
@@ -422,8 +402,6 @@ def attack_dehornoy_pair(
     The response is handle-reduced once, before the search, so each
     candidate's unwrap reduces a short word that is the same element.
     """
-    if config.alphabet is None:
-        raise ValueError("pair attack needs an explicit search alphabet")
     inst = build_difference_instance(
         ((shift(base), commitment), (shift(public_key), commitment_prime)),
         ((0, 1),),
@@ -452,51 +430,35 @@ def attack_dehornoy_pair(
     return run.recover(rep, s_c, "s-candidate")
 
 
-@dataclasses.dataclass(frozen=True)
-class PartialFactorResult:
-    """One peel: probe, recovered head, and the residual base suffix."""
-
-    probe: BraidWord
-    solver_report: SolutionReport
-    residual: BraidWord | None
-    certificate_commute: bool
-
-    def to_record(self) -> dict:
-        return {
-            "probe": self.probe.to_record(),
-            "solver_report": self.solver_report.to_record(),
-            "residual": self.residual.to_record() if self.residual is not None else None,
-            "certificate_commute": self.certificate_commute,
-        }
-
-
 def partial_factor_attack(
     token: BraidWord,
     probes: tuple[BraidWord, ...],
     config: SolverConfig,
-) -> list[PartialFactorResult]:
+) -> list[AttackReport]:
     """
     Peel partial base information off a token u = h.z (h in the search
-    subgroup), one level per probe: conjugating a probe S by u and solving
-    the conjugacy pair (S, u.S.u^-1) yields a head candidate s; the
-    residual s^-1.u is the part of z commuting with S when the peel is
-    exact. The product s.residual = u holds by construction, so the one
-    certificate is commutation, which flags exact peels. A caller peels the
-    next level by calling again on the head, rewrite(s).
+    subgroup), one `partial-factor` report per probe: conjugating a probe S
+    by u and solving the conjugacy pair (S, u.S.u^-1) yields a head
+    candidate s, the report's solution; the residual s^-1.u is the part of
+    z commuting with S when the peel is exact. The product s.residual = u
+    holds by construction, so the one certificate is commutation: a report
+    succeeds exactly on an exact peel. A caller peels the next level by
+    calling again on the head, rewrite(s).
     """
-    if config.alphabet is None:
-        raise ValueError("partial-factor attack needs an explicit search alphabet")
-    results: list[PartialFactorResult] = []
+    reports: list[AttackReport] = []
     form = normal_form(token)
     for probe in probes:
         inst = build_conjugation_instance(
             form, (probe,), "left", config.alphabet, meta=(("extractor", "partial-factor"),)
         )
+        run = _Run("partial-factor")
         rep = solve_exhaustive(inst, config)
-        residual = rewrite(compose(invert(rep.solution), token)) if rep.solved else None
-        exact = residual is not None and elements_commute(residual, probe)
-        results.append(PartialFactorResult(probe, rep, residual, exact))
-    return results
+        if run.solved("instance-solved", rep):
+            residual = rewrite(compose(invert(rep.solution), token))
+            run.recovered.append(("residual", residual))
+            run.check("residual-commutes-with-probe", elements_commute(residual, probe))
+        reports.append(run.report())
+    return reports
 
 
 def complete_base(

@@ -79,6 +79,8 @@ class CspInstance:
     def __post_init__(self):
         if not self.forms:
             raise ValueError("instance needs at least one pair")
+        if not isinstance(self.alphabet, SubgroupSpec):
+            raise ValueError("instance needs an explicit search alphabet")
         object.__setattr__(self, "meta", tuple(sorted(self.meta)))
 
     @staticmethod

@@ -145,8 +145,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.length_functional != "difference":
             raise ValueError(f"unknown length functional {self.length_functional!r}")
-        if self.restarts < 0:
-            raise ValueError(f"restarts must be nonnegative, got {self.restarts}")
+        for name in ("max_length", "budget", "restarts"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.max_length > MAX_SECRET_LENGTH:
             raise ValueError(
                 f"length bound {self.max_length} is above the cap of {MAX_SECRET_LENGTH}"
@@ -261,10 +262,7 @@ def solve_exhaustive(
     n, alphabet, t, ((x0, y0), *rest) = _setup(instance, config)
     symbols = canonical_symbols(alphabet.generators)
     m = len(symbols)
-    # As in the plain enumeration, a negative budget tests no word and a
-    # negative length bound still tests the identity.
-    budget = max(config.budget, 0)
-    max_length = max(config.max_length, 0)
+    budget, max_length = config.budget, config.max_length
 
     # The deepest length whose first word the budget reaches.
     deepest, reached = -1, 0
@@ -341,8 +339,6 @@ def solve_power(instance: CspInstance, max_exponent: int) -> SolutionReport:
     """The exhaustive search over the alphabet's first generator to length
     max_exponent, whose enumeration is exactly the powers base^0, base^1,
     base^-1, ..., base^-max_exponent; a ValueError for a negative bound."""
-    if max_exponent < 0:
-        raise ValueError("max exponent must be nonnegative")
     alphabet = instance.alphabet
     cyclic = SubgroupSpec(alphabet.name, alphabet.strands, alphabet.generators[:1])
     return solve_exhaustive(instance, SolverConfig(max_exponent, cyclic))

@@ -191,9 +191,10 @@ class TestAcceptance:
                 (x, rewrite(compose_all([u, x, v]))) for x in xs(2)
             )
             (decision,) = decide_edl(tokens, config)
-            ok = ok and decision.verdict == "YES"
-            if decision.witnesses:
-                u_c, v_c = decision.witnesses
+            ok = ok and decision.success
+            if decision.success:
+                found = decision.recovered_dict()
+                u_c, v_c = found["u-candidate"], found["v-candidate"]
                 ok = ok and all(
                     words_equal(compose_all([u_c, x, v_c]), y) for x, y in tokens
                 )
@@ -207,7 +208,7 @@ class TestAcceptance:
                 vi = random_word(spoil.generators, 2, rng, use_inverses=False)
                 tokens.append((x, rewrite(compose_all([ui, compose(x, power(ui, 2)), vi]))))
             (decision,) = decide_edl(tuple(tokens), config)
-            ok = ok and decision.verdict == "NO-EVIDENCE"
+            ok = ok and not decision.success
         # Subset mode: plant a shared pair on indices (0, 1) only.
         u = BraidWord(6, (1, 2))
         v = invert(u)
@@ -218,11 +219,7 @@ class TestAcceptance:
             (x2, rewrite(compose_all([generator(6, 3), x2, generator(6, 3)]))),
         )
         decisions = decide_edl(tokens, config, subsets=((0, 1), (0, 2), (1, 2)))
-        ok = ok and [d.verdict for d in decisions] == [
-            "YES",
-            "NO-EVIDENCE",
-            "NO-EVIDENCE",
-        ]
+        ok = ok and [d.success for d in decisions] == [True, False, False]
         report_line(7, "one-sided common-factor decision (positives, negatives, subsets)", ok)
 
     def test_08_shifted_conjugacy_attacks(self):
@@ -342,10 +339,12 @@ class TestAcceptance:
             probe = generator(8, 5)  # commutes with all of z, not with the head
             results = partial_factor_attack(token, (probe,), config)
             for res in results:
-                if res.residual is not None:
+                residual = res.recovered_dict().get("residual")
+                if residual is not None:
                     planted += 1
+                    head = res.solver_reports[0].solution
                     ok = ok and is_trivial_handle_reduction(
-                        compose_all([res.solver_report.solution, res.residual, invert(token)])
+                        compose_all([head, residual, invert(token)])
                     )
         ok = ok and planted > 0
         # Full-z completion when the budget covers the complementary factor.
@@ -371,7 +370,7 @@ class TestAcceptance:
             probe = generator(8, 1 + peel_rng.randrange(7))
             for res in partial_factor_attack(token, (probe,), config):
                 total += 1
-                certified += res.residual is not None and res.certificate_commute
+                certified += res.success
         print(f"random-probe peel rate: {certified}/{total} exact peels")
         report_line(10, "partial-factor certificates and full-base completion", ok)
 

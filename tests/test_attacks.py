@@ -3,8 +3,10 @@ import dataclasses
 import inspect
 import pathlib
 import random
+import typing
 
 import pytest
+from test_solvers import descent_steps, searching_run
 
 from braidwork import attacks
 from braidwork.attacks import (
@@ -86,6 +88,15 @@ class TestDecomposition:
         ).with_verdict("key-candidate", run.secret.kappa)
         assert report.success and report.harness_verdict is True
 
+    @pytest.mark.parametrize("seed", [1, 3, 4, 5])
+    def test_descent_method_on_a_searching_instance(self, seed):
+        run = searching_run(seed)
+        report = attack_decomposition(
+            run.public, SolverConfig(max_length=4, restarts=6, seed=seed), method="descent"
+        ).with_verdict("key-candidate", run.secret.kappa)
+        assert report.success and report.harness_verdict is True
+        assert descent_steps(report.solver_reports[0]) >= 1
+
     @pytest.mark.parametrize("seed", range(5))
     def test_tampered_transcript_never_yields_key(self, seed):
         run = ka_run(make_preset("klchkp", strands=6, secret_length=2), seed=seed)
@@ -164,8 +175,9 @@ class TestEdl:
         (decision,) = decide_edl(
             tokens, SolverConfig(max_length=2, alphabet=self.alphabet)
         )
-        assert decision.verdict == "YES"
-        u_cand, v_cand = decision.witnesses
+        assert decision.success
+        found = decision.recovered_dict()
+        u_cand, v_cand = found["u-candidate"], found["v-candidate"]
         for x, y in tokens:
             assert words_equal(compose_all([u_cand, x, v_cand]), y)
 
@@ -177,8 +189,8 @@ class TestEdl:
         (decision,) = decide_edl(
             tokens, SolverConfig(max_length=2, alphabet=self.alphabet)
         )
-        assert decision.verdict == "NO-EVIDENCE"
-        assert decision.witnesses is None
+        assert not decision.success
+        assert decision.recovered == ()
 
     def test_subset_mode_localizes_plant(self):
         u = BraidWord(6, (1, 2))
@@ -192,7 +204,7 @@ class TestEdl:
             SolverConfig(max_length=2, alphabet=self.alphabet),
             subsets=((0, 1), (0, 2), (1, 2)),
         )
-        assert [d.verdict for d in decisions] == ["YES", "NO-EVIDENCE", "NO-EVIDENCE"]
+        assert [d.success for d in decisions] == [True, False, False]
 
     def test_requires_alphabet(self):
         tokens = ((identity(4), identity(4)), (identity(4), identity(4)))
@@ -480,12 +492,10 @@ class TestPartialFactor:
         (result,) = partial_factor_attack(
             token, (probe,), SolverConfig(max_length=1, alphabet=self.head_alphabet)
         )
-        assert result.certificate_commute
-        assert elements_commute(result.residual, probe)
-        assert words_equal(
-            compose(rewrite(compose(token, invert(result.residual))), result.residual),
-            token,
-        )
+        assert result.success
+        residual = result.recovered_dict()["residual"]
+        assert elements_commute(residual, probe)
+        assert words_equal(compose(rewrite(compose(token, invert(residual))), residual), token)
 
     def test_trivial_base_gives_trivial_residual(self):
         # The caller peels level after level on the head until the residual
@@ -495,14 +505,15 @@ class TestPartialFactor:
         config = SolverConfig(max_length=2, alphabet=self.head_alphabet)
         for _ in range(3):
             (result,) = partial_factor_attack(token, (probe,), config)
-            head = result.solver_report.solution
-            assert words_equal(compose(head, result.residual), token)
-            if is_trivial(result.residual):
+            head = result.solver_reports[0].solution
+            residual = result.recovered_dict()["residual"]
+            assert words_equal(compose(head, residual), token)
+            if is_trivial(residual):
                 break
             token = rewrite(head)
-        assert is_trivial(result.residual)
+        assert is_trivial(residual)
         # A trivial residual is recorded as a word, not left out.
-        assert result.to_record()["residual"] == result.residual.to_record()
+        assert result.to_record()["recovered"]["residual"] == residual.to_record()
 
     def test_unsolved_probe_reported(self):
         token = BraidWord(6, (1, 2))
@@ -512,8 +523,9 @@ class TestPartialFactor:
             (probe,),
             SolverConfig(max_length=1, alphabet=self.head_alphabet),
         )
-        assert result.residual is None
-        assert not result.solver_report.solved
+        assert result.recovered == ()
+        assert not result.solver_reports[0].solved
+        assert not result.success
 
     def test_complete_base_recovers_plant(self):
         h = generator(6, 5)
@@ -641,16 +653,62 @@ class TestTamperedTranscripts:
 SECRET_TYPES = {"SecretTranscript", "ProtocolTranscript", "DehornoyKeys"}
 
 
+def public_attack_names() -> dict:
+    """The public names `braidwork.attacks` defines, by name."""
+    return {
+        name: obj
+        for name, obj in vars(attacks).items()
+        if not name.startswith("_") and getattr(obj, "__module__", "") == attacks.__name__
+    }
+
+
+# Pipelines that search a caller's alphabet, each on public data of 4 strands.
+ALPHABET_PIPELINES = {
+    "edl": lambda config: decide_edl(
+        ((generator(4, 1), generator(4, 2)), (generator(4, 2), generator(4, 1))), config
+    ),
+    "dehornoy-pair": lambda config: attack_dehornoy_pair(*[generator(4, 1)] * 5, config),
+    "partial-factor": lambda config: partial_factor_attack(
+        generator(4, 1), (generator(4, 2),), config
+    ),
+}
+
+
+@pytest.mark.parametrize("pipeline", ALPHABET_PIPELINES)
+def test_search_alphabet_is_required(monkeypatch, pipeline):
+    # The instance a pipeline builds refuses a missing alphabet, before any
+    # solver runs.
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    for name in ("solve_exhaustive", "solve_length_descent"):
+        monkeypatch.setattr(attacks, name, no_solver)
+    with pytest.raises(ValueError, match="explicit search alphabet"):
+        ALPHABET_PIPELINES[pipeline](SolverConfig(max_length=1))
+
+
+def test_attack_report_is_the_one_report_type():
+    # Every pipeline returns AttackReports; complete_base returns a word.
+    public = public_attack_names()
+    assert [name for name, obj in public.items() if inspect.isclass(obj)] == ["AttackReport"]
+    pipelines = {
+        name: f for name, f in public.items() if inspect.isfunction(f) and name != "complete_base"
+    }
+    assert {"decide_edl", "partial_factor_attack"} <= set(pipelines)
+    for name, f in pipelines.items():
+        returned = typing.get_type_hints(f)["return"]
+        if typing.get_origin(returned) in (tuple, list):
+            assert set(typing.get_args(returned)) - {Ellipsis} == {AttackReport}, name
+        else:
+            assert returned is AttackReport, name
+
+
 class TestPublicDataOnly:
     """Attacks read public data only. The harness verdict is the caller's:
     whoever holds the secret judges a report with `with_verdict`."""
 
     def test_no_attack_takes_a_secret(self):
-        public = [
-            obj
-            for name, obj in vars(attacks).items()
-            if not name.startswith("_") and getattr(obj, "__module__", "") == attacks.__name__
-        ]
+        public = list(public_attack_names().values())
         functions = [f for f in public if inspect.isfunction(f)] + [
             m for cls in public if inspect.isclass(cls)
             for m in vars(cls).values() if inspect.isfunction(m)

@@ -24,6 +24,7 @@ from braidwork.solvers import (
     EXHAUSTED,
     SOLVED,
     STALLED,
+    SolutionReport,
     SolverConfig,
     solve_exhaustive,
     solve_length_descent,
@@ -433,6 +434,28 @@ class TestSolvePower:
             solve_exhaustive(self.pow_instance(1), SolverConfig(MAX_SECRET_LENGTH + 1))
 
 
+def searching_run(seed: int):
+    """A run of the descent workload's shape, klchkp on 9 strands with
+    positive secrets of length 4, at a protocol seed whose instance for
+    target a the identity raw word does not solve, as at seeds 1, 3, 4 and
+    5: a descent on it has to move."""
+    config = dataclasses.replace(
+        make_preset("klchkp", strands=9, secret_length=4), positive_only=True
+    )
+    run = ka_run(config, seed=seed)
+    inst = build_mscsp_dhdp(run.public, "a")
+    assert not solve_exhaustive(inst, SolverConfig(max_length=0)).solved
+    return run
+
+
+def descent_steps(report: SolutionReport) -> int:
+    """The steps of a descent that solved on one attempt, read off its trace."""
+    (line,) = report.trace
+    steps = re.fullmatch(r"success after (\d+) steps \(attempt \d+\)", line)
+    assert steps, line
+    return int(steps[1])
+
+
 class TestSolveLengthDescent:
     def test_one_step_example(self):
         alphabet = interval_generators(6, 1, 5)
@@ -460,6 +483,14 @@ class TestSolveLengthDescent:
         )
         assert report.solved
         assert all(verify_solution(inst, report.solution))
+
+    @pytest.mark.parametrize("seed", [1, 3, 4, 5])
+    def test_searching_protocol_instance(self, seed):
+        inst = build_mscsp_dhdp(searching_run(seed).public, "a")
+        report = solve_length_descent(inst, SolverConfig(max_length=4, restarts=6, seed=seed))
+        assert report.solved
+        assert all(verify_solution(inst, report.solution))
+        assert descent_steps(report) >= 1
 
     def test_descent_workload_instance_takes_steps(self):
         # The descent workload's shape: klchkp on 9 strands, positive
@@ -524,6 +555,13 @@ class TestSolveLengthDescent:
         inst = build_mscsp_dhdp(run.public, "a")
         cfg = SolverConfig(max_length=2, restarts=3, seed=4)
         assert solve_length_descent(inst, cfg) == solve_length_descent(inst, cfg)
+
+    def test_deterministic_on_a_searching_instance(self):
+        inst = build_mscsp_dhdp(searching_run(3).public, "a")
+        cfg = SolverConfig(max_length=4, restarts=3, seed=4)
+        report = solve_length_descent(inst, cfg)
+        assert report == solve_length_descent(inst, cfg)
+        assert descent_steps(report) >= 1
 
     # Two descents on two pairs: the first solves on its first attempt
     # after a depth-2 lookahead, the second stalls twice, each time after a
@@ -638,9 +676,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=f"unknown length functional '{functional}'"):
             SolverConfig(max_length=1, length_functional=functional)
 
-    def test_negative_restarts(self):
-        with pytest.raises(ValueError, match="restarts"):
-            SolverConfig(max_length=1, restarts=-1)
+    @pytest.mark.parametrize("field", ["max_length", "budget", "restarts"])
+    def test_negative_bound(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
+            SolverConfig(**{"max_length": 1, field: -1})
 
 
 class TestReports:
