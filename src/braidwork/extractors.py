@@ -66,7 +66,7 @@ class CspInstance:
     A single pair is a plain conjugacy search; several pairs share one
     conjugator. `forms` holds the normal forms (x, y) of each pair, the
     only form the instance keeps; `pairs` spells them for the record, and
-    `from_words` normalises the words a record reads. `alphabet` names the
+    `from_record` normalises the words a record reads. `alphabet` names the
     subgroup the enumeration draws candidates from; `post_transform` is the
     fixed right factor taking the recovered conjugator back to the attacked
     secret; `meta` is kept in key order."""
@@ -82,17 +82,6 @@ class CspInstance:
         if not isinstance(self.alphabet, SubgroupSpec):
             raise ValueError("instance needs an explicit search alphabet")
         object.__setattr__(self, "meta", tuple(sorted(self.meta)))
-
-    @staticmethod
-    def from_words(
-        pairs: tuple[tuple[BraidWord, BraidWord], ...],
-        alphabet: SubgroupSpec,
-        post_transform: BraidWord | None,
-        meta: tuple[tuple[str, str], ...],
-    ) -> CspInstance:
-        """The instance whose pairs are these words, each normalised once."""
-        forms = tuple((normal_form(x), normal_form(y)) for x, y in pairs)
-        return CspInstance(forms, alphabet, post_transform, meta)
 
     @functools.cached_property
     def pairs(self) -> tuple[tuple[BraidWord, BraidWord], ...]:
@@ -123,8 +112,8 @@ class CspInstance:
             for p in expect_list(record["pairs"], "an instance's pairs")
         ]
         words = [(BraidWord.from_record(p["x"]), BraidWord.from_record(p["y"])) for p in pairs]
-        return CspInstance.from_words(
-            tuple(words),
+        return CspInstance(
+            tuple((normal_form(x), normal_form(y)) for x, y in words),
             SubgroupSpec.from_record(record["alphabet"]),
             BraidWord.from_record(post) if post is not None else None,
             tuple(meta.items()),

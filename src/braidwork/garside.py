@@ -182,10 +182,6 @@ class GarsideNormalForm(NamedTuple):
     infimum: int
     factors: tuple[Perm, ...]
 
-    @property
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
     def to_word(self) -> BraidWord:
         """Re-expand to a braid word equal to the original element."""
         n, k = self.strands, self.infimum
@@ -523,7 +519,7 @@ def is_trivial(a: BraidWord) -> bool:
 
 def canonical_length(a: BraidWord) -> int:
     """Number of permutation-braid factors in the normal form."""
-    return normal_form(a).canonical_length
+    return len(normal_form(a).factors)
 
 
 def nf_key(a: BraidWord, strands: int | None = None) -> GarsideNormalForm:

@@ -10,10 +10,11 @@ reduced nonempty word is sigma-positive or sigma-negative in its lowest
 index and therefore represents a nontrivial braid; a word is trivial iff
 reduction ends with the empty word.
 
-A configurable step budget guards against pathological blowup; exceeding
-it raises ReductionBudgetExceeded. No caller falls back to normal forms:
-the attacks' lift through the shift returns None, so the attack's check
-fails, and the benchmark's oracle counts the word as nontrivial.
+One step budget, DEFAULT_BUDGET handle reductions per word, guards
+against pathological blowup; exceeding it raises ReductionBudgetExceeded.
+No caller falls back to normal forms: the attacks' lift through the shift
+returns None, so the attack's check fails, and the benchmark's oracle
+counts the word as nontrivial.
 
 The shift preimage tests the word's strand crossings before it reduces:
 no word in sigma_2.. crosses strand 0, so every element of the image of
@@ -31,11 +32,12 @@ DEFAULT_BUDGET = 10**6
 
 
 class ReductionBudgetExceeded(Exception):
-    """The word was too long for the configured handle-reduction budget."""
+    """The word needed more than DEFAULT_BUDGET handle reductions."""
 
 
-def handle_reduce(a: BraidWord, budget: int = DEFAULT_BUDGET) -> BraidWord:
+def handle_reduce(a: BraidWord) -> BraidWord:
     """Fully handle-reduce a word, returning an equal handle-free word."""
+    budget = DEFAULT_BUDGET
     letters = list(a.letters)
     steps = 0
     k = 0

@@ -237,12 +237,7 @@ class Endomorphism:
             raise ValueError("inner endomorphism needs a conjugator")
 
 
-IDENTITY_ENDO = Endomorphism("identity")
 SHIFT_ENDO = Endomorphism("shift")
-
-
-def inner_endo(h: BraidWord) -> Endomorphism:
-    return Endomorphism("inner", h)
 
 
 def apply_endo(f: Endomorphism, a: BraidWord) -> BraidWord:
@@ -265,19 +260,17 @@ def shifted_conjugate(r: BraidWord, p: BraidWord) -> BraidWord:
 def random_word(
     alphabet: Sequence[BraidWord],
     length: int,
-    rng: random.Random | int,
+    rng: random.Random,
     use_inverses: bool = True,
 ) -> BraidWord:
     """
     A product of `length` uniformly chosen alphabet entries (or their
-    inverses when use_inverses is set). Deterministic given a seed.
+    inverses when use_inverses is set), drawn from `rng`.
     """
     if not alphabet:
         raise ValueError("alphabet must be nonempty")
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     n = max(w.strands for w in alphabet)
     letters: list[int] = []
     for _ in range(length):

@@ -52,7 +52,8 @@ def word_instance(
     meta: tuple[tuple[str, str], ...] = (),
 ) -> CspInstance:
     """The instance of these word pairs, normalised once each as a record's are."""
-    return CspInstance.from_words(pairs, alphabet, post_transform, meta)
+    forms = tuple((normal_form(x), normal_form(y)) for x, y in pairs)
+    return CspInstance(forms, alphabet, post_transform, meta)
 
 
 def _setup(

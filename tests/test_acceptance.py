@@ -36,15 +36,14 @@ from braidwork.protocols import (
 from braidwork.solvers import SolverConfig, solve_length_descent, verify_solution
 from braidwork.subgroups import SubgroupSpec, elements_commute, interval_generators
 from braidwork.words import (
-    IDENTITY_ENDO,
     SHIFT_ENDO,
     BraidWord,
+    Endomorphism,
     apply_endo,
     compose,
     compose_all,
     generator,
     identity,
-    inner_endo,
     invert,
     power,
     random_word,
@@ -271,9 +270,9 @@ class TestAcceptance:
     def test_09_gtcp_recovery(self):
         spec = interval_generators(4, 1, 3)
         endo_menu = {
-            "identity": IDENTITY_ENDO,
+            "identity": Endomorphism("identity"),
             "shift": SHIFT_ENDO,
-            "inner": inner_endo(BraidWord(4, (1, 2))),
+            "inner": Endomorphism("inner", BraidWord(4, (1, 2))),
         }
         combos = [
             (u, w)
@@ -287,7 +286,7 @@ class TestAcceptance:
         while runs < 50:
             u_name, w_name = combos[runs % len(combos)]
             mode = modes[runs % len(modes)]
-            endos = (endo_menu[u_name], IDENTITY_ENDO, endo_menu[w_name])
+            endos = (endo_menu[u_name], Endomorphism("identity"), endo_menu[w_name])
             u, v, w = endos
             r = rand_word(4, 1 + rng.randrange(3), rng)
             ps = (generator(4, 1), generator(4, 3), BraidWord(4, (2, 3)))
@@ -311,7 +310,7 @@ class TestAcceptance:
             runs += 1
         # Identity specialization: the extracted instance is literally a plain
         # conjugacy-search instance over the secret subgroup itself.
-        endos = (IDENTITY_ENDO, IDENTITY_ENDO, IDENTITY_ENDO)
+        endos = (Endomorphism("identity"),) * 3
         r = generator(4, 2)
         ps = (generator(4, 1), generator(4, 3))
         samples = tuple(

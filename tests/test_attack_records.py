@@ -93,15 +93,14 @@ from braidwork.protocols import (
 from braidwork.solvers import SolverConfig
 from braidwork.subgroups import SubgroupSpec, interval_generators
 from braidwork.words import (
-    IDENTITY_ENDO,
     SHIFT_ENDO,
     BraidWord,
+    Endomorphism,
     apply_endo,
     compose,
     compose_all,
     generator,
     identity,
-    inner_endo,
     invert,
     power,
     random_word,
@@ -188,9 +187,9 @@ def gtcp_samples(endos, r, ps):
 
 
 GTCP_MAPS = {
-    "identity": IDENTITY_ENDO,
+    "identity": Endomorphism("identity"),
     "shift": SHIFT_ENDO,
-    "inner": inner_endo(BraidWord(4, (1, 2))),
+    "inner": Endomorphism("inner", BraidWord(4, (1, 2))),
 }
 
 
@@ -201,7 +200,7 @@ def gtcp_cases():
     for k, mode in enumerate(GTCP_MODES):
         for u_name in GTCP_MAPS:
             for w_name in GTCP_MAPS:
-                endos = (GTCP_MAPS[u_name], IDENTITY_ENDO, GTCP_MAPS[w_name])
+                endos = (GTCP_MAPS[u_name], Endomorphism("identity"), GTCP_MAPS[w_name])
                 r = rand_word(4, 1 + (k + len(u_name) + len(w_name)) % 3, rng)
                 yield gtcp_samples(endos, r, ps), endos, mode, r
 
@@ -213,12 +212,16 @@ def gtcp_records():
             samples, endos, mode, spec, SolverConfig(max_length=3)
         ).with_verdict("r-candidate", r).to_record()
     # A secret out of reach, and a non-identity v.
-    endos = (inner_endo(generator(4, 1)), IDENTITY_ENDO, inner_endo(generator(4, 2)))
+    endos = (
+        Endomorphism("inner", generator(4, 1)),
+        Endomorphism("identity"),
+        Endomorphism("inner", generator(4, 2)),
+    )
     r = BraidWord(4, (1, 2, 1, 2))
     samples = gtcp_samples(endos, r, (generator(4, 1), generator(4, 3)))
     for mode in GTCP_MODES:
         yield solve_gtcp(samples, endos, mode, spec, SolverConfig(max_length=1)).to_record()
-    endos = (IDENTITY_ENDO, inner_endo(generator(4, 3)), SHIFT_ENDO)
+    endos = (Endomorphism("identity"), Endomorphism("inner", generator(4, 3)), SHIFT_ENDO)
     samples = gtcp_samples(endos, BraidWord(4, (2,)), (generator(4, 1), generator(4, 2)))
     for mode in GTCP_MODES:
         yield solve_gtcp(samples, endos, mode, spec, SolverConfig(max_length=2)).to_record()

@@ -33,15 +33,14 @@ from braidwork.protocols import (
 from braidwork.solvers import SolverConfig, solve_exhaustive
 from braidwork.subgroups import SubgroupSpec, elements_commute, interval_generators
 from braidwork.words import (
-    IDENTITY_ENDO,
     SHIFT_ENDO,
     BraidWord,
+    Endomorphism,
     apply_endo,
     compose,
     compose_all,
     generator,
     identity,
-    inner_endo,
     invert,
     power,
     random_word,
@@ -87,6 +86,11 @@ class TestDecomposition:
             method="descent",
         ).with_verdict("key-candidate", run.secret.kappa)
         assert report.success and report.harness_verdict is True
+
+    def test_unknown_method(self):
+        run = ka_run(make_preset("klchkp", strands=6, secret_length=2), seed=0)
+        with pytest.raises(ValueError, match=r"^unknown solver method 'annealing'$"):
+            attack_decomposition(run.public, SolverConfig(max_length=1), method="annealing")
 
     @pytest.mark.parametrize("seed", [1, 3, 4, 5])
     def test_descent_method_on_a_searching_instance(self, seed):
@@ -212,11 +216,17 @@ class TestEdl:
             decide_edl(tokens, SolverConfig(max_length=1))
 
     def test_requires_two_tokens(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need at least two tokens$"):
             decide_edl(
                 ((identity(4), identity(4)),),
                 SolverConfig(max_length=1, alphabet=self.alphabet),
             )
+
+    def test_rejects_a_one_index_subset(self):
+        tokens = ((identity(4), identity(4)),) * 2
+        config = SolverConfig(max_length=1, alphabet=self.alphabet)
+        with pytest.raises(ValueError, match=r"^subset \(1,\) too small$"):
+            decide_edl(tokens, config, subsets=((1,),))
 
 
 class TestGtcp:
@@ -241,9 +251,9 @@ class TestGtcp:
     )
     def test_inner_endos(self, mode):
         endos = (
-            inner_endo(generator(4, 1)),
-            IDENTITY_ENDO,
-            inner_endo(generator(4, 2)),
+            Endomorphism("inner", generator(4, 1)),
+            Endomorphism("identity"),
+            Endomorphism("inner", generator(4, 2)),
         )
         r = BraidWord(4, (2, 1))
         ps = (generator(4, 1), generator(4, 3), BraidWord(4, (2, 3)))
@@ -256,7 +266,7 @@ class TestGtcp:
 
     @pytest.mark.parametrize("mode", ["pairwise-ce1", "pairwise-ce2"])
     def test_shift_endos(self, mode):
-        endos = (SHIFT_ENDO, IDENTITY_ENDO, SHIFT_ENDO)
+        endos = (SHIFT_ENDO, Endomorphism("identity"), SHIFT_ENDO)
         r = BraidWord(4, (1, 3))
         ps = (generator(4, 1), generator(4, 2), BraidWord(4, (3, 2)))
         samples = self.samples_for(endos, r, ps)
@@ -267,7 +277,7 @@ class TestGtcp:
         assert report.harness_verdict is True
 
     def test_identity_endos_specialize_to_plain_conjugacy(self):
-        endos = (IDENTITY_ENDO, IDENTITY_ENDO, IDENTITY_ENDO)
+        endos = (Endomorphism("identity"),) * 3
         r = generator(4, 2)
         ps = (generator(4, 1), generator(4, 3))
         samples = self.samples_for(endos, r, ps)
@@ -281,9 +291,9 @@ class TestGtcp:
 
     def test_failure_when_secret_out_of_reach(self):
         endos = (
-            inner_endo(generator(4, 1)),
-            IDENTITY_ENDO,
-            inner_endo(generator(4, 2)),
+            Endomorphism("inner", generator(4, 1)),
+            Endomorphism("identity"),
+            Endomorphism("inner", generator(4, 2)),
         )
         r = BraidWord(4, (1, 2, 1, 2))
         ps = (generator(4, 1), generator(4, 3))
@@ -308,7 +318,7 @@ def pair_round():
 
 def gtcp_shift_round():
     # The shift carries the secret, so the filter lifts through it.
-    endos = (SHIFT_ENDO, IDENTITY_ENDO, SHIFT_ENDO)
+    endos = (SHIFT_ENDO, Endomorphism("identity"), SHIFT_ENDO)
     r = BraidWord(4, (1, 3))
     ps = (generator(4, 1), generator(4, 2), BraidWord(4, (3, 2)))
     samples = tuple(
@@ -602,7 +612,7 @@ class TestTamperedTranscripts:
     def test_gtcp_with_foreign_sample(self):
         spec = interval_generators(4, 1, 3)
         gens = [generator(4, i) for i in range(1, 4)]
-        maps = (IDENTITY_ENDO, SHIFT_ENDO, inner_endo(BraidWord(4, (1, 2))))
+        maps = (Endomorphism("identity"), SHIFT_ENDO, Endomorphism("inner", BraidWord(4, (1, 2))))
         modes = ("pairwise-ce1", "pairwise-ce2", "centralizer-ce3", "centralizer-ce4")
         ps = (generator(4, 1), generator(4, 3), BraidWord(4, (2, 3)))
         refusals = 0
@@ -619,7 +629,7 @@ class TestTamperedTranscripts:
             samples = tuple(
                 (token(r_other if i == 1 else r, p), p) for i, p in enumerate(ps)
             )
-            endos = (u, IDENTITY_ENDO, w)
+            endos = (u, Endomorphism("identity"), w)
             report = solve_gtcp(
                 samples, endos, modes[seed % 4], spec, SolverConfig(max_length=2)
             )

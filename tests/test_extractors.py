@@ -19,16 +19,15 @@ from braidwork.protocols import dehornoy_commit, dehornoy_keygen, ka_run, make_p
 from braidwork.solvers import SolverConfig, solve_exhaustive, solve_length_descent
 from braidwork.subgroups import SubgroupSpec, interval_generators
 from braidwork.words import (
-    IDENTITY_ENDO,
     SHIFT_ENDO,
     BraidWord,
+    Endomorphism,
     apply_endo,
     compose,
     compose_all,
     delta,
     generator,
     identity,
-    inner_endo,
     invert,
     power,
     random_word,
@@ -53,7 +52,7 @@ class TestCeSamples:
         assert words_equal(sample, compose_all([invert(token), probe, token]))
 
     def test_bad_side(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^side must be 'left' or 'right', got 'up'$"):
             ce_conjugate_sample(identity(3), identity(3), "up")
 
     def test_difference_pair_sides(self):
@@ -305,7 +304,11 @@ class TestGtcpExtractors:
     @pytest.fixture
     def setup(self):
         spec = interval_generators(4, 1, 3)
-        endos = (inner_endo(generator(4, 1)), IDENTITY_ENDO, inner_endo(generator(4, 2)))
+        endos = (
+            Endomorphism("inner", generator(4, 1)),
+            Endomorphism("identity"),
+            Endomorphism("inner", generator(4, 2)),
+        )
         r = BraidWord(4, (2, 1))
         ps = (generator(4, 1), generator(4, 3), BraidWord(4, (2, 3)))
         return spec, endos, r, ps
@@ -348,7 +351,7 @@ class TestGtcpExtractors:
 
     def test_shift_endo_alphabet(self, setup):
         spec, _, r, ps = setup
-        endos = (SHIFT_ENDO, IDENTITY_ENDO, IDENTITY_ENDO)
+        endos = (SHIFT_ENDO, Endomorphism("identity"), Endomorphism("identity"))
         inst = build_gtcp_instances(self.samples(endos, r, ps), endos, "pairwise-ce1", spec)
         g = shift(r)
         for x, y in inst.pairs:
@@ -358,8 +361,17 @@ class TestGtcpExtractors:
 
     def test_pairwise_needs_two_samples(self, setup):
         spec, endos, r, ps = setup
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^pairwise modes need at least two samples$"):
             build_gtcp_instances(self.samples(endos, r, ps[:1]), endos, "pairwise-ce1", spec)
+
+    @pytest.mark.parametrize("mode", ["pairwise-ce1", "pairwise-ce2"])
+    def test_pairwise_needs_two_distinct_v_images(self, setup, mode):
+        # sigma_1 sigma_1^-1 is the identity as a braid, not as a word.
+        spec, endos, r, _ = setup
+        ps = (identity(4), BraidWord(4, (1, -1)))
+        message = r"^all sample pairs have equal v\(p\); pairwise mode impossible$"
+        with pytest.raises(ValueError, match=message):
+            build_gtcp_instances(self.samples(endos, r, ps), endos, mode, spec)
 
     def test_unknown_mode(self, setup):
         spec, endos, r, ps = setup
@@ -456,7 +468,11 @@ class TestForms:
 
     def test_gtcp_builder(self):
         spec = interval_generators(4, 1, 3)
-        endos = (inner_endo(generator(4, 1)), IDENTITY_ENDO, inner_endo(generator(4, 2)))
+        endos = (
+            Endomorphism("inner", generator(4, 1)),
+            Endomorphism("identity"),
+            Endomorphism("inner", generator(4, 2)),
+        )
         r = BraidWord(4, (2, 1))
         u, v, w = endos
         samples = tuple(

@@ -111,11 +111,11 @@ class TestNormalForm:
 
     def test_sigma1_sigma3_commuting_factor(self):
         nf = normal_form(BraidWord(4, (1, 3)))
-        assert nf.infimum == 0 and nf.canonical_length == 1
+        assert nf.infimum == 0 and len(nf.factors) == 1
 
     def test_negative_generator(self):
         nf = normal_form(generator(3, -1))
-        assert nf.infimum == -1 and nf.canonical_length == 1
+        assert nf.infimum == -1 and len(nf.factors) == 1
 
     def test_packing_carries_the_parity_as_mirrored_letters(self, monkeypatch):
         # A factor packed under an odd Delta power is packed from mirrored

@@ -53,10 +53,11 @@ class TestHandleReduce:
         signs = {1 if x > 0 else -1 for x in out.letters if abs(x) == 1}
         assert len(signs) <= 1
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(handle, "DEFAULT_BUDGET", 1)
         w = BraidWord(4, (1, 2, -1, 3, -2, 1, -3))
-        with pytest.raises(ReductionBudgetExceeded):
-            handle_reduce(w, budget=1)
+        with pytest.raises(ReductionBudgetExceeded, match="exceeded 1 handle reductions"):
+            handle_reduce(w)
 
 
 class TestTrivialityOracle:

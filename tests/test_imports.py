@@ -1,23 +1,28 @@
 """Every name a library module imports is used in that module, every
 private top-level function or class of the library is used somewhere,
-every field of a library dataclass or NamedTuple is read somewhere, and
-every defaulted parameter of a library function is passed somewhere.
+every public top-level function, class or constant is used outside the
+tests, every field of a library dataclass or NamedTuple is read
+somewhere, and every defaulted parameter of a library function is passed
+somewhere.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules. For
 imports, `__init__.py` is exempt, since its imports are the package's
-re-exports, and so is `from __future__`. A private name is one that starts
-with a single underscore; a use inside its own definition, such as a
-recursive call, does not count. A field is read when the library, the
-tests or the bench scripts load it as an attribute (`.field`) or name it
-in a string constant (as `getattr(cfg, "left_a")` does); constructing a
-dataclass or NamedTuple does not read its fields. A defaulted parameter
-is passed when some call to a function of that name, in the library or
-the bench scripts, names it as a keyword or gives it a positional
-argument (a method's `self` takes none). Calls in the tests do not
-count: a setting that only tests pass runs on no workload, so it should
-be a constant. The few that stay are allowlisted with a reason each, and
-an allowlisted name that some call passes, or that names no defaulted
-parameter, is reported as well, so the list cannot go stale.
+re-exports, and so is `from __future__`. A private name is one that
+starts with a single underscore; a use inside its own definition, such
+as a recursive call, does not count. A public name is used when library
+code other than `__init__.py` names it outside its own definition, or a
+bench script names it, as a name, attribute, import or string constant.
+A field is read when the library, the tests or the bench scripts load it
+as an attribute (`.field`) or name it in a string constant (as
+`getattr(cfg, "left_a")` does); constructing a dataclass or NamedTuple
+does not read its fields. A defaulted parameter is passed when some call
+to a function of that name, in the library or the bench scripts, names
+it as a keyword or gives it a positional argument (a method's `self`
+takes none). Calls in the tests do not count: a setting that only tests
+pass runs on no workload, so it should be a constant. The few that stay
+are allowlisted with a reason each, and an allowlisted name that some
+call passes, or that names no defaulted parameter, is reported as well,
+so the list cannot go stale.
 """
 
 import ast
@@ -99,6 +104,74 @@ def test_detects_unreferenced_private_name():
     assert unreferenced_private_names(sources) == [
         "_recursive (a.py line 5)",
         "_Unused (a.py line 9)",
+    ]
+
+
+def _defines(top: ast.stmt) -> list[str]:
+    """The names a top-level statement binds: a function's or class's, or
+    the plain names an assignment targets."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [top.name]
+    if isinstance(top, ast.Assign):
+        return [t.id for t in top.targets if isinstance(t, ast.Name)]
+    if isinstance(top, ast.AnnAssign) and isinstance(top.target, ast.Name):
+        return [top.target.id]
+    return []
+
+
+def unreferenced_public_names(library: dict[str, str], others: list[str]) -> list[str]:
+    """The public top-level functions, classes and constants of the library
+    modules, in the order the modules define them, that no library source
+    mentions outside their definition and no other source mentions. A
+    mention is a name, an attribute, an imported name or a string
+    constant (as `bench/spans.py` names the functions it wraps)."""
+    defined: list[tuple[str, str, int]] = []
+    used: set[str] = set()
+    trees = [(module, ast.parse(source)) for module, source in library.items()]
+    trees += [(None, ast.parse(source)) for source in others]
+    for module, tree in trees:
+        for top in tree.body:
+            own = _defines(top) if module is not None else []
+            defined += [(name, module, top.lineno) for name in own if not name.startswith("_")]
+            mentions: set[str] = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    mentions.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    mentions.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    mentions.add(node.name)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    mentions.add(node.value)
+            used |= mentions.difference(own)
+    return [f"{name} ({module} line {line})" for name, module, line in defined if name not in used]
+
+
+def test_public_names_are_used_outside_the_tests():
+    # `__init__.py` only re-exports, so its imports are not uses. The tests
+    # do not count: a name only they use runs on no workload.
+    library, bench = library_and_others("bench")
+    del library["__init__.py"]
+    assert unreferenced_public_names(library, bench) == []
+
+
+def test_detects_unused_public_name():
+    library = {
+        "a.py": (
+            "LIMIT = 3\nSPARE: int = 4\n\n\n"
+            "def kept():\n    return LIMIT\n\n\n"
+            "def recursive(n):\n    return recursive(n - 1)\n\n\n"
+            "def traced():\n    return 1\n\n\n"
+            "class Unused:\n    pass\n\n\n"
+            "def _private():\n    return 2\n"
+        ),
+        "b.py": "from a import kept\n",
+    }
+    bench = ["TRACED = ['traced']\n"]
+    assert unreferenced_public_names(library, bench) == [
+        "SPARE (a.py line 2)",
+        "recursive (a.py line 9)",
+        "Unused (a.py line 17)",
     ]
 
 
@@ -240,7 +313,6 @@ def unpassed_defaults(
 UNPASSED_ALLOWED = {
     "attack_decomposition.method": "ROADMAP item 3(a) gives it a CLI flag",
     "decide_edl.subsets": "acceptance criterion 7 passes it",
-    "handle_reduce.budget": "budget=1 is how the tests reach ReductionBudgetExceeded",
     "make_preset.exponent_bound": "acceptance criterion 6 passes it",
     "main.argv": "cli.main is the entry point the tests drive",
 }

@@ -236,5 +236,9 @@ class TestDehornoyScheme:
 
     def test_bad_challenge(self):
         keys = self.keys()
-        with pytest.raises(ProtocolError):
-            dehornoy_respond(keys, self.nonce(), challenge=2)
+        r = self.nonce()
+        with pytest.raises(ProtocolError, match=r"^challenge must be 0 or 1, got 2$"):
+            dehornoy_respond(keys, r, challenge=2)
+        commitment = dehornoy_commit(keys, r)
+        with pytest.raises(ProtocolError, match=r"^challenge must be 0 or 1, got 2$"):
+            dehornoy_verify(keys.base, keys.public_key, commitment, 2, r)

@@ -15,6 +15,7 @@ with the difference cost forced on every config.
 import dataclasses
 import hashlib
 import json
+import random
 
 from solver_reference import word_instance
 
@@ -81,9 +82,9 @@ def random_instance(n, length, seed) -> CspInstance:
     """A random secret over sigma_1..sigma_{n/2}, three random probes over
     all generators, and on odd seeds a coset factor sigma_{n-1}."""
     alphabet = interval_generators(n, 1, n // 2)
-    g = random_word(alphabet.generators, length, seed)
+    g = random_word(alphabet.generators, length, random.Random(seed))
     letters = [generator(n, i) for i in range(1, n)]
-    probes = tuple(random_word(letters, 5, 7 * seed + k) for k in range(3))
+    probes = tuple(random_word(letters, 5, random.Random(7 * seed + k)) for k in range(3))
     if seed % 2 == 0:
         return conjugation_instance(g, probes, alphabet)
     t = generator(n, n - 1)

@@ -33,9 +33,9 @@ from braidwork.solvers import (
 )
 from braidwork.subgroups import SubgroupSpec, interval_generators
 from braidwork.words import (
-    IDENTITY_ENDO,
     MAX_SECRET_LENGTH,
     BraidWord,
+    Endomorphism,
     apply_endo,
     canonical_symbols,
     compose,
@@ -43,7 +43,6 @@ from braidwork.words import (
     delta,
     generator,
     identity,
-    inner_endo,
     invert,
     power,
 )
@@ -309,7 +308,11 @@ class TestSolveExhaustive:
         # form, and the filter alone decides; the report's digest is the
         # one from before pairs were dropped.
         spec = interval_generators(6, 1, 2)
-        endos = (inner_endo(BraidWord(6, (1, 2))), IDENTITY_ENDO, IDENTITY_ENDO)
+        endos = (
+            Endomorphism("inner", BraidWord(6, (1, 2))),
+            Endomorphism("identity"),
+            Endomorphism("identity"),
+        )
         r = BraidWord(6, (1, -2, 1, 2, 2, 1))
         ps = (BraidWord(6, (2, 1, -2)), BraidWord(6, (1, 1)))
         samples = tuple(

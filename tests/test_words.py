@@ -27,7 +27,6 @@ from braidwork.words import (
     enumerate_products,
     generator,
     identity,
-    inner_endo,
     invert,
     power,
     random_word,
@@ -159,6 +158,10 @@ class TestCompose:
     def test_strand_reconciliation(self):
         w = compose(BraidWord(2, (1,)), BraidWord(4, (3,)))
         assert w == BraidWord(4, (1, 3))
+
+    def test_compose_all_needs_a_word(self):
+        with pytest.raises(ValueError, match=r"^compose_all needs at least one word$"):
+            compose_all([])
 
     @given(letters(4), letters(4), letters(4))
     def test_associativity(self, a, b, c):
@@ -322,7 +325,7 @@ class TestEndomorphism:
     def test_inner_endo(self):
         h = generator(3, 2)
         w = generator(3, 1)
-        assert apply_endo(inner_endo(h), w) == compose(h, compose(w, invert(h)))
+        assert apply_endo(Endomorphism("inner", h), w) == compose(h, compose(w, invert(h)))
 
     def test_inner_needs_conjugator(self):
         with pytest.raises(ValueError):
@@ -406,25 +409,34 @@ class TestRandomWord:
                 assert rng.random() == oracle_rng.random()
 
     def test_zero_length(self):
-        assert random_word([generator(3, 1)], 0, 7) == identity(3)
+        assert random_word([generator(3, 1)], 0, random.Random(7)) == identity(3)
 
     def test_deterministic(self):
         gens = [generator(4, i) for i in range(1, 4)]
-        assert random_word(gens, 6, 42) == random_word(gens, 6, 42)
+        assert random_word(gens, 6, random.Random(42)) == random_word(gens, 6, random.Random(42))
 
     def test_positive_powers(self):
-        w = random_word([generator(2, 1)], 3, 0, use_inverses=False)
+        w = random_word([generator(2, 1)], 3, random.Random(0), use_inverses=False)
         assert w == BraidWord(2, (1, 1, 1))
 
     def test_empty_alphabet_rejected(self):
-        with pytest.raises(ValueError):
-            random_word([], 3, 0)
+        with pytest.raises(ValueError, match=r"^alphabet must be nonempty$"):
+            random_word([], 3, random.Random(0))
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match=r"^length must be nonnegative$"):
+            random_word([generator(3, 1)], -1, random.Random(0))
 
 
 class TestEnumerateProducts:
     def test_starts_with_identity(self):
         words = list(enumerate_products([generator(3, 1)], 2))
         assert words[0] == identity(3)
+
+    def test_empty_alphabet_rejected(self):
+        # A generator: the check runs at the first next().
+        with pytest.raises(ValueError, match=r"^alphabet must be nonempty$"):
+            next(enumerate_products([], 2))
 
     def test_ordered_by_length(self):
         words = list(enumerate_products([generator(3, 1), generator(3, 2)], 3))
