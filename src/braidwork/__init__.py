@@ -1,47 +1,2 @@
 """Braid-group arithmetic, key-agreement protocol simulators, and
 conjugacy-extractor attack pipelines."""
-
-from .words import BraidWord, compose, delta, generator, identity, invert, power
-from .garside import GarsideNormalForm, canonical_length, normal_form, rewrite, words_equal
-from .handle import handle_reduce, is_trivial_handle_reduction
-from .subgroups import SubgroupSpec, centralizer_search, interval_generators
-from .protocols import KaConfig, PublicTranscript, SecretTranscript, ka_run, make_preset
-from .extractors import CspInstance
-from .solvers import SolverConfig, SolutionReport, solve_exhaustive, solve_length_descent
-from .attacks import AttackReport, attack_decomposition, decide_edl, solve_gtcp
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AttackReport",
-    "BraidWord",
-    "CspInstance",
-    "GarsideNormalForm",
-    "KaConfig",
-    "PublicTranscript",
-    "SecretTranscript",
-    "SolutionReport",
-    "SolverConfig",
-    "SubgroupSpec",
-    "attack_decomposition",
-    "canonical_length",
-    "centralizer_search",
-    "compose",
-    "decide_edl",
-    "delta",
-    "generator",
-    "handle_reduce",
-    "identity",
-    "interval_generators",
-    "invert",
-    "is_trivial_handle_reduction",
-    "ka_run",
-    "make_preset",
-    "normal_form",
-    "power",
-    "rewrite",
-    "solve_exhaustive",
-    "solve_gtcp",
-    "solve_length_descent",
-    "words_equal",
-]

@@ -2,16 +2,15 @@
 private top-level function or class of the library is used somewhere,
 every public top-level function, class or constant is used outside the
 tests, every field of a library dataclass or NamedTuple is read
-somewhere, and every defaulted parameter of a library function is passed
-somewhere.
+somewhere, every defaulted parameter of a library function is passed
+somewhere, and the package root holds only its docstring.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules. For
-imports, `__init__.py` is exempt, since its imports are the package's
-re-exports, and so is `from __future__`. A private name is one that
-starts with a single underscore; a use inside its own definition, such
-as a recursive call, does not count. A public name is used when library
-code other than `__init__.py` names it outside its own definition, or a
-bench script names it, as a name, attribute, import or string constant.
+imports, `from __future__` is exempt. A private name is one that starts
+with a single underscore; a use inside its own definition, such as a
+recursive call, does not count. A public name is used when library code
+names it outside its own definition, or a bench script names it, as a
+name, attribute, import or string constant.
 A field is read when the library, the tests or the bench scripts load it
 as an attribute (`.field`) or name it in a string constant (as
 `getattr(cfg, "left_a")` does); constructing a dataclass or NamedTuple
@@ -32,7 +31,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "braidwork"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,6 +53,15 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_package_root_defines_no_names():
+    # Callers import the modules, as in `from braidwork import garside`, so
+    # the package root re-exports nothing: no import, assignment or
+    # definition follows its docstring.
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert ast.get_docstring(tree) is not None
+    assert [f"{type(top).__name__} (line {top.lineno})" for top in tree.body[1:]] == []
 
 
 def test_detects_unused_import():
@@ -148,10 +156,8 @@ def unreferenced_public_names(library: dict[str, str], others: list[str]) -> lis
 
 
 def test_public_names_are_used_outside_the_tests():
-    # `__init__.py` only re-exports, so its imports are not uses. The tests
-    # do not count: a name only they use runs on no workload.
+    # The tests do not count: a name only they use runs on no workload.
     library, bench = library_and_others("bench")
-    del library["__init__.py"]
     assert unreferenced_public_names(library, bench) == []
 
 
